@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import classify as classify_mod
 from . import qcomb, subspace_enum
-from .channel_model import (ChannelSpec, TransitionCore,
+from .channel_model import (ChannelSpec, TransitionCore, column_factor,
                             cond_out_rowspace_given_rowspace,
                             cond_rank_given_rowspace, transition_core)
 from .gf_core import BudgetExceeded, MatrixGF, mat_mul
@@ -73,10 +73,6 @@ class MarkovVerdict:
 
 # ---------------------------------------------------------------------------
 # Generic reward-augmented Blahut-Arimoto.
-
-class ConvergenceError(Exception):
-    """Blahut-Arimoto did not reach the requested gap."""
-
 
 def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
         tol: float, max_iter: int):
@@ -243,7 +239,7 @@ def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
                                                 spec.field):
         for x in subspace_enum.matrices_with_column_space(w, spec.M):
             u = span_rows(x)
-            b = _col_factor(x, u)
+            b = column_factor(x, u)
             row: Dict[int, float] = {}
             for e_ent, p in core.tables[u].items():
                 e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
@@ -253,12 +249,6 @@ def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
             rows.append(row)
     value, alpha, gap, its, ok = _ba(rows, None, tol, max_iter)
     return CapacityResult(value, gap, its, ok, "naive")
-
-
-def _col_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
-    """The full-column-rank B with x = B @ (basis of u)."""
-    from .gf_core import solve_factor, transpose
-    return transpose(solve_factor(transpose(x), transpose(u.basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +310,9 @@ def _mi(joint) -> float:
     for (x, y), p in joint.items():
         p = float(p)
         if p > 0.0:
-            out += p * LOG2(p / (px[x] * py[y]))
+            # Logs of the marginals separately: their product can
+            # underflow to 0.0 when an achiever weight is subnormal.
+            out += p * (LOG2(p) - LOG2(px[x]) - LOG2(py[y]))
     return out
 
 
@@ -470,7 +462,7 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
         candidates = []
         for x in subspace_enum.matrices_with_column_space(w, spec.M):
             u = span_rows(x)
-            b = _col_factor(x, u)
+            b = column_factor(x, u)
             row: Dict[int, Fraction] = {}
             for e_ent, p in core.tables[u].items():
                 e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
@@ -501,6 +493,33 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
     best.assignments_tried = tried
     best.degradations = degradations
     return best
+
+
+CSS_MODES = ("auto", "unique", "alpha", "bruteforce")
+
+
+def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
+                             tol: float = DEFAULT_TOL,
+                             max_iter: int = DEFAULT_MAX_ITER,
+                             budget: int = DEFAULT_ASSIGNMENT_BUDGET,
+                             unique_sd: Optional[bool] = None) -> CssResult:
+    """C_ss by one of CSS_MODES.
+
+    "auto" takes the rank-domain optimization when the subspace channel
+    is representative independent and the exhaustive search otherwise.
+    unique_sd is that flag when the caller has already computed it.
+    """
+    if mode not in CSS_MODES:
+        raise ValueError(f"unknown css mode {mode!r}")
+    if unique_sd is None and mode in ("auto", "unique"):
+        unique_sd = classify_mod.has_unique_subspace_degradation(core).holds
+    if mode == "auto":
+        mode = "unique" if unique_sd else "bruteforce"
+    if mode == "unique":
+        return css_unique(core, tol, max_iter, verified=unique_sd)
+    if mode == "alpha":
+        return css_alpha_lower(core, tol, max_iter, budget)
+    return css_bruteforce(core, tol, max_iter, budget)
 
 
 def _input_colspaces(core: TransitionCore):
@@ -593,7 +612,8 @@ class ChannelReport:
 def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER,
                     css_mode: str = "auto",
-                    budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> ChannelReport:
+                    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
+                    core: Optional[TransitionCore] = None) -> ChannelReport:
     """Classify the channel, compute C and the subspace coding capacity,
     and compare them.
 
@@ -602,9 +622,11 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     satisfies the long rank chain (checked numerically at the
     Blahut-Arimoto output).  Strict excess is asserted only when the
     difference clears ten times the optimization tolerance and the
-    subspace value is not merely a lower bound.
+    subspace value is not merely a lower bound.  Pass ``core`` when the
+    caller already holds the transition core of ``spec``.
     """
-    core = transition_core(spec)
+    if core is None:
+        core = transition_core(spec)
     report = classify_mod.classify(spec, core)
     cap = shannon_capacity(core, tol, max_iter)
     if rank_star(spec) == 0:
@@ -613,17 +635,9 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
         markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
         return ChannelReport(spec, report, cap, css, (0.0, 0.0), markov,
                              VERDICT_EQUAL, "transfer matrix is always zero")
-    unique_sd = report.unique_subspace_degradation.holds
-    if css_mode == "auto":
-        css_mode = "unique" if unique_sd else "bruteforce"
-    if css_mode == "unique":
-        css = css_unique(core, tol, max_iter, verified=unique_sd)
-    elif css_mode == "alpha":
-        css = css_alpha_lower(core, tol, max_iter, budget)
-    elif css_mode == "bruteforce":
-        css = css_bruteforce(core, tol, max_iter, budget)
-    else:
-        raise ValueError(f"unknown css mode {css_mode!r}")
+    css = subspace_coding_capacity(
+        core, css_mode, tol, max_iter, budget,
+        unique_sd=report.unique_subspace_degradation.holds)
     bounds = bounds_row_space(core, cap.alpha)
     markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
     css_exact = css.mode in ("unique", "bruteforce")

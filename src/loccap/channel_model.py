@@ -90,9 +90,6 @@ class TransitionCore:
     def field(self) -> FieldSpec:
         return self.spec.field
 
-    def representative(self, u: Subspace) -> MatrixGF:
-        return u.basis
-
     def input_classes(self):
         """Row-space classes U, in canonical order."""
         return sorted(self.tables, key=lambda u: u.sort_key())
@@ -116,6 +113,13 @@ def transition_core(spec: ChannelSpec,
     return core
 
 
+def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
+    """The full-column-rank B with x = B @ D_U, where D_U = u.basis and u
+    is the row space of x."""
+    # x^T = D_U^T @ C, so x = B @ D_U with B = C^T.
+    return transpose(solve_factor(transpose(x), transpose(u.basis)))
+
+
 def p_y_given_x(core: TransitionCore, x: MatrixGF, y: MatrixGF) -> Fraction:
     """Exact P(Y=y | X=x) via the class table.
 
@@ -131,11 +135,8 @@ def p_y_given_x(core: TransitionCore, x: MatrixGF, y: MatrixGF) -> Fraction:
     if not subspace_enum.contains(span_columns(x), span_columns(y)):
         return ZERO
     u = span_rows(x)
-    table, d = core.tables[u], u.basis
-    # x^T = d^T @ C, so x = B @ d with B = C^T full column rank.
-    b = transpose(solve_factor(transpose(x), transpose(d)))
-    e = solve_factor(y, b)
-    return table.get(e.entries, ZERO)
+    e = solve_factor(y, column_factor(x, u))
+    return core.tables[u].get(e.entries, ZERO)
 
 
 def transition_naive(spec: ChannelSpec,
@@ -333,13 +334,3 @@ def save_channel(spec: ChannelSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(spec_to_dict(spec), fh, indent=1)
         fh.write("\n")
-
-
-def core_to_dict(core: TransitionCore) -> dict:
-    """Cacheable JSON form of a transition core."""
-    out = []
-    for u in core.input_classes():
-        dist = [{"E": list(e), "p": f"{p.numerator}/{p.denominator}"}
-                for e, p in sorted(core.tables[u].items())]
-        out.append({"U": u.to_json(), "dist": dist})
-    return {"channel": spec_to_dict(core.spec), "classes": out}

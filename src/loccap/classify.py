@@ -14,8 +14,19 @@ Five nested properties are tested, all by exact rational comparison
   * row space symmetric: P(Y|X) on the reachable cone depends only on
     the row spaces of X and Y.
 
-Every failed test carries a concrete witness, the lexicographically
-first violation in a deterministic scan order.
+Every test reads only the class tables P_U(E) of the transition core,
+never the q^(T*M) input matrices.  Any input with row space U (dimension
+r) factors as X = B @ D_U with B of full column rank, and its output is
+Y = B @ E with E = D_U @ H; inputs with a common column space differ
+only by B -> B @ G for G in GL(r).  So a question about all inputs of one
+column space is a question about GL(r)-invariance of the tables, and
+GL(r) acting on E from the left has the row-space fibers of E as its
+orbits.  The input scans that decide the same predicates by brute force
+live in ``oracle``.
+
+Every failed test carries a concrete witness: the first violation met
+in canonical class order, turned into input and output matrices through
+B = [I_r; 0] and, where needed, an explicit G in GL(r).
 """
 
 from __future__ import annotations
@@ -25,10 +36,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import gf_core, qcomb, subspace_enum
-from .channel_model import (ChannelSpec, TransitionCore,
-                            NAIVE_TABLE_BUDGET, transition_core)
+from .channel_model import (ChannelSpec, TransitionCore, column_factor,
+                            transition_core)
 from .gf_core import MatrixGF, mat_mul, solve_factor, transpose
-from .subspace_enum import Subspace, span_columns, span_rows
+from .subspace_enum import Subspace, span_rows
 
 ZERO = Fraction(0)
 
@@ -96,6 +107,39 @@ def _class_items(core: TransitionCore, u: Subspace):
         yield e, table.get(e.entries, ZERO)
 
 
+def _row_fibers(core: TransitionCore, u: Subspace):
+    """Row-space fibers of the table of class u: (values, violation).
+
+    The fiber of a row space R is every dim(U) x N matrix E with row
+    space R; there are xi(dim U, dim R) of them.  values maps each R the
+    table hits to its per-matrix probability and violation is None when
+    the table is constant on, and covers, every fiber it hits.
+    Otherwise values is None and violation is (E1, E2, p1, p2) with
+    equal row spaces and p1 != p2, the first found in canonical order.
+    """
+    spec = core.spec
+    table = core.tables[u]
+    first: dict = {}   # R -> (E, p) of its first table entry
+    count: dict = {}
+    for e_ent, p in sorted(table.items()):
+        e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
+        w = span_rows(e)
+        if w not in first:
+            first[w], count[w] = (e, p), 1
+        elif first[w][1] != p:
+            return None, (first[w][0], e, first[w][1], p)
+        else:
+            count[w] += 1
+    for w in sorted(first, key=lambda s: s.sort_key()):
+        if count[w] != qcomb.xi(u.dim, w.dim, spec.field.q):
+            missing = next(
+                e for c in gf_core.enumerate_full_rank(u.dim, w.dim,
+                                                       spec.field)
+                if (e := mat_mul(c, w.basis)).entries not in table)
+            return None, (first[w][0], missing, first[w][1], ZERO)
+    return {w: ep[1] for w, ep in first.items()}, None
+
+
 def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
     """P(Y|X) on the reachable cone is a function of the two row spaces.
 
@@ -105,21 +149,16 @@ def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
     So it suffices to check, class by class, that the table is constant
     on row-space fibers of E.
     """
+    t = core.spec.T
     for u in core.input_classes():
-        seen: dict = {}
-        for e, p in _class_items(core, u):
-            w = span_rows(e)
-            if w not in seen:
-                seen[w] = (e, p)
-            elif seen[w][1] != p:
-                e0, p0 = seen[w]
-                x = subspace_enum.representative_matrix(u, core.spec.T, "row")
-                return PredicateResult(False, {
-                    "reason": "probability varies within a row-space fiber",
-                    "X": _mat_json(x),
-                    "Y1": _mat_json(_lift(e0, core.spec.T)),
-                    "Y2": _mat_json(_lift(e, core.spec.T)),
-                    "p1": str(p0), "p2": str(p)})
+        _, bad = _row_fibers(core, u)
+        if bad:
+            e1, e2, p1, p2 = bad
+            return PredicateResult(False, {
+                "reason": "probability varies within a row-space fiber",
+                "X": _mat_json(_input(u, t)),
+                "Y1": _mat_json(_lift(e1, t)), "Y2": _mat_json(_lift(e2, t)),
+                "p1": str(p1), "p2": str(p2)})
     return PredicateResult(True)
 
 
@@ -127,6 +166,33 @@ def _lift(e: MatrixGF, t: int) -> MatrixGF:
     """Pad E with zero rows to height t (the output for X = [D_U; 0])."""
     pad = (0,) * ((t - e.rows) * e.cols)
     return MatrixGF(e.field, t, e.cols, e.entries + pad)
+
+
+def _input(u: Subspace, t: int, g: Optional[MatrixGF] = None) -> MatrixGF:
+    """The input B @ G @ D_U with B = [I_r; 0] (t x r); G defaults to I."""
+    return _lift(u.basis if g is None else mat_mul(g, u.basis), t)
+
+
+def _gl_map(c_from: MatrixGF, c_to: MatrixGF) -> MatrixGF:
+    """An invertible G with G @ c_from = c_to, for r x s matrices of full
+    column rank.
+
+    Both are completed to invertible r x r matrices A by unit columns,
+    and G = A_to @ A_from^-1.
+    """
+    def completed(c):
+        cols = [tuple(c[i, j] for i in range(c.rows)) for j in range(c.cols)]
+        for k in range(c.rows):
+            unit = tuple(int(i == k) for i in range(c.rows))
+            cand = cols + [unit]
+            if gf_core.rank(MatrixGF(c.field, len(cand), c.rows,
+                                     sum(cand, ()))) == len(cand):
+                cols = cand
+        return transpose(MatrixGF(c.field, c.rows, c.rows, sum(cols, ())))
+
+    a_from = completed(c_from)
+    a_inv = solve_factor(gf_core.identity(a_from.field, a_from.rows), a_from)
+    return mat_mul(completed(c_to), a_inv)
 
 
 def is_rank_symmetric(core: TransitionCore):
@@ -159,61 +225,33 @@ def is_rank_symmetric(core: TransitionCore):
     return PredicateResult(True), {k: v for k, v in sorted(mu.items())}
 
 
-def _inputs_by_column_space(core: TransitionCore,
-                            budget: int = NAIVE_TABLE_BUDGET):
-    """Yield (W, [(X, B, U), ...]) for every input column space W.
+def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
+    """P(column space of Y | X) must agree for all X with equal column space.
 
-    B is the full-column-rank factor with X = B @ D_U, where U is the
-    row space of X and D_U its canonical basis.
+    With X = B @ G @ D_U the output column space is B @ G @ colspace(E),
+    and the law of colspace(E) is fixed by the probabilities that it lies
+    in each S of F^r.  colspace(E) lies in S iff D_K @ H = 0 for
+    K = D_U^T(S^perp), itself a class, of dimension r - dim S.  So the law
+    of every class is fixed by the zero-output masses P_K(E = 0), and the
+    test holds iff P_U(E = 0) depends on dim U alone: the law of
+    colspace(E) is then GL(r)-invariant and the same for all classes of
+    dimension r.
     """
     spec = core.spec
-    q = spec.field.q
-    if q ** (spec.T * spec.M) > budget:
-        raise gf_core.BudgetExceeded("input enumeration exceeds budget")
-    kmax = min(spec.T, spec.M)
-    for w in subspace_enum.enumerate_projective(kmax, spec.T, spec.field):
-        group = []
-        for x in subspace_enum.matrices_with_column_space(w, spec.M):
-            u = span_rows(x)
-            b = transpose(solve_factor(transpose(x), transpose(u.basis)))
-            group.append((x, b, u))
-        yield w, group
-
-
-def _out_dist(core: TransitionCore, b: MatrixGF, u: Subspace) -> dict:
-    """Support of P(.|X) as {y entries: prob} for X = b @ D_U."""
-    spec = core.spec
-    out = {}
-    for e_ent, p in core.tables[u].items():
-        e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-        out[mat_mul(b, e).entries] = p
-    return out
-
-
-def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
-    """P(column space of Y | X) must agree for all X with equal column space."""
-    spec = core.spec
-    for w, group in _inputs_by_column_space(core):
-        ref = None
-        for x, b, u in group:
-            dist: dict = {}
-            for e_ent, p in core.tables[u].items():
-                e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-                v = span_columns(mat_mul(b, e))
-                dist[v] = dist.get(v, ZERO) + p
-            if ref is None:
-                ref = (x, dist)
-            elif dist != ref[1]:
-                bad = next(v for v in sorted(set(dist) | set(ref[1]),
-                                             key=lambda s: s.sort_key())
-                           if dist.get(v, ZERO) != ref[1].get(v, ZERO))
-                return PredicateResult(False, {
-                    "reason": "subspace channel depends on the input "
-                              "representative",
-                    "X1": _mat_json(ref[0]), "X2": _mat_json(x),
-                    "V": bad.to_json(),
-                    "p1": str(ref[1].get(bad, ZERO)),
-                    "p2": str(dist.get(bad, ZERO))})
+    t = spec.T
+    first: dict = {}   # dim r -> (first class of dim r, its zero mass)
+    for u in core.input_classes():
+        p = core.tables[u].get((0,) * (u.dim * spec.N), ZERO)
+        u0, p0 = first.setdefault(u.dim, (u, p))
+        if p != p0:
+            # X1, X2 share the column space span(e_1..e_r); Y = 0 is the
+            # only output with column space V = {0}.
+            v = subspace_enum.trivial_subspace(spec.field, t)
+            return PredicateResult(False, {
+                "reason": "subspace channel depends on the input "
+                          "representative",
+                "X1": _mat_json(_input(u0, t)), "X2": _mat_json(_input(u, t)),
+                "V": v.to_json(), "p1": str(p0), "p2": str(p)})
     return PredicateResult(True)
 
 
@@ -226,62 +264,74 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
         is the input-distribution-free form of requiring the ratio
         P(Y|X)/p(Y) to be constant on output column-space fibers for
         all input laws.
+
+    (a) holds iff every class table is constant on, and covers, the
+    row-space fibers it hits and classes of equal dimension r share one
+    table.  Then P(Y|X) = g_r(R) for R the row space of Y when the
+    column space of Y lies in that of X (dimension r), and 0 otherwise,
+    so (b) holds iff for each s the vectors (g_r(R)) over r = s..min(T,M)
+    are proportional, zero patterns included, for all reachable R of
+    dimension s.
     """
     spec = core.spec
-    columns: dict = {}  # y entries -> {x entries: prob}
-    for w, group in _inputs_by_column_space(core):
-        ref = None
-        for x, b, u in group:
-            dist = _out_dist(core, b, u)
-            if ref is None:
-                ref = (x, dist)
-            elif dist != ref[1]:
-                y_bad = next(y for y in sorted(set(dist) | set(ref[1]))
-                             if dist.get(y, ZERO) != ref[1].get(y, ZERO))
-                return PredicateResult(False, {
-                    "reason": "P(Y|X) depends on more than the column "
-                              "space of X",
-                    "X1": _mat_json(ref[0]), "X2": _mat_json(x),
-                    "Y": MatrixGF(spec.field, spec.T, spec.N,
-                                  y_bad).to_lists(),
-                    "p1": str(ref[1].get(y_bad, ZERO)),
-                    "p2": str(dist.get(y_bad, ZERO))})
-            for y_ent, p in dist.items():
-                columns.setdefault(y_ent, {})[x.entries] = p
-    by_colspace: dict = {}
-    for y_ent in sorted(columns):
-        y = MatrixGF(spec.field, spec.T, spec.N, y_ent)
-        by_colspace.setdefault(span_columns(y), []).append(y_ent)
-    for v, ys in sorted(by_colspace.items(), key=lambda kv: kv[0].sort_key()):
-        ref_ent = ys[0]
-        ref_col = columns[ref_ent]
-        for y_ent in ys[1:]:
-            col = columns[y_ent]
-            if set(col) != set(ref_col):
-                return _ratio_witness(spec, ref_ent, y_ent, ref_col, col,
-                                      "likelihood supports differ")
-            ratios = {col[x] / ref_col[x] for x in col}
-            if len(ratios) > 1:
-                return _ratio_witness(spec, ref_ent, y_ent, ref_col, col,
-                                      "likelihood ratio not constant")
+    t = spec.T
+
+    def fail_a(x1, x2, e, p1, p2):
+        return PredicateResult(False, {
+            "reason": "P(Y|X) depends on more than the column space of X",
+            "X1": _mat_json(x1), "X2": _mat_json(x2),
+            "Y": _mat_json(_lift(e, t)), "p1": str(p1), "p2": str(p2)})
+
+    g: dict = {}         # dim r -> {row space R: g_r(R)}
+    first_u: dict = {}   # dim r -> first class of dim r
+    for u in core.input_classes():
+        values, bad = _row_fibers(core, u)
+        if bad:
+            e1, e2, p1, p2 = bad
+            # G @ E2 = E1, so P(B E1 | B G D_U) = P_U(E2).
+            c1 = column_factor(e1, span_rows(e1))
+            c2 = column_factor(e2, span_rows(e2))
+            return fail_a(_input(u, t), _input(u, t, _gl_map(c2, c1)), e1,
+                          p1, p2)
+        if u.dim not in g:
+            g[u.dim], first_u[u.dim] = values, u
+        elif values != g[u.dim]:
+            w = next(w for w in sorted(set(values) | set(g[u.dim]),
+                                       key=lambda v: v.sort_key())
+                     if values.get(w, ZERO) != g[u.dim].get(w, ZERO))
+            return fail_a(_input(first_u[u.dim], t), _input(u, t),
+                          _lift(w.basis, u.dim), g[u.dim].get(w, ZERO),
+                          values.get(w, ZERO))
+    kmax = min(spec.T, spec.M)
+    by_dim: dict = {}
+    for values in g.values():
+        for w in values:
+            by_dim.setdefault(w.dim, set()).add(w)
+    for s, spaces in sorted(by_dim.items()):
+        ranks = range(s, kmax + 1)
+        w1, *others = sorted(spaces, key=lambda v: v.sort_key())
+        vec1 = [g[r].get(w1, ZERO) for r in ranks]
+        anchor = next(i for i, p in enumerate(vec1) if p)
+        for w2 in others:
+            vec2 = [g[r].get(w2, ZERO) for r in ranks]
+            if [bool(p) for p in vec1] != [bool(p) for p in vec2]:
+                reason = "likelihood supports differ"
+                i = next(i for i, (a, b) in enumerate(zip(vec1, vec2))
+                         if bool(a) != bool(b))
+            else:
+                i = next((i for i, (a, b) in enumerate(zip(vec1, vec2))
+                          if a * vec2[anchor] != b * vec1[anchor]), None)
+                if i is None:
+                    continue
+                reason = "likelihood ratio not constant"
+            # Outputs [D_R; 0] share the column space span(e_1..e_s);
+            # the input [D_U; 0] with dim U = ranks[i] contains it.
+            return PredicateResult(False, {
+                "reason": reason,
+                "Y1": _mat_json(_lift(w1.basis, t)),
+                "Y2": _mat_json(_lift(w2.basis, t)),
+                "X": _mat_json(_input(first_u[ranks[i]], t))})
     return PredicateResult(True)
-
-
-def _ratio_witness(spec, y1_ent, y2_ent, col1, col2, reason):
-    xs = sorted(set(col1) | set(col2))
-    anchor = next((x for x in xs if x in col1 and x in col2), None)
-    if anchor is None:
-        x_bad = xs[0]
-    else:
-        lam_num, lam_den = col2[anchor], col1[anchor]
-        x_bad = next(x for x in xs
-                     if col2.get(x, ZERO) * lam_den
-                     != col1.get(x, ZERO) * lam_num)
-    return PredicateResult(False, {
-        "reason": reason,
-        "Y1": MatrixGF(spec.field, spec.T, spec.N, y1_ent).to_lists(),
-        "Y2": MatrixGF(spec.field, spec.T, spec.N, y2_ent).to_lists(),
-        "X": MatrixGF(spec.field, spec.T, spec.M, x_bad).to_lists()})
 
 
 def classify(spec: ChannelSpec, core: TransitionCore = None) -> ClassReport:

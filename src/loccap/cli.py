@@ -139,21 +139,10 @@ def cmd_capacity(args) -> int:
     return EXIT_OK if res.converged else EXIT_CONVERGENCE
 
 
-def _run_css(core, args) -> ce.CssResult:
-    mode = args.mode
-    if mode == "auto":
-        unique = cls.has_unique_subspace_degradation(core).holds
-        mode = "unique" if unique else "bruteforce"
-    if mode == "unique":
-        return ce.css_unique(core, args.tol, args.max_iter)
-    if mode == "alpha":
-        return ce.css_alpha_lower(core, args.tol, args.max_iter, args.budget)
-    return ce.css_bruteforce(core, args.tol, args.max_iter, args.budget)
-
-
 def cmd_css(args) -> int:
     spec, core = _load(args)
-    res = _run_css(core, args)
+    res = ce.subspace_coding_capacity(core, args.mode, args.tol,
+                                      args.max_iter, args.budget)
     doc = _base_doc(args)
     doc["C_ss"] = _css_json(res)
     _emit(doc, args)
@@ -179,9 +168,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_report(args) -> int:
-    spec, _ = _load(args)
+    spec, core = _load(args)
     rep = ce.capacity_report(spec, args.tol, args.max_iter,
-                             css_mode=args.mode, budget=args.budget)
+                             css_mode=args.mode, budget=args.budget,
+                             core=core)
     doc = _base_doc(args)
     doc["flags"] = rep.classes.flags()
     doc["C"] = _cap_json(rep.capacity)
@@ -269,6 +259,17 @@ def _check_channel(spec, label: str, ba: bool) -> list:
     bad = cls.implication_audit(report, spec.T, spec.M)
     if bad:
         fails.append(f"{label}: implication violations {bad}")
+    from . import oracle   # input scans; only verify needs them
+    for name, scan in (("degraded", oracle.is_degraded),
+                       ("unique_subspace_degradation",
+                        oracle.has_unique_subspace_degradation)):
+        fast, slow = getattr(report, name), scan(core)
+        got = (fast.holds, sorted(fast.witness or ()))
+        want = (slow.holds, sorted(slow.witness or ()))
+        if got != want:
+            fails.append(f"{label}: {name} (holds, witness keys) is {got} "
+                         f"from the class tables but {want} from the "
+                         f"input scan")
     if ba:
         fast = ce.shannon_capacity(core, 1e-8)
         slow = ce.shannon_capacity_naive(core, 1e-8)
@@ -322,9 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--mode",
-                       choices=("auto", "unique", "alpha", "bruteforce"),
-                       default="auto")
+        p.add_argument("--mode", choices=ce.CSS_MODES, default="auto")
         p.add_argument("-o", "--output", default=None)
 
     for name, fn in (("classify", cmd_classify), ("capacity", cmd_capacity),

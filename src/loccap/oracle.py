@@ -1,0 +1,142 @@
+"""Brute-force oracles for the degraded and unique-subspace-degradation
+predicates.
+
+Both scan every one of the q^(T*M) input matrices, grouped by column
+space, and compare the output laws inside each group.  They are exact
+but exponential in T; ``classify`` decides the same predicates from the
+class tables, and ``verify`` and the tests cross-check it against these
+scans on small channels.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import gf_core, subspace_enum
+from .channel_model import NAIVE_TABLE_BUDGET, TransitionCore, column_factor
+from .classify import PredicateResult
+from .gf_core import MatrixGF, mat_mul
+from .subspace_enum import Subspace, span_columns, span_rows
+
+ZERO = Fraction(0)
+
+
+def _inputs_by_column_space(core: TransitionCore,
+                            budget: int = NAIVE_TABLE_BUDGET):
+    """Yield (W, [(X, B, U), ...]) for every input column space W.
+
+    B is the full-column-rank factor with X = B @ D_U, where U is the
+    row space of X and D_U its canonical basis.
+    """
+    spec = core.spec
+    q = spec.field.q
+    if q ** (spec.T * spec.M) > budget:
+        raise gf_core.BudgetExceeded("input enumeration exceeds budget")
+    kmax = min(spec.T, spec.M)
+    for w in subspace_enum.enumerate_projective(kmax, spec.T, spec.field):
+        group = []
+        for x in subspace_enum.matrices_with_column_space(w, spec.M):
+            u = span_rows(x)
+            group.append((x, column_factor(x, u), u))
+        yield w, group
+
+
+def _out_dist(core: TransitionCore, b: MatrixGF, u: Subspace) -> dict:
+    """Support of P(.|X) as {y entries: prob} for X = b @ D_U."""
+    spec = core.spec
+    out = {}
+    for e_ent, p in core.tables[u].items():
+        e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
+        out[mat_mul(b, e).entries] = p
+    return out
+
+
+def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
+    """P(column space of Y | X) agrees for all X with equal column space."""
+    spec = core.spec
+    for w, group in _inputs_by_column_space(core):
+        ref = None
+        for x, b, u in group:
+            dist: dict = {}
+            for e_ent, p in core.tables[u].items():
+                e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
+                v = span_columns(mat_mul(b, e))
+                dist[v] = dist.get(v, ZERO) + p
+            if ref is None:
+                ref = (x, dist)
+            elif dist != ref[1]:
+                bad = next(v for v in sorted(set(dist) | set(ref[1]),
+                                             key=lambda s: s.sort_key())
+                           if dist.get(v, ZERO) != ref[1].get(v, ZERO))
+                return PredicateResult(False, {
+                    "reason": "subspace channel depends on the input "
+                              "representative",
+                    "X1": ref[0].to_lists(), "X2": x.to_lists(),
+                    "V": bad.to_json(),
+                    "p1": str(ref[1].get(bad, ZERO)),
+                    "p2": str(dist.get(bad, ZERO))})
+    return PredicateResult(True)
+
+
+def is_degraded(core: TransitionCore) -> PredicateResult:
+    """Exact test of the two degradedness conditions.
+
+    (a) P(Y|X) is a function of the column space of X;
+    (b) for every pair of outputs with equal column space, the
+        likelihood columns P(Y|.) and P(Y'|.) are proportional.
+    """
+    spec = core.spec
+    columns: dict = {}  # y entries -> {x entries: prob}
+    for w, group in _inputs_by_column_space(core):
+        ref = None
+        for x, b, u in group:
+            dist = _out_dist(core, b, u)
+            if ref is None:
+                ref = (x, dist)
+            elif dist != ref[1]:
+                y_bad = next(y for y in sorted(set(dist) | set(ref[1]))
+                             if dist.get(y, ZERO) != ref[1].get(y, ZERO))
+                return PredicateResult(False, {
+                    "reason": "P(Y|X) depends on more than the column "
+                              "space of X",
+                    "X1": ref[0].to_lists(), "X2": x.to_lists(),
+                    "Y": MatrixGF(spec.field, spec.T, spec.N,
+                                  y_bad).to_lists(),
+                    "p1": str(ref[1].get(y_bad, ZERO)),
+                    "p2": str(dist.get(y_bad, ZERO))})
+            for y_ent, p in dist.items():
+                columns.setdefault(y_ent, {})[x.entries] = p
+    by_colspace: dict = {}
+    for y_ent in sorted(columns):
+        y = MatrixGF(spec.field, spec.T, spec.N, y_ent)
+        by_colspace.setdefault(span_columns(y), []).append(y_ent)
+    for v, ys in sorted(by_colspace.items(), key=lambda kv: kv[0].sort_key()):
+        ref_ent = ys[0]
+        ref_col = columns[ref_ent]
+        for y_ent in ys[1:]:
+            col = columns[y_ent]
+            if set(col) != set(ref_col):
+                return _ratio_witness(spec, ref_ent, y_ent, ref_col, col,
+                                      "likelihood supports differ")
+            ratios = {col[x] / ref_col[x] for x in col}
+            if len(ratios) > 1:
+                return _ratio_witness(spec, ref_ent, y_ent, ref_col, col,
+                                      "likelihood ratio not constant")
+    return PredicateResult(True)
+
+
+def _ratio_witness(spec, y1_ent, y2_ent, col1, col2, reason):
+    xs = sorted(set(col1) | set(col2))
+    anchor = next((x for x in xs if x in col1 and x in col2), None)
+    if anchor is None:
+        x_bad = xs[0]
+    else:
+        lam_num, lam_den = col2[anchor], col1[anchor]
+        x_bad = next(x for x in xs
+                     if col2.get(x, ZERO) * lam_den
+                     != col1.get(x, ZERO) * lam_num)
+    return PredicateResult(False, {
+        "reason": reason,
+        "Y1": MatrixGF(spec.field, spec.T, spec.N, y1_ent).to_lists(),
+        "Y2": MatrixGF(spec.field, spec.T, spec.N, y2_ent).to_lists(),
+        "X": MatrixGF(spec.field, spec.T, spec.M, x_bad).to_lists()})

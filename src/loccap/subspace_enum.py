@@ -135,11 +135,6 @@ def representative_matrix(u: Subspace, m: int, orientation: str = "row"
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def basis_matrix(u: Subspace) -> MatrixGF:
-    """The RREF basis as a dim(u) x ambient matrix (full row rank)."""
-    return u.basis
-
-
 def matrices_with_column_space(u: Subspace, m: int,
                                budget: int = DEFAULT_ENUM_BUDGET
                                ) -> Iterator[MatrixGF]:

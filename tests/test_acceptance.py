@@ -15,9 +15,9 @@ from loccap import capacity_engine as ce
 from loccap import channel_model as cm
 from loccap import classify as cls
 from loccap import cli
-from loccap import qcomb, subspace_enum
+from loccap import oracle, qcomb, subspace_enum
 from loccap.channel_model import transition_core, transition_naive
-from loccap.gf_core import FieldSpec, all_matrices
+from loccap.gf_core import FieldSpec, all_matrices, matrix, zeros
 
 from conftest import random_small_channel
 
@@ -241,6 +241,106 @@ def test_criterion_10_degraded_family_equality(capsys):
             spec = random_small_channel(rng)
             report = cls.classify(spec)
             assert cls.implication_audit(report, spec.T, spec.M) == []
+
+
+def _symmetric_channel(rng, q, T, M, N, span):
+    """H with a mass that depends only on span(H) (its row or column
+    space), each span weighted at random; one support matrix is then
+    reweighted half of the time, to break the symmetry."""
+    field = FieldSpec(q)
+    groups = {}
+    for h in all_matrices(field, M, N):
+        groups.setdefault(span(h), []).append(h)
+    weights = {}
+    for mats in groups.values():
+        w = rng.choice([0, 0, 1, 2, 3])
+        weights.update((h, Fraction(w)) for h in mats if w)
+    if not weights:
+        weights[next(iter(groups.values()))[0]] = Fraction(1)
+    if rng.random() < 0.5:
+        h = rng.choice(sorted(weights, key=lambda m: m.entries))
+        weights[h] *= rng.choice([2, Fraction(1, 2)])
+    total = sum(weights.values())
+    return cm.ChannelSpec(field, T, M, N,
+                          {h: w / total for h, w in weights.items()})
+
+
+def _cross_check_channel(rng):
+    # q = 5 gives witness maps G that are not involutions
+    q = rng.choice([2, 2, 3, 5])
+    T = rng.randint(1, {2: 3, 3: 2, 5: 1}[q])
+    M = rng.randint(1, 3 if q ** (T * 3) <= 64 else 2)
+    N = rng.randint(1, 2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return cm.random_channel(rng, q, T, M, N, max_support=8)
+    if kind == 1:
+        weights = [rng.randint(0, 2) for _ in range(min(M, N) + 1)]
+        if not any(weights):
+            weights[-1] = 1
+        pmf = {r: Fraction(w, sum(weights))
+               for r, w in enumerate(weights) if w}
+        family = rng.choice(["uniform_given_rank", "custom_rank_dist"])
+        return cm.generate(family, q=q, M=M, N=N, T=T, rank_pmf=pmf)
+    span = subspace_enum.span_rows if kind == 2 else \
+        subspace_enum.span_columns
+    return _symmetric_channel(rng, q, T, M, N, span)
+
+
+def _assert_real_violation(core, name, w):
+    """Re-derive a failed predicate's witness from P(Y|X) alone."""
+    field, T = core.spec.field, core.spec.T
+    p_yx = cm.p_y_given_x
+    span_cols = subspace_enum.span_columns
+    if name == "unique_subspace_degradation":
+        x1, x2 = matrix(field, w["X1"]), matrix(field, w["X2"])
+        v = subspace_enum.span_rows(
+            matrix(field, w["V"]["basis"]) if w["V"]["basis"]
+            else zeros(field, 0, T))
+        assert span_cols(x1) == span_cols(x2)
+        laws = [sum((p_yx(core, x, y)
+                     for y in all_matrices(field, T, core.spec.N)
+                     if span_cols(y) == v), Fraction(0)) for x in (x1, x2)]
+        assert laws == [Fraction(w["p1"]), Fraction(w["p2"])]
+        assert laws[0] != laws[1]
+    elif "Y" in w:
+        x1, x2 = matrix(field, w["X1"]), matrix(field, w["X2"])
+        y = matrix(field, w["Y"])
+        assert span_cols(x1) == span_cols(x2)
+        got = [p_yx(core, x1, y), p_yx(core, x2, y)]
+        assert got == [Fraction(w["p1"]), Fraction(w["p2"])]
+        assert got[0] != got[1]
+    else:
+        y1, y2 = matrix(field, w["Y1"]), matrix(field, w["Y2"])
+        x = matrix(field, w["X"])
+        assert span_cols(y1) == span_cols(y2)
+        # a nonzero 2x2 minor of the likelihood columns at rows X, X0
+        a1, a2 = p_yx(core, x, y1), p_yx(core, x, y2)
+        assert any(a1 * p_yx(core, x0, y2) != a2 * p_yx(core, x0, y1)
+                   for x0 in all_matrices(field, T, core.spec.M))
+
+
+def test_criterion_10b_class_predicates_match_oracle(capsys):
+    with _Gate(capsys, "criterion 10b: table-based degraded and unique "
+                       "subspace degradation tests match the input scans "
+                       "on 1000 channels, with verified witnesses"):
+        rng = random.Random(1010)
+        positives = {"degraded": 0, "unique_subspace_degradation": 0}
+        for _ in range(1000):
+            core = transition_core(_cross_check_channel(rng))
+            for name, fast, scan in (
+                    ("degraded", cls.is_degraded, oracle.is_degraded),
+                    ("unique_subspace_degradation",
+                     cls.has_unique_subspace_degradation,
+                     oracle.has_unique_subspace_degradation)):
+                got, want = fast(core), scan(core)
+                assert got.holds == want.holds, (name, core.spec)
+                positives[name] += got.holds
+                if not got.holds:
+                    assert set(got.witness) == set(want.witness)
+                    _assert_real_violation(core, name, got.witness)
+        # both outcomes are exercised in volume
+        assert all(200 <= n <= 800 for n in positives.values()), positives
 
 
 def test_criterion_11_css_below_capacity(capsys, fixtures):

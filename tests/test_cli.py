@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -133,3 +134,33 @@ def test_verify_small_run_ok_and_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
     doc = json.loads(a.read_text())
     assert doc["ok"] and doc["failures"] == []
+
+
+@pytest.mark.parametrize("T", [16, 40])
+def test_report_tall_iid_channel(tmp_path, capsys, T):
+    # classify decides every predicate from the class tables, so a tall
+    # channel costs no more than T = M
+    path = tmp_path / "iid.json"
+    assert cli.main(["gen", "iid_uniform", "--q", "2", "--T", str(T),
+                     "--M", "2", "--N", "2", "-o", str(path)]) == 0
+    code, doc = _run_json(capsys, ["report", str(path)])
+    assert code == 0
+    assert all(doc["flags"].values())
+    assert doc["verdict"] == "C_EQUALS_CSS"
+
+
+def test_report_bounds_with_subnormal_achiever_weight(tmp_path, capsys):
+    # Blahut-Arimoto leaves one achiever weight at 5e-324 on this channel;
+    # the row-space bounds once divided by its underflowed product.
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({
+        "q": 2, "T": 2, "M": 2, "N": 2,
+        "pmf": [{"H": [[0, 0], [0, 0]], "p": "5/21"},
+                {"H": [[0, 1], [1, 1]], "p": "3/7"},
+                {"H": [[1, 0], [1, 0]], "p": "1/3"}]}))
+    code, doc = _run_json(capsys, ["report", str(path)])
+    assert code == 0
+    lower, upper = doc["bounds"]["lower"], doc["bounds"]["upper"]
+    c = doc["C"]["value"]
+    assert math.isfinite(lower) and math.isfinite(upper)
+    assert lower - 1e-9 <= c <= upper + 1e-9
