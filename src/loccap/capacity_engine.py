@@ -501,17 +501,16 @@ CSS_MODES = ("auto", "unique", "alpha", "bruteforce")
 def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
                              tol: float = DEFAULT_TOL,
                              max_iter: int = DEFAULT_MAX_ITER,
-                             budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-                             unique_sd: Optional[bool] = None) -> CssResult:
+                             budget: int = DEFAULT_ASSIGNMENT_BUDGET
+                             ) -> CssResult:
     """C_ss by one of CSS_MODES.
 
     "auto" takes the rank-domain optimization when the subspace channel
     is representative independent and the exhaustive search otherwise.
-    unique_sd is that flag when the caller has already computed it.
     """
     if mode not in CSS_MODES:
         raise ValueError(f"unknown css mode {mode!r}")
-    if unique_sd is None and mode in ("auto", "unique"):
+    if mode in ("auto", "unique"):
         unique_sd = classify_mod.has_unique_subspace_degradation(core).holds
     if mode == "auto":
         mode = "unique" if unique_sd else "bruteforce"
@@ -635,9 +634,7 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
         markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
         return ChannelReport(spec, report, cap, css, (0.0, 0.0), markov,
                              VERDICT_EQUAL, "transfer matrix is always zero")
-    css = subspace_coding_capacity(
-        core, css_mode, tol, max_iter, budget,
-        unique_sd=report.unique_subspace_degradation.holds)
+    css = subspace_coding_capacity(core, css_mode, tol, max_iter, budget)
     bounds = bounds_row_space(core, cap.alpha)
     markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
     css_exact = css.mode in ("unique", "bruteforce")

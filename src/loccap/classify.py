@@ -39,7 +39,7 @@ from . import gf_core, qcomb, subspace_enum
 from .channel_model import (ChannelSpec, TransitionCore, column_factor,
                             transition_core)
 from .gf_core import MatrixGF, mat_mul, solve_factor, transpose
-from .subspace_enum import Subspace, span_rows
+from .subspace_enum import Subspace, representative_matrix, span_rows
 
 ZERO = Fraction(0)
 
@@ -156,8 +156,9 @@ def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
             e1, e2, p1, p2 = bad
             return PredicateResult(False, {
                 "reason": "probability varies within a row-space fiber",
-                "X": _mat_json(_input(u, t)),
-                "Y1": _mat_json(_lift(e1, t)), "Y2": _mat_json(_lift(e2, t)),
+                "X": _mat_json(representative_matrix(u, t)),
+                "Y1": _mat_json(_lift(e1, t)),
+                "Y2": _mat_json(_lift(e2, t)),
                 "p1": str(p1), "p2": str(p2)})
     return PredicateResult(True)
 
@@ -166,11 +167,6 @@ def _lift(e: MatrixGF, t: int) -> MatrixGF:
     """Pad E with zero rows to height t (the output for X = [D_U; 0])."""
     pad = (0,) * ((t - e.rows) * e.cols)
     return MatrixGF(e.field, t, e.cols, e.entries + pad)
-
-
-def _input(u: Subspace, t: int, g: Optional[MatrixGF] = None) -> MatrixGF:
-    """The input B @ G @ D_U with B = [I_r; 0] (t x r); G defaults to I."""
-    return _lift(u.basis if g is None else mat_mul(g, u.basis), t)
 
 
 def _gl_map(c_from: MatrixGF, c_to: MatrixGF) -> MatrixGF:
@@ -215,11 +211,9 @@ def is_rank_symmetric(core: TransitionCore):
                 return PredicateResult(False, {
                     "reason": "probability varies at fixed (rank X, rank Y)",
                     "rank_X": key[0], "rank_Y": key[1],
-                    "X1": _mat_json(
-                        subspace_enum.representative_matrix(u0, t, "row")),
+                    "X1": _mat_json(representative_matrix(u0, t)),
                     "Y1": _mat_json(_lift(e0, t)),
-                    "X2": _mat_json(
-                        subspace_enum.representative_matrix(u, t, "row")),
+                    "X2": _mat_json(representative_matrix(u, t)),
                     "Y2": _mat_json(_lift(e, t)),
                     "p1": str(mu[key]), "p2": str(p)}), None
     return PredicateResult(True), {k: v for k, v in sorted(mu.items())}
@@ -250,7 +244,8 @@ def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
             return PredicateResult(False, {
                 "reason": "subspace channel depends on the input "
                           "representative",
-                "X1": _mat_json(_input(u0, t)), "X2": _mat_json(_input(u, t)),
+                "X1": _mat_json(representative_matrix(u0, t)),
+                "X2": _mat_json(representative_matrix(u, t)),
                 "V": v.to_json(), "p1": str(p0), "p2": str(p)})
     return PredicateResult(True)
 
@@ -291,7 +286,8 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
             # G @ E2 = E1, so P(B E1 | B G D_U) = P_U(E2).
             c1 = column_factor(e1, span_rows(e1))
             c2 = column_factor(e2, span_rows(e2))
-            return fail_a(_input(u, t), _input(u, t, _gl_map(c2, c1)), e1,
+            return fail_a(representative_matrix(u, t),
+                          _lift(mat_mul(_gl_map(c2, c1), u.basis), t), e1,
                           p1, p2)
         if u.dim not in g:
             g[u.dim], first_u[u.dim] = values, u
@@ -299,7 +295,8 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
             w = next(w for w in sorted(set(values) | set(g[u.dim]),
                                        key=lambda v: v.sort_key())
                      if values.get(w, ZERO) != g[u.dim].get(w, ZERO))
-            return fail_a(_input(first_u[u.dim], t), _input(u, t),
+            return fail_a(representative_matrix(first_u[u.dim], t),
+                          representative_matrix(u, t),
                           _lift(w.basis, u.dim), g[u.dim].get(w, ZERO),
                           values.get(w, ZERO))
     kmax = min(spec.T, spec.M)
@@ -330,7 +327,7 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
                 "reason": reason,
                 "Y1": _mat_json(_lift(w1.basis, t)),
                 "Y2": _mat_json(_lift(w2.basis, t)),
-                "X": _mat_json(_input(first_u[ranks[i]], t))})
+                "X": _mat_json(representative_matrix(first_u[ranks[i]], t))})
     return PredicateResult(True)
 
 
