@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from . import classify as classify_mod
 from . import qcomb, subspace_enum
 from .channel_model import (ChannelSpec, TransitionCore, column_factor,
-                            cond_out_rowspace_given_rowspace,
                             cond_rank_given_rowspace, transition_core)
 from .gf_core import BudgetExceeded, MatrixGF, mat_mul
 from .subspace_enum import Subspace, span_columns, span_rows
@@ -123,9 +122,9 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
 @dataclass
 class _ClassSetup:
     classes: List[Subspace]
-    out_spaces: List[Subspace]          # row spaces of Y, inside F^N
     orbit_sizes: List[int]              # matrices per output row space
     mass_rows: List[Dict[int, Fraction]]  # P(out row space | class)
+    h_cond: List[float]                 # H(Y | class), in bits
     rewards: List[float]
 
 
@@ -139,32 +138,26 @@ def _class_setup(core: TransitionCore) -> _ClassSetup:
     probability is m(W) / xi(T, dim W).  Folding the orbit sizes and
     the in-class conditional entropy into a per-class reward turns the
     capacity problem into a standard discrete maximization over the
-    orbit channel m.
+    orbit channel m.  Only the W some class table hits are outputs.
     """
     spec = core.spec
-    q = spec.field.q
-    out_spaces = sorted(
-        subspace_enum.enumerate_projective(min(spec.T, spec.N), spec.N,
-                                           spec.field),
-        key=lambda s: s.sort_key())
-    w_index = {w: i for i, w in enumerate(out_spaces)}
-    orbit_sizes = [qcomb.xi(spec.T, w.dim, q) for w in out_spaces]
     classes = core.input_classes()
-    mass_rows, rewards = [], []
+    out_spaces = sorted({w for u in classes for w in core.fibers[u]},
+                        key=lambda s: s.sort_key())
+    w_index = {w: i for i, w in enumerate(out_spaces)}
+    orbit_sizes = [qcomb.xi(spec.T, w.dim, spec.field.q) for w in out_spaces]
+    mass_rows, h_conds, rewards = [], [], []
     for u in classes:
-        row: Dict[int, Fraction] = {}
-        h_cond = 0.0   # entropy of the conditional matrix distribution
-        for e_ent, p in core.tables[u].items():
-            e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-            wi = w_index[span_rows(e)]
-            row[wi] = row.get(wi, Fraction(0)) + p
-            h_cond -= float(p) * LOG2(float(p))
+        row = {w_index[w]: f.mass for w, f in core.fibers[u].items()}
+        h_cond = -sum(float(p) * LOG2(float(p))
+                      for p in core.tables[u].values())
         h_row = -sum(float(p) * LOG2(float(p)) for p in row.values())
         log_orbits = sum(float(p) * LOG2(orbit_sizes[wi])
                          for wi, p in row.items())
         mass_rows.append(row)
+        h_conds.append(h_cond)
         rewards.append(h_row + log_orbits - h_cond)
-    return _ClassSetup(classes, out_spaces, orbit_sizes, mass_rows, rewards)
+    return _ClassSetup(classes, orbit_sizes, mass_rows, h_conds, rewards)
 
 
 def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
@@ -185,13 +178,7 @@ def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
             mass[wi] = mass.get(wi, 0.0) + a * float(p)
     h_y = -sum(m * LOG2(m / setup.orbit_sizes[wi])
                for wi, m in mass.items() if m > 0.0)
-    h_y_given_x = 0.0
-    for a, u in zip(weights, setup.classes):
-        if a == 0.0:
-            continue
-        h_y_given_x -= a * sum(float(p) * LOG2(float(p))
-                               for p in core.tables[u].values())
-    return h_y - h_y_given_x
+    return h_y - sum(a * h for a, h in zip(weights, setup.h_cond))
 
 
 def shannon_capacity(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -294,8 +281,8 @@ def _row_space_joint(core: TransitionCore, alpha: Dict[Subspace, object]):
         a = float(a)
         if a == 0.0:
             continue
-        for v, p in cond_out_rowspace_given_rowspace(core, u).items():
-            joint[(u, v)] = joint.get((u, v), 0.0) + a * float(p)
+        for v, f in core.fibers[u].items():
+            joint[(u, v)] = joint.get((u, v), 0.0) + a * float(f.mass)
     return joint
 
 
@@ -486,7 +473,7 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
         value, pmf, gap, its, ok = _ba(list(choice), None, tol, max_iter)
         if best is None or value > best.value:
             rank_pmf: Dict[int, float] = {}
-            for w, p in zip((w for w in _input_colspaces(core)), pmf):
+            for (w, _), p in zip(degradations, pmf):
                 rank_pmf[w.dim] = rank_pmf.get(w.dim, 0.0) + p
             best = CssResult(value, gap, its, ok, "bruteforce",
                              rank_pmf=rank_pmf)
@@ -519,12 +506,6 @@ def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
     if mode == "alpha":
         return css_alpha_lower(core, tol, max_iter, budget)
     return css_bruteforce(core, tol, max_iter, budget)
-
-
-def _input_colspaces(core: TransitionCore):
-    spec = core.spec
-    yield from subspace_enum.enumerate_projective(
-        min(spec.T, spec.M), spec.T, spec.field)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +609,8 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
         core = transition_core(spec)
     report = classify_mod.classify(spec, core)
     cap = shannon_capacity(core, tol, max_iter)
-    if rank_star(spec) == 0:
+    if all(w.dim == 0 for fibers in core.fibers.values() for w in fibers):
+        # every class puts all its mass on Y = 0: H is always zero
         css = CssResult(0.0, 0.0, 0, True, "degenerate",
                         rank_pmf={0: 1.0})
         markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))

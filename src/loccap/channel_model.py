@@ -6,7 +6,11 @@ for each subspace U of F^M we pick the canonical full-row-rank matrix
 D_U (the RREF basis of U) and tabulate the exact distribution of
 D_U @ H.  Every P(Y|X) is then a single table lookup after factoring X
 and Y through a common full-column-rank matrix.  A direct summation
-over the support of H serves as the oracle for that fast path.
+over the support of H, ``oracle.transition_naive``, serves as the
+oracle for that fast path.
+
+Each table is indexed once, as it is built, by the row space of its
+entries (``TransitionCore.fibers``); every later consumer reads that.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
 from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
@@ -23,7 +27,6 @@ from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
 from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20
-NAIVE_TABLE_BUDGET = 2 ** 24
 
 ZERO = Fraction(0)
 
@@ -74,21 +77,36 @@ class ChannelSpec:
 
 
 @dataclass
+class Fiber:
+    """The entries E of one class table that share a row space W.
+
+    first is the first of them in sorted-E order and value its
+    probability; odd is the first later entry (E, p) with p != value, or
+    None when the table is constant on the entries it holds of W.
+    """
+
+    mass: Fraction
+    count: int
+    first: Tuple[int, ...]
+    value: Fraction
+    odd: Optional[Tuple[Tuple[int, ...], Fraction]] = None
+
+
+@dataclass
 class TransitionCore:
-    """Per-row-space-class transition tables.
+    """Per-row-space-class transition tables and their row-space index.
 
     For each U in Pj(min(T,M), F^M): the representative D_U (RREF basis
     of U, full row rank) and the exact map from E = D_U @ H (keyed by
-    entry tuple) to its probability.
+    entry tuple) to its probability.  fibers[U][W] aggregates the
+    entries of that table with row space W.
     """
 
     spec: ChannelSpec
     tables: Dict[Subspace, Dict[Tuple[int, ...], Fraction]] = dc_field(
         default_factory=dict)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.spec.field
+    fibers: Dict[Subspace, Dict[Subspace, Fiber]] = dc_field(
+        default_factory=dict)
 
     def input_classes(self):
         """Row-space classes U, in canonical order."""
@@ -110,6 +128,17 @@ def transition_core(spec: ChannelSpec,
             e = mat_mul(d_u, h)
             dist[e.entries] = dist.get(e.entries, ZERO) + p
         core.tables[u] = dist
+        core.fibers[u] = fibers = {}
+        for e_ent, p in sorted(dist.items()):   # one span_rows per entry
+            w = span_rows(MatrixGF(spec.field, u.dim, spec.N, e_ent))
+            f = fibers.get(w)
+            if f is None:
+                fibers[w] = Fiber(p, 1, e_ent, p)
+                continue
+            f.mass += p
+            f.count += 1
+            if f.odd is None and p != f.value:
+                f.odd = (e_ent, p)
     return core
 
 
@@ -139,43 +168,12 @@ def p_y_given_x(core: TransitionCore, x: MatrixGF, y: MatrixGF) -> Fraction:
     return core.tables[u].get(e.entries, ZERO)
 
 
-def transition_naive(spec: ChannelSpec,
-                     budget: int = NAIVE_TABLE_BUDGET):
-    """Full table {(x.entries, y.entries): P(y|x)} by direct summation."""
-    q = spec.field.q
-    n_inputs = q ** (spec.T * spec.M)
-    if n_inputs * len(spec.pmf_H) > budget:
-        raise BudgetExceeded("naive table exceeds budget")
-    table: Dict[Tuple, Fraction] = {}
-    for x in gf_core.all_matrices(spec.field, spec.T, spec.M):
-        for h, p in spec.pmf_H.items():
-            y = mat_mul(x, h)
-            key = (x.entries, y.entries)
-            table[key] = table.get(key, ZERO) + p
-    return table
-
-
 def cond_rank_given_rowspace(core: TransitionCore,
                              u: Subspace) -> Dict[int, Fraction]:
     """P(rank(Y) = s | row space of X is u), exact."""
-    spec = core.spec
     out: Dict[int, Fraction] = {}
-    for e_entries, p in core.tables[u].items():
-        e = MatrixGF(spec.field, u.dim, spec.N, e_entries)
-        s = gf_core.rank(e)
-        out[s] = out.get(s, ZERO) + p
-    return out
-
-
-def cond_out_rowspace_given_rowspace(core: TransitionCore, u: Subspace
-                                     ) -> Dict[Subspace, Fraction]:
-    """P(row space of Y = V | row space of X is u), exact."""
-    spec = core.spec
-    out: Dict[Subspace, Fraction] = {}
-    for e_entries, p in core.tables[u].items():
-        e = MatrixGF(spec.field, u.dim, spec.N, e_entries)
-        v = span_rows(e)
-        out[v] = out.get(v, ZERO) + p
+    for w, f in core.fibers[u].items():
+        out[w.dim] = out.get(w.dim, ZERO) + f.mass
     return out
 
 
@@ -270,10 +268,11 @@ def random_channel(rng, q: int, T: int, M: int, N: int,
 # Schema: {"q": int, "T": int, "M": int, "N": int,
 #          "pmf": [{"H": [[int, ...], ...], "p": "num/den"}, ...]}
 # Probabilities are decimal-free rational strings; support matrices
-# must be distinct.
+# must be distinct.  The integers are JSON integers, never booleans, and
+# H entries lie in [0, q): the loader reduces nothing mod q.
 
 def _parse_rational(s, where: str) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str) or not re.fullmatch(r"\d+(/\d+)?", s.strip()):
         raise ChannelSpecError(f"{where}: probability must be a rational "
@@ -284,28 +283,41 @@ def _parse_rational(s, where: str) -> Fraction:
         raise ChannelSpecError(f"{where}: bad rational {s!r}: {exc}") from exc
 
 
-def spec_from_dict(doc: dict) -> ChannelSpec:
-    for key in ("q", "T", "M", "N", "pmf"):
+def spec_from_dict(doc) -> ChannelSpec:
+    """The ChannelSpec of a decoded document in the schema above; any
+    departure from it raises ChannelSpecError."""
+    if not isinstance(doc, dict):
+        raise ChannelSpecError("channel spec must be a JSON object")
+    for key, kind in (("q", int), ("T", int), ("M", int), ("N", int),
+                      ("pmf", list)):
         if key not in doc:
             raise ChannelSpecError(f"missing field {key!r}")
+        if type(doc[key]) is not kind:
+            raise ChannelSpecError(
+                f"{key} must be a JSON {kind.__name__}, got {doc[key]!r}")
     try:
-        field = FieldSpec(int(doc["q"]))
+        field = FieldSpec(doc["q"])
     except gf_core.GFError as exc:
         raise ChannelSpecError(str(exc)) from exc
-    T, M, N = int(doc["T"]), int(doc["M"]), int(doc["N"])
+    q, M, N = doc["q"], doc["M"], doc["N"]
     pmf: Dict[MatrixGF, Fraction] = {}
     for i, item in enumerate(doc["pmf"]):
         where = f"pmf[{i}]"
-        if "H" not in item or "p" not in item:
+        if not isinstance(item, dict) or "H" not in item or "p" not in item:
             raise ChannelSpecError(f"{where}: needs keys 'H' and 'p'")
-        try:
-            h = gf_core.matrix(field, item["H"])
-        except gf_core.GFError as exc:
-            raise ChannelSpecError(f"{where}: {exc}") from exc
+        rows = item["H"]
+        # gf_core.matrix reduces mod q for library callers; files may not
+        if not (type(rows) is list and len(rows) == M and all(
+                type(row) is list and len(row) == N and all(
+                    type(e) is int and 0 <= e < q for e in row)
+                for row in rows)):
+            raise ChannelSpecError(f"{where}: H must have shape {M}x{N}, "
+                                   f"with integer entries in [0, {q})")
+        h = gf_core.matrix(field, rows)
         if h in pmf:
             raise ChannelSpecError(f"{where}: duplicate support matrix")
         pmf[h] = _parse_rational(item["p"], where)
-    return ChannelSpec(field, T, M, N, pmf)
+    return ChannelSpec(field, doc["T"], M, N, pmf)
 
 
 def spec_to_dict(spec: ChannelSpec) -> dict:

@@ -14,15 +14,16 @@ Five nested properties are tested, all by exact rational comparison
   * row space symmetric: P(Y|X) on the reachable cone depends only on
     the row spaces of X and Y.
 
-Every test reads only the class tables P_U(E) of the transition core,
-never the q^(T*M) input matrices.  Any input with row space U (dimension
-r) factors as X = B @ D_U with B of full column rank, and its output is
-Y = B @ E with E = D_U @ H; inputs with a common column space differ
-only by B -> B @ G for G in GL(r).  So a question about all inputs of one
-column space is a question about GL(r)-invariance of the tables, and
-GL(r) acting on E from the left has the row-space fibers of E as its
-orbits.  The input scans that decide the same predicates by brute force
-live in ``oracle``.
+Every test reads only the class tables P_U(E) of the transition core
+and their index by the row space of E (``TransitionCore.fibers``),
+never the q^(T*M) input matrices.  Any input with row space U
+(dimension r) factors as X = B @ D_U with B of full column rank, and
+its output is Y = B @ E with E = D_U @ H; inputs with a common column
+space differ only by B -> B @ G for G in GL(r).  So a question about
+all inputs of one column space is a question about GL(r)-invariance of
+the tables, and GL(r) acting on E from the left has the row-space
+fibers of E as its orbits.  The scans that decide the same predicates
+by brute force live in ``oracle``.
 
 Every failed test carries a concrete witness: the first violation met
 in canonical class order, turned into input and output matrices through
@@ -36,10 +37,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import gf_core, qcomb, subspace_enum
-from .channel_model import (ChannelSpec, TransitionCore, column_factor,
-                            transition_core)
-from .gf_core import MatrixGF, mat_mul, solve_factor, transpose
-from .subspace_enum import Subspace, representative_matrix, span_rows
+from .channel_model import ChannelSpec, TransitionCore, transition_core
+from .gf_core import MatrixGF, mat_mul, solve_factor
+from .subspace_enum import Subspace
 
 ZERO = Fraction(0)
 
@@ -74,8 +74,10 @@ class ClassReport:
         }
 
 
-def _mat_json(m: MatrixGF) -> list:
-    return m.to_lists()
+def _lift(e: MatrixGF, t: int) -> list:
+    """E padded with zero rows to height t, as row lists: the input
+    [D_U; 0] for E = D_U, and its output [E; 0] for E = D_U @ H."""
+    return e.to_lists() + [[0] * e.cols for _ in range(t - e.rows)]
 
 
 def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
@@ -89,7 +91,7 @@ def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
             if spec.pmf_H[h] != spec.pmf_H[first]:
                 return PredicateResult(False, {
                     "reason": "unequal mass at equal rank",
-                    "rank": r, "H1": _mat_json(first), "H2": _mat_json(h),
+                    "rank": r, "H1": first.to_lists(), "H2": h.to_lists(),
                     "p1": str(spec.pmf_H[first]), "p2": str(spec.pmf_H[h])})
         shell = qcomb.xi2(spec.M, spec.N, r, spec.field.q)
         if len(mats) != shell:
@@ -97,14 +99,6 @@ def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
                 "reason": "rank shell only partially covered",
                 "rank": r, "support": len(mats), "shell_size": shell})
     return PredicateResult(True)
-
-
-def _class_items(core: TransitionCore, u: Subspace):
-    """All (E, prob) for D_U @ H over the full q^(dim U * N) cube."""
-    spec = core.spec
-    table = core.tables[u]
-    for e in gf_core.all_matrices(spec.field, u.dim, spec.N):
-        yield e, table.get(e.entries, ZERO)
 
 
 def _row_fibers(core: TransitionCore, u: Subspace):
@@ -115,29 +109,30 @@ def _row_fibers(core: TransitionCore, u: Subspace):
     table hits to its per-matrix probability and violation is None when
     the table is constant on, and covers, every fiber it hits.
     Otherwise values is None and violation is (E1, E2, p1, p2) with
-    equal row spaces and p1 != p2, the first found in canonical order.
+    equal row spaces and p1 != p2, the first found in canonical order:
+    the least E2 whose value differs from the first entry E1 of its
+    fiber, else E1 and a matrix E2 missing from the first fiber not
+    covered.
     """
     spec = core.spec
-    table = core.tables[u]
-    first: dict = {}   # R -> (E, p) of its first table entry
-    count: dict = {}
-    for e_ent, p in sorted(table.items()):
-        e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-        w = span_rows(e)
-        if w not in first:
-            first[w], count[w] = (e, p), 1
-        elif first[w][1] != p:
-            return None, (first[w][0], e, first[w][1], p)
-        else:
-            count[w] += 1
-    for w in sorted(first, key=lambda s: s.sort_key()):
-        if count[w] != qcomb.xi(u.dim, w.dim, spec.field.q):
+    fibers = core.fibers[u]
+
+    def mat(e_ent):
+        return MatrixGF(spec.field, u.dim, spec.N, e_ent)
+
+    f = min((f for f in fibers.values() if f.odd), default=None,
+            key=lambda f: f.odd[0])
+    if f:
+        return None, (mat(f.first), mat(f.odd[0]), f.value, f.odd[1])
+    for w in sorted(fibers, key=lambda s: s.sort_key()):
+        f = fibers[w]
+        if f.count != qcomb.xi(u.dim, w.dim, spec.field.q):
             missing = next(
                 e for c in gf_core.enumerate_full_rank(u.dim, w.dim,
                                                        spec.field)
-                if (e := mat_mul(c, w.basis)).entries not in table)
-            return None, (first[w][0], missing, first[w][1], ZERO)
-    return {w: ep[1] for w, ep in first.items()}, None
+                if (e := mat_mul(c, w.basis)).entries not in core.tables[u])
+            return None, (mat(f.first), missing, f.value, ZERO)
+    return {w: f.value for w, f in fibers.items()}, None
 
 
 def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
@@ -156,39 +151,55 @@ def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
             e1, e2, p1, p2 = bad
             return PredicateResult(False, {
                 "reason": "probability varies within a row-space fiber",
-                "X": _mat_json(representative_matrix(u, t)),
-                "Y1": _mat_json(_lift(e1, t)),
-                "Y2": _mat_json(_lift(e2, t)),
-                "p1": str(p1), "p2": str(p2)})
+                "X": _lift(u.basis, t), "Y1": _lift(e1, t),
+                "Y2": _lift(e2, t), "p1": str(p1), "p2": str(p2)})
     return PredicateResult(True)
 
 
-def _lift(e: MatrixGF, t: int) -> MatrixGF:
-    """Pad E with zero rows to height t (the output for X = [D_U; 0])."""
-    pad = (0,) * ((t - e.rows) * e.cols)
-    return MatrixGF(e.field, t, e.cols, e.entries + pad)
+def _gl_map(e_from: MatrixGF, e_to: MatrixGF) -> MatrixGF:
+    """An invertible G with G @ e_from = e_to, for r x N matrices of equal
+    row space W.
 
-
-def _gl_map(c_from: MatrixGF, c_to: MatrixGF) -> MatrixGF:
-    """An invertible G with G @ c_from = c_to, for r x s matrices of full
-    column rank.
-
-    Both are completed to invertible r x r matrices A by unit columns,
-    and G = A_to @ A_from^-1.
+    Row-reducing [E | I_r] gives [D_W; 0] = P @ E with P invertible, so
+    G = P_to^-1 @ P_from.
     """
-    def completed(c):
-        cols = [tuple(c[i, j] for i in range(c.rows)) for j in range(c.cols)]
-        for k in range(c.rows):
-            unit = tuple(int(i == k) for i in range(c.rows))
-            cand = cols + [unit]
-            if gf_core.rank(MatrixGF(c.field, len(cand), c.rows,
-                                     sum(cand, ()))) == len(cand):
-                cols = cand
-        return transpose(MatrixGF(c.field, c.rows, c.rows, sum(cols, ())))
+    def reducer(e):
+        r, n = e.rows, e.cols
+        aug = MatrixGF(e.field, r, n + r, sum(
+            (e.row(i) + tuple(int(i == j) for j in range(r))
+             for i in range(r)), ()))
+        red = gf_core.rref(aug)[0]
+        return MatrixGF(e.field, r, r, tuple(
+            red[i, n + j] for i in range(r) for j in range(r)))
 
-    a_from = completed(c_from)
-    a_inv = solve_factor(gf_core.identity(a_from.field, a_from.rows), a_from)
-    return mat_mul(completed(c_to), a_inv)
+    return solve_factor(reducer(e_from), reducer(e_to))
+
+
+def _dimension_values(core: TransitionCore):
+    """The fiber values g_r that every class of dimension r shares.
+
+    Returns (g, first_u, None), with g mapping r to {R: g_r(R)} and
+    first_u mapping r to the first class of dimension r, when every
+    table is constant on, and covers, its row-space fibers and classes
+    of equal dimension share one table.  Otherwise returns
+    (None, None, (u1, E1, u2, E2, p1, p2)) with P_u1(E1) = p1 != p2 =
+    P_u2(E2), dim u1 = dim u2 and E1, E2 of equal row space.
+    """
+    g: dict = {}
+    first_u: dict = {}
+    for u in core.input_classes():
+        values, bad = _row_fibers(core, u)
+        if bad:
+            e1, e2, p1, p2 = bad
+            return None, None, (u, e1, u, e2, p1, p2)
+        u0, g0 = first_u.setdefault(u.dim, u), g.setdefault(u.dim, values)
+        if values != g0:
+            w = next(w for w in sorted(set(values) | set(g0),
+                                       key=lambda v: v.sort_key())
+                     if values.get(w, ZERO) != g0.get(w, ZERO))
+            return None, None, (u0, w.basis, u, w.basis, g0.get(w, ZERO),
+                                values.get(w, ZERO))
+    return g, first_u, None
 
 
 def is_rank_symmetric(core: TransitionCore):
@@ -196,27 +207,41 @@ def is_rank_symmetric(core: TransitionCore):
 
     Returns (PredicateResult, mu) where mu maps (rank X, rank Y) to the
     common probability when the test passes.
+
+    The outputs of [D_U; 0] carry the values of the table of U on the
+    dim(U) x N cube, so the test holds iff all classes of dimension r
+    share one table that is constant on its row-space fibers, with one
+    value on all of Gr(s, N) for each s; a W the table does not hit
+    counts as 0, and a W it hits as a positive value.
     """
+    spec = core.spec
+    t = spec.T
+    g, first_u, bad = _dimension_values(core)
     mu: dict = {}
-    first_at: dict = {}
-    for u in core.input_classes():
-        for e, p in _class_items(core, u):
-            key = (u.dim, gf_core.rank(e))
-            if key not in mu:
-                mu[key] = p
-                first_at[key] = (u, e)
-            elif mu[key] != p:
-                u0, e0 = first_at[key]
-                t = core.spec.T
-                return PredicateResult(False, {
-                    "reason": "probability varies at fixed (rank X, rank Y)",
-                    "rank_X": key[0], "rank_Y": key[1],
-                    "X1": _mat_json(representative_matrix(u0, t)),
-                    "Y1": _mat_json(_lift(e0, t)),
-                    "X2": _mat_json(representative_matrix(u, t)),
-                    "Y2": _mat_json(_lift(e, t)),
-                    "p1": str(mu[key]), "p2": str(p)}), None
-    return PredicateResult(True), {k: v for k, v in sorted(mu.items())}
+    for r, values in sorted((g or {}).items()):
+        u = first_u[r]
+        for s in range(min(r, spec.N) + 1):
+            cells = [(w.basis, p) for w, p in values.items() if w.dim == s]
+            if cells and len(cells) < qcomb.gaussian_binomial(
+                    spec.N, s, spec.field.q):
+                # a W of dim s that no entry hits carries 0
+                cells.append((next(
+                    w for w in subspace_enum.enumerate_grassmannian(
+                        s, spec.N, spec.field) if w not in values).basis,
+                    ZERO))
+            e1, p1 = cells[0] if cells else (None, ZERO)
+            bad = bad or next(((u, e1, u, e2, p1, p2) for e2, p2 in cells
+                               if p2 != p1), None)
+            mu[(r, s)] = p1
+    if bad:
+        u1, e1, u2, e2, p1, p2 = bad
+        return PredicateResult(False, {
+            "reason": "probability varies at fixed (rank X, rank Y)",
+            "rank_X": u1.dim, "rank_Y": gf_core.rank(e1),
+            "X1": _lift(u1.basis, t), "Y1": _lift(e1, t),
+            "X2": _lift(u2.basis, t), "Y2": _lift(e2, t),
+            "p1": str(p1), "p2": str(p2)}), None
+    return PredicateResult(True), mu
 
 
 def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
@@ -244,8 +269,7 @@ def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
             return PredicateResult(False, {
                 "reason": "subspace channel depends on the input "
                           "representative",
-                "X1": _mat_json(representative_matrix(u0, t)),
-                "X2": _mat_json(representative_matrix(u, t)),
+                "X1": _lift(u0.basis, t), "X2": _lift(u.basis, t),
                 "V": v.to_json(), "p1": str(p0), "p2": str(p)})
     return PredicateResult(True)
 
@@ -270,35 +294,17 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
     """
     spec = core.spec
     t = spec.T
-
-    def fail_a(x1, x2, e, p1, p2):
+    g, first_u, bad = _dimension_values(core)
+    if bad:
+        u1, e1, u2, e2, p1, p2 = bad
+        x2 = _lift(u2.basis, t)
+        if u1 == u2:
+            # G @ E2 = E1, so P(B E1 | B G D_U) = P_U(E2).
+            x2 = _lift(mat_mul(_gl_map(e2, e1), u2.basis), t)
         return PredicateResult(False, {
             "reason": "P(Y|X) depends on more than the column space of X",
-            "X1": _mat_json(x1), "X2": _mat_json(x2),
-            "Y": _mat_json(_lift(e, t)), "p1": str(p1), "p2": str(p2)})
-
-    g: dict = {}         # dim r -> {row space R: g_r(R)}
-    first_u: dict = {}   # dim r -> first class of dim r
-    for u in core.input_classes():
-        values, bad = _row_fibers(core, u)
-        if bad:
-            e1, e2, p1, p2 = bad
-            # G @ E2 = E1, so P(B E1 | B G D_U) = P_U(E2).
-            c1 = column_factor(e1, span_rows(e1))
-            c2 = column_factor(e2, span_rows(e2))
-            return fail_a(representative_matrix(u, t),
-                          _lift(mat_mul(_gl_map(c2, c1), u.basis), t), e1,
-                          p1, p2)
-        if u.dim not in g:
-            g[u.dim], first_u[u.dim] = values, u
-        elif values != g[u.dim]:
-            w = next(w for w in sorted(set(values) | set(g[u.dim]),
-                                       key=lambda v: v.sort_key())
-                     if values.get(w, ZERO) != g[u.dim].get(w, ZERO))
-            return fail_a(representative_matrix(first_u[u.dim], t),
-                          representative_matrix(u, t),
-                          _lift(w.basis, u.dim), g[u.dim].get(w, ZERO),
-                          values.get(w, ZERO))
+            "X1": _lift(u1.basis, t), "X2": x2, "Y": _lift(e1, t),
+            "p1": str(p1), "p2": str(p2)})
     kmax = min(spec.T, spec.M)
     by_dim: dict = {}
     for values in g.values():
@@ -324,10 +330,9 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
             # Outputs [D_R; 0] share the column space span(e_1..e_s);
             # the input [D_U; 0] with dim U = ranks[i] contains it.
             return PredicateResult(False, {
-                "reason": reason,
-                "Y1": _mat_json(_lift(w1.basis, t)),
-                "Y2": _mat_json(_lift(w2.basis, t)),
-                "X": _mat_json(representative_matrix(first_u[ranks[i]], t))})
+                "reason": reason, "Y1": _lift(w1.basis, t),
+                "Y2": _lift(w2.basis, t),
+                "X": _lift(first_u[ranks[i]].basis, t)})
     return PredicateResult(True)
 
 

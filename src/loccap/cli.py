@@ -243,9 +243,10 @@ def _check_counting() -> list:
 
 
 def _check_channel(spec, label: str, ba: bool) -> list:
+    from . import oracle   # brute-force oracles; only verify needs them
     fails = []
     core = cm.transition_core(spec)
-    naive = cm.transition_naive(spec)
+    naive = oracle.transition_naive(spec)
     zero = Fraction(0)
     for x in all_matrices(spec.field, spec.T, spec.M):
         for y in all_matrices(spec.field, spec.T, spec.N):
@@ -259,8 +260,9 @@ def _check_channel(spec, label: str, ba: bool) -> list:
     bad = cls.implication_audit(report, spec.T, spec.M)
     if bad:
         fails.append(f"{label}: implication violations {bad}")
-    from . import oracle   # input scans; only verify needs them
-    for name, scan in (("degraded", oracle.is_degraded),
+    for name, scan in (("rank_symmetric",
+                        lambda c: oracle.is_rank_symmetric(c)[0]),
+                       ("degraded", oracle.is_degraded),
                        ("unique_subspace_degradation",
                         oracle.has_unique_subspace_degradation)):
         fast, slow = getattr(report, name), scan(core)
@@ -269,7 +271,7 @@ def _check_channel(spec, label: str, ba: bool) -> list:
         if got != want:
             fails.append(f"{label}: {name} (holds, witness keys) is {got} "
                          f"from the class tables but {want} from the "
-                         f"input scan")
+                         f"brute-force scan")
     if ba:
         fast = ce.shannon_capacity(core, 1e-8)
         slow = ce.shannon_capacity_naive(core, 1e-8)
@@ -321,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int,
                        default=ce.DEFAULT_ASSIGNMENT_BUDGET)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--mode", choices=ce.CSS_MODES, default="auto")
         p.add_argument("-o", "--output", default=None)
 
@@ -349,6 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify")
     common(p, channel=False)
     p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
     return top
 

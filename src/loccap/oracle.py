@@ -1,11 +1,15 @@
-"""Brute-force oracles for the degraded and unique-subspace-degradation
-predicates.
+"""Brute-force oracles: the transition table by direct summation, and
+the rank-symmetric, degraded and unique-subspace-degradation predicates.
 
-Both scan every one of the q^(T*M) input matrices, grouped by column
-space, and compare the output laws inside each group.  They are exact
-but exponential in T; ``classify`` decides the same predicates from the
-class tables, and ``verify`` and the tests cross-check it against these
-scans on small channels.
+``transition_naive`` sums over the support of H for every input
+matrix; ``channel_model.p_y_given_x`` reads the same values from the
+class tables.  The degraded and unique-subspace-degradation scans visit
+every one of the q^(T*M) input matrices, grouped by column space, and
+compare the output laws inside each group; the rank-symmetric scan
+visits the whole q^(r*N) cube of every class table.  They are exact but
+exponential; ``classify`` decides the same predicates from the
+row-space index of the class tables, and ``verify`` and the tests
+cross-check it against these scans on small channels.
 """
 
 from __future__ import annotations
@@ -13,12 +17,59 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import gf_core, subspace_enum
-from .channel_model import NAIVE_TABLE_BUDGET, TransitionCore, column_factor
-from .classify import PredicateResult
+from .channel_model import ChannelSpec, TransitionCore, column_factor
+from .classify import PredicateResult, _lift
 from .gf_core import MatrixGF, mat_mul
 from .subspace_enum import Subspace, span_columns, span_rows
 
+NAIVE_TABLE_BUDGET = 2 ** 24
+
 ZERO = Fraction(0)
+
+
+def transition_naive(spec: ChannelSpec,
+                     budget: int = NAIVE_TABLE_BUDGET):
+    """Full table {(x.entries, y.entries): P(y|x)} by direct summation."""
+    q = spec.field.q
+    n_inputs = q ** (spec.T * spec.M)
+    if n_inputs * len(spec.pmf_H) > budget:
+        raise gf_core.BudgetExceeded("naive table exceeds budget")
+    table: dict = {}
+    for x in gf_core.all_matrices(spec.field, spec.T, spec.M):
+        for h, p in spec.pmf_H.items():
+            y = mat_mul(x, h)
+            key = (x.entries, y.entries)
+            table[key] = table.get(key, ZERO) + p
+    return table
+
+
+def is_rank_symmetric(core: TransitionCore):
+    """P(Y|X) on the reachable cone is a function of (rank X, rank Y),
+    by ranking every E of the full q^(dim U * N) cube of every class.
+
+    Returns (PredicateResult, mu) like ``classify.is_rank_symmetric``.
+    """
+    spec = core.spec
+    t = spec.T
+    mu: dict = {}
+    first_at: dict = {}
+    for u in core.input_classes():
+        table = core.tables[u]
+        for e in gf_core.all_matrices(spec.field, u.dim, spec.N):
+            p = table.get(e.entries, ZERO)
+            key = (u.dim, gf_core.rank(e))
+            if key not in mu:
+                mu[key] = p
+                first_at[key] = (u, e)
+            elif mu[key] != p:
+                u0, e0 = first_at[key]
+                return PredicateResult(False, {
+                    "reason": "probability varies at fixed (rank X, rank Y)",
+                    "rank_X": key[0], "rank_Y": key[1],
+                    "X1": _lift(u0.basis, t), "Y1": _lift(e0, t),
+                    "X2": _lift(u.basis, t), "Y2": _lift(e, t),
+                    "p1": str(mu[key]), "p2": str(p)}), None
+    return PredicateResult(True), {k: v for k, v in sorted(mu.items())}
 
 
 def _inputs_by_column_space(core: TransitionCore,

@@ -16,8 +16,9 @@ from loccap import channel_model as cm
 from loccap import classify as cls
 from loccap import cli
 from loccap import oracle, qcomb, subspace_enum
-from loccap.channel_model import transition_core, transition_naive
-from loccap.gf_core import FieldSpec, all_matrices, matrix, zeros
+from loccap.channel_model import transition_core
+from loccap.gf_core import FieldSpec, all_matrices, matrix, rank, zeros
+from loccap.oracle import transition_naive
 
 from conftest import random_small_channel
 
@@ -292,7 +293,18 @@ def _assert_real_violation(core, name, w):
     field, T = core.spec.field, core.spec.T
     p_yx = cm.p_y_given_x
     span_cols = subspace_enum.span_columns
-    if name == "unique_subspace_degradation":
+    if name == "rank_symmetric":
+        x1, x2 = matrix(field, w["X1"]), matrix(field, w["X2"])
+        y1, y2 = matrix(field, w["Y1"]), matrix(field, w["Y2"])
+        assert rank(x1) == rank(x2) == w["rank_X"]
+        assert rank(y1) == rank(y2) == w["rank_Y"]
+        # both outputs lie in the reachable cone of their inputs
+        assert all(subspace_enum.contains(span_cols(x), span_cols(y))
+                   for x, y in ((x1, y1), (x2, y2)))
+        got = [p_yx(core, x1, y1), p_yx(core, x2, y2)]
+        assert got == [Fraction(w["p1"]), Fraction(w["p2"])]
+        assert got[0] != got[1]
+    elif name == "unique_subspace_degradation":
         x1, x2 = matrix(field, w["X1"]), matrix(field, w["X2"])
         v = subspace_enum.span_rows(
             matrix(field, w["V"]["basis"]) if w["V"]["basis"]
@@ -321,19 +333,25 @@ def _assert_real_violation(core, name, w):
 
 
 def test_criterion_10b_class_predicates_match_oracle(capsys):
-    with _Gate(capsys, "criterion 10b: table-based degraded and unique "
-                       "subspace degradation tests match the input scans "
-                       "on 1000 channels, with verified witnesses"):
+    with _Gate(capsys, "criterion 10b: table-based rank-symmetric, degraded "
+                       "and unique subspace degradation tests match the "
+                       "brute-force scans on 1000 channels, with verified "
+                       "witnesses"):
         rng = random.Random(1010)
-        positives = {"degraded": 0, "unique_subspace_degradation": 0}
+        positives = {"rank_symmetric": 0, "degraded": 0,
+                     "unique_subspace_degradation": 0}
         for _ in range(1000):
             core = transition_core(_cross_check_channel(rng))
-            for name, fast, scan in (
-                    ("degraded", cls.is_degraded, oracle.is_degraded),
+            rank_sym, mu = cls.is_rank_symmetric(core)
+            rank_sym_scan, mu_scan = oracle.is_rank_symmetric(core)
+            assert mu == mu_scan, core.spec
+            for name, got, want in (
+                    ("rank_symmetric", rank_sym, rank_sym_scan),
+                    ("degraded", cls.is_degraded(core),
+                     oracle.is_degraded(core)),
                     ("unique_subspace_degradation",
-                     cls.has_unique_subspace_degradation,
-                     oracle.has_unique_subspace_degradation)):
-                got, want = fast(core), scan(core)
+                     cls.has_unique_subspace_degradation(core),
+                     oracle.has_unique_subspace_degradation(core))):
                 assert got.holds == want.holds, (name, core.spec)
                 positives[name] += got.holds
                 if not got.holds:
@@ -341,6 +359,33 @@ def test_criterion_10b_class_predicates_match_oracle(capsys):
                     _assert_real_violation(core, name, got.witness)
         # both outcomes are exercised in volume
         assert all(200 <= n <= 800 for n in positives.values()), positives
+
+
+def _recount_fibers(core):
+    """core.fibers rebuilt from every E of the full q^(r*N) cube of each
+    class, visited in sorted order."""
+    out = {}
+    for u, table in core.tables.items():
+        by_w = {}
+        for e in all_matrices(core.spec.field, u.dim, core.spec.N):
+            if e.entries in table:
+                by_w.setdefault(subspace_enum.span_rows(e), []).append(
+                    (e.entries, table[e.entries]))
+        out[u] = {w: cm.Fiber(sum(p for _, p in es), len(es), *es[0],
+                              next((ep for ep in es if ep[1] != es[0][1]),
+                                   None))
+                  for w, es in by_w.items()}
+    return out
+
+
+def test_criterion_10c_row_space_index_matches_cube_recount(capsys):
+    with _Gate(capsys, "criterion 10c: the row-space index of every class "
+                       "table equals a recount over the full cube on 500 "
+                       "channels"):
+        rng = random.Random(1011)
+        for _ in range(500):
+            core = transition_core(_cross_check_channel(rng))
+            assert core.fibers == _recount_fibers(core), core.spec
 
 
 def test_criterion_11_css_below_capacity(capsys, fixtures):

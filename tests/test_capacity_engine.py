@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
 from loccap import classify as cls
-from loccap import qcomb
-from loccap.channel_model import transition_core, transition_naive
+from loccap import qcomb, subspace_enum
+from loccap.channel_model import transition_core
 from loccap.gf_core import FieldSpec
+from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_rows
 
 from conftest import random_small_channel
@@ -301,6 +303,36 @@ def test_report_zero_channel_short_circuit():
     rep = ce.capacity_report(spec, 1e-10)
     assert rep.verdict == ce.VERDICT_EQUAL
     assert rep.css.mode == "degenerate"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("iid_uniform", dict(q=2, T=2, M=2, N=2)),
+    ("iid_uniform", dict(q=3, T=1, M=2, N=2)),
+    ("uniform_given_rank", dict(q=2, T=3, M=3, N=2,
+                                rank_pmf={1: Fraction(1, 2),
+                                          2: Fraction(1, 2)})),
+])
+def test_report_ranks_each_table_entry_at_most_once(monkeypatch, kind,
+                                                    params):
+    # every predicate, solver and bound reads the row-space index that
+    # transition_core builds with one span_rows call per table entry
+    spec = cm.generate(kind, **params)
+    entries = sum(len(t) for t in transition_core(spec).tables.values())
+    original = subspace_enum.span_rows
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name == "loccap" or name.startswith("loccap."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    rep = ce.capacity_report(spec)
+    assert all(rep.classes.flags().values())
+    assert 0 < len(calls) <= entries
 
 
 def test_table2_achiever(fixtures):

@@ -8,8 +8,9 @@ from loccap import channel_model as cm
 from loccap import qcomb
 from loccap.channel_model import (ChannelSpec, ChannelSpecError,
                                   load_channel, p_y_given_x, save_channel,
-                                  transition_core, transition_naive)
+                                  transition_core)
 from loccap.gf_core import FieldSpec, all_matrices, matrix, rank
+from loccap.oracle import transition_naive
 
 from conftest import random_small_channel
 
@@ -128,6 +129,27 @@ def test_load_rejects_composite_field(tmp_path):
     doc["q"] = 6
     with pytest.raises(ChannelSpecError, match="prime"):
         load_channel(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"pmf": 5}, "pmf must"),
+    ({"pmf": [5]}, "needs keys"),
+    ({"pmf": [{"H": [[1.7]], "p": "1"}]}, "integer entries"),
+    ({"pmf": [{"H": [[3]], "p": "1"}]}, "integer entries"),
+    ({"pmf": [{"H": [[True]], "p": "1"}]}, "integer entries"),
+    ({"pmf": [{"H": [[1]], "p": True}]}, "probability"),
+    ({"q": 2.0}, "q must"), ({"T": True}, "T must"), ({"M": "1"}, "M must"),
+    ({"N": 1.5}, "N must"),
+])
+def test_load_rejects_non_integers_and_out_of_range_entries(tmp_path, change,
+                                                             match):
+    with pytest.raises(ChannelSpecError, match=match):
+        load_channel(_write(tmp_path, dict(BASE, **change)))
+
+
+def test_load_rejects_non_object_document(tmp_path):
+    with pytest.raises(ChannelSpecError, match="JSON object"):
+        load_channel(_write(tmp_path, [BASE]))
 
 
 def test_load_rejects_invalid_json(tmp_path):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from loccap import cli
 from loccap import channel_model as cm
@@ -164,3 +168,63 @@ def test_report_bounds_with_subnormal_achiever_weight(tmp_path, capsys):
     c = doc["C"]["value"]
     assert math.isfinite(lower) and math.isfinite(upper)
     assert lower - 1e-9 <= c <= upper + 1e-9
+
+
+def test_seed_and_jobs_belong_to_verify(capsys):
+    path = cli.fixture_path("table1.json")
+    for option in ("--seed", "--jobs"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", path, option, "1"])
+        assert exc.value.code == 2
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7),
+                  st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.sampled_from("HpqT"), st.integers(0, 2),
+                                  max_size=2))
+
+
+@st.composite
+def _channel_documents(draw):
+    """A small valid channel document with at most one defect."""
+    q = draw(st.sampled_from([2, 3]))
+    T, M, N = (draw(st.integers(1, 2)) for _ in range(3))
+    support = draw(st.lists(
+        st.lists(st.lists(st.integers(0, q - 1), min_size=N, max_size=N),
+                 min_size=M, max_size=M),
+        min_size=1, max_size=3, unique_by=str))
+    weights = [draw(st.integers(1, 4)) for _ in support]
+    doc = {"q": q, "T": T, "M": M, "N": N,
+           "pmf": [{"H": h, "p": f"{w}/{sum(weights)}"}
+                   for h, w in zip(support, weights)]}
+    item = doc["pmf"][0]
+    defect = draw(st.sampled_from(
+        ["none", "field", "missing", "item", "H", "entry", "p", "document"]))
+    if defect == "field":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+    elif defect == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif defect == "item":
+        doc["pmf"][0] = draw(_JUNK)
+    elif defect in ("H", "p"):
+        item[defect] = draw(_JUNK)
+    elif defect == "entry":
+        item["H"][0][0] = draw(_JUNK)
+    elif defect == "document":
+        doc = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_channel_documents())
+def test_classify_exits_with_a_documented_code_on_any_document(tmp_path,
+                                                              doc):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["classify", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_BUDGET,
+                    cli.EXIT_CONVERGENCE)
