@@ -7,27 +7,28 @@ per subspace of F^M (dimension at most min(T, M)).  For such inputs
 the whole mutual information collapses onto the exact per-class tables
 of D_U @ H, which keeps the alphabet tiny even when q^(T M) is not.
 
-Subspace-coding capacity is computed three ways: a convex rank-domain
-optimization valid for channels whose induced subspace channel is
-representative independent, a lower bound via one subspace choice per
-input rank, and an exhaustive maximization over deterministic
-subspace-to-matrix degradations.
+Subspace-coding capacity is computed two ways: a rank-domain search
+over one subspace choice per input rank, a lower bound in general and a
+single convex optimization when the induced subspace channel is
+representative independent, and an exhaustive maximization over
+deterministic subspace-to-matrix degradations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import classify as classify_mod
 from . import qcomb, subspace_enum
-from .channel_model import (ChannelSpec, TransitionCore, column_factor,
-                            cond_rank_given_rowspace, transition_core)
+from .channel_model import (ChannelSpec, TransitionCore,
+                            cond_rank_given_rowspace, inputs_by_column_space,
+                            rank_joint, transition_core)
 from .gf_core import BudgetExceeded, MatrixGF, mat_mul
-from .subspace_enum import Subspace, span_columns, span_rows
+from .subspace_enum import Subspace, span_columns
 
 LOG2 = math.log2
 DEFAULT_TOL = 1e-9
@@ -222,11 +223,8 @@ def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
         raise BudgetExceeded("full-alphabet optimization exceeds budget")
     y_index: Dict[tuple, int] = {}
     rows = []
-    for w in subspace_enum.enumerate_projective(min(spec.T, spec.M), spec.T,
-                                                spec.field):
-        for x in subspace_enum.matrices_with_column_space(w, spec.M):
-            u = span_rows(x)
-            b = column_factor(x, u)
+    for _, group in inputs_by_column_space(core):
+        for _, b, u in group:
             row: Dict[int, float] = {}
             for e_ent, p in core.tables[u].items():
                 e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
@@ -312,15 +310,10 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
     """
     spec = core.spec
     q = spec.field.q
-    rs_joint = _row_space_joint(core, alpha)
-    rank_joint = {}
-    for (u, v), p in rs_joint.items():
-        key = (u.dim, v.dim)
-        rank_joint[key] = rank_joint.get(key, 0.0) + p
-    j = j_rank(rank_joint, spec.T, q)
-    lower = j + _mi(rs_joint)
+    ranks = rank_joint(core, alpha)
+    lower = j_rank(ranks, spec.T, q) + _mi(_row_space_joint(core, alpha))
     slack = sum(p * LOG2(qcomb.xi(r, s, q))
-                for (r, s), p in rank_joint.items() if p > 0 and s > 0)
+                for (r, s), p in ranks.items() if p > 0 and s > 0)
     return lower, lower + slack
 
 
@@ -339,53 +332,23 @@ def r_of_class(core: TransitionCore, u: Subspace) -> float:
     return out
 
 
-def constant_rank_best(core: TransitionCore):
-    """Best constant-rank fiber-uniform input.
-
-    Returns (rate, class); ties prefer the smallest dimension, then the
-    canonical class order.
-    """
-    best = None
-    for u in core.input_classes():
-        rate = r_of_class(core, u)
-        if best is None or rate > best[0] + 1e-12:
-            best = (rate, u)
-    return best
-
-
 def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER,
-               verified: bool = False) -> CssResult:
-    """Subspace coding capacity for channels with a representative
-    independent subspace channel, via convex rank-domain optimization.
+               max_iter: int = DEFAULT_MAX_ITER) -> CssResult:
+    """Subspace coding capacity for channels with a unique subspace
+    degradation, via convex rank-domain optimization.
 
-    The objective splits into a linear per-rank reward (the constant
-    rate of any class of that dimension) plus the mutual information of
-    the rank channel, handled by reward-augmented Blahut-Arimoto.
+    There every class of dimension r has the same output rank law (see
+    ``classify.has_unique_subspace_degradation``), so the per-rank search
+    of ``css_alpha_lower`` has exactly one assignment, and its optimum
+    is the capacity.
     """
-    if not verified:
-        if not classify_mod.has_unique_subspace_degradation(core):
-            raise ValueError(
-                "subspace channel depends on the input representative; "
-                "the rank-domain optimization does not apply")
-    spec = core.spec
-    by_rank: Dict[int, list] = {}
-    for u in core.input_classes():
-        by_rank.setdefault(u.dim, []).append(u)
-    rows, rewards, ranks = [], [], []
-    for r, classes in sorted(by_rank.items()):
-        row0 = cond_rank_given_rowspace(core, classes[0])
-        for u in classes[1:]:
-            if cond_rank_given_rowspace(core, u) != row0:
-                raise ValueError(
-                    "output rank law differs between equal-dimension "
-                    "classes; the rank-domain optimization does not apply")
-        rows.append({s: float(p) for s, p in row0.items()})
-        rewards.append(r_of_class(core, classes[0]))
-        ranks.append(r)
-    value, pmf, gap, its, ok = _ba(rows, rewards, tol, max_iter)
-    return CssResult(value, gap, its, ok, "unique",
-                     rank_pmf=dict(zip(ranks, pmf)))
+    if not classify_mod.has_unique_subspace_degradation(core):
+        raise ValueError(
+            "subspace channel depends on the input representative; "
+            "the rank-domain optimization does not apply")
+    res = css_alpha_lower(core, tol, max_iter)
+    res.mode = "unique"
+    return res
 
 
 def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -442,14 +405,11 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
     v_index = {v: i for i, v in enumerate(v_spaces)}
     per_class_rows = []
     degradations = []
-    for w in subspace_enum.enumerate_projective(min(spec.T, spec.M), spec.T,
-                                                spec.field):
+    for w, group in inputs_by_column_space(core):
         options = []
         seen = set()
         candidates = []
-        for x in subspace_enum.matrices_with_column_space(w, spec.M):
-            u = span_rows(x)
-            b = column_factor(x, u)
+        for x, b, u in group:
             row: Dict[int, Fraction] = {}
             for e_ent, p in core.tables[u].items():
                 e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
@@ -497,12 +457,11 @@ def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
     """
     if mode not in CSS_MODES:
         raise ValueError(f"unknown css mode {mode!r}")
-    if mode in ("auto", "unique"):
-        unique_sd = classify_mod.has_unique_subspace_degradation(core).holds
     if mode == "auto":
-        mode = "unique" if unique_sd else "bruteforce"
+        mode = ("unique" if classify_mod.has_unique_subspace_degradation(core)
+                else "bruteforce")
     if mode == "unique":
-        return css_unique(core, tol, max_iter, verified=unique_sd)
+        return css_unique(core, tol, max_iter)
     if mode == "alpha":
         return css_alpha_lower(core, tol, max_iter, budget)
     return css_bruteforce(core, tol, max_iter, budget)
@@ -602,8 +561,10 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     satisfies the long rank chain (checked numerically at the
     Blahut-Arimoto output).  Strict excess is asserted only when the
     difference clears ten times the optimization tolerance and the
-    subspace value is not merely a lower bound.  Pass ``core`` when the
-    caller already holds the transition core of ``spec``.
+    subspace value is not merely a lower bound.  Both of these need the
+    two optimizations to have converged; otherwise only the degraded
+    case gives a verdict.  Pass ``core`` when the caller already holds
+    the transition core of ``spec``.
     """
     if core is None:
         core = transition_core(spec)
@@ -620,10 +581,16 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     bounds = bounds_row_space(core, cap.alpha)
     markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
     css_exact = css.mode in ("unique", "bruteforce")
+    unconverged = [name for name, res in (("C", cap), ("C_ss", css))
+                   if not res.converged]
     if report.degraded.holds:
         verdict = VERDICT_EQUAL
         reason = ("channel is degraded; subspace coding achieves the "
                   "Shannon capacity")
+    elif unconverged:
+        verdict = VERDICT_INCONCLUSIVE
+        reason = (f"optimization of {' and '.join(unconverged)} did not "
+                  f"converge; only the degraded-channel theorem applies")
     elif css_exact and cap.value - css.value > 10 * tol:
         verdict = VERDICT_EXCEEDS
         reason = (f"C - C_ss = {cap.value - css.value:.6g} exceeds the "

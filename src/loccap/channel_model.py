@@ -27,6 +27,7 @@ from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
 from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20
+INPUT_ENUM_BUDGET = 2 ** 24
 
 ZERO = Fraction(0)
 
@@ -149,6 +150,25 @@ def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
     return transpose(solve_factor(transpose(x), transpose(u.basis)))
 
 
+def inputs_by_column_space(core: TransitionCore,
+                           budget: int = INPUT_ENUM_BUDGET):
+    """Yield (W, [(X, B, U), ...]) for every input column space W.
+
+    Every one of the q^(T*M) input matrices X appears once, with U its
+    row space and B the full-column-rank factor with X = B @ D_U.
+    """
+    spec = core.spec
+    if spec.field.q ** (spec.T * spec.M) > budget:
+        raise BudgetExceeded("input enumeration exceeds budget")
+    kmax = min(spec.T, spec.M)
+    for w in subspace_enum.enumerate_projective(kmax, spec.T, spec.field):
+        group = []
+        for x in subspace_enum.matrices_with_column_space(w, spec.M):
+            u = span_rows(x)
+            group.append((x, column_factor(x, u), u))
+        yield w, group
+
+
 def p_y_given_x(core: TransitionCore, x: MatrixGF, y: MatrixGF) -> Fraction:
     """Exact P(Y=y | X=x) via the class table.
 
@@ -189,6 +209,19 @@ def rank_joint(core: TransitionCore, alpha) -> Dict[Tuple[int, int], object]:
     return out
 
 
+def _channel_field(q: int) -> FieldSpec:
+    """F_q for a channel.  A q above CORE_TABLE_BUDGET is refused before
+    the primality test, whose trial division is unbounded: the table of
+    any one-dimensional class has q^N entries, so no core could be built."""
+    if q > CORE_TABLE_BUDGET:
+        raise ChannelSpecError(f"q must be at most {CORE_TABLE_BUDGET}, "
+                               f"got {q}")
+    try:
+        return FieldSpec(q)
+    except gf_core.GFError as exc:
+        raise ChannelSpecError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Generators for standard channel families.
 
@@ -202,7 +235,7 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
     matrices), "custom_rank_dist" (mass p(r) concentrated on one
     canonical rank-r matrix; deliberately not uniform given rank).
     """
-    field = FieldSpec(q)
+    field = _channel_field(q)
     if kind == "full_rank_uniform":
         N = M
     if N is None:
@@ -295,10 +328,7 @@ def spec_from_dict(doc) -> ChannelSpec:
         if type(doc[key]) is not kind:
             raise ChannelSpecError(
                 f"{key} must be a JSON {kind.__name__}, got {doc[key]!r}")
-    try:
-        field = FieldSpec(doc["q"])
-    except gf_core.GFError as exc:
-        raise ChannelSpecError(str(exc)) from exc
+    field = _channel_field(doc["q"])
     q, M, N = doc["q"], doc["M"], doc["N"]
     pmf: Dict[MatrixGF, Fraction] = {}
     for i, item in enumerate(doc["pmf"]):

@@ -87,7 +87,7 @@ def _css_json(res: ce.CssResult) -> dict:
 
 
 def _emit(doc: dict, args) -> None:
-    if args.format == "csv":
+    if getattr(args, "format", "json") == "csv":
         lines = ["quantity,value,mode,gap"]
         for quantity, entry in doc.items():
             if isinstance(entry, dict) and "value" in entry:
@@ -315,22 +315,30 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, channel=True):
-        if channel:
-            p.add_argument("channel", help="channel spec JSON file")
-        p.add_argument("--tol", type=float, default=ce.DEFAULT_TOL)
-        p.add_argument("--max-iter", type=int, default=ce.DEFAULT_MAX_ITER)
-        p.add_argument("--budget", type=int,
-                       default=ce.DEFAULT_ASSIGNMENT_BUDGET)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--mode", choices=ce.CSS_MODES, default="auto")
-        p.add_argument("-o", "--output", default=None)
-
-    for name, fn in (("classify", cmd_classify), ("capacity", cmd_capacity),
-                     ("css", cmd_css), ("bounds", cmd_bounds),
-                     ("report", cmd_report)):
+    options = {
+        "--tol": dict(type=float, default=ce.DEFAULT_TOL),
+        "--max-iter": dict(type=int, default=ce.DEFAULT_MAX_ITER),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--budget": dict(type=int, default=ce.DEFAULT_ASSIGNMENT_BUDGET),
+        "--mode": dict(choices=ce.CSS_MODES, default="auto"),
+        "--trials": dict(type=int, default=25),
+        "--seed": dict(type=int, default=0),
+        "--jobs": dict(type=int, default=1),
+    }
+    solver = ("--tol", "--max-iter", "--format")
+    for name, fn, opts in (
+            ("classify", cmd_classify, ()),
+            ("capacity", cmd_capacity, solver),
+            ("css", cmd_css, solver + ("--budget", "--mode")),
+            ("bounds", cmd_bounds, solver),
+            ("report", cmd_report, solver + ("--budget", "--mode")),
+            ("verify", cmd_verify, ("--trials", "--seed", "--jobs"))):
         p = sub.add_parser(name)
-        common(p)
+        if name != "verify":
+            p.add_argument("channel", help="channel spec JSON file")
+        for opt in opts:
+            p.add_argument(opt, **options[opt])
+        p.add_argument("-o", "--output", default=None)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("gen")
@@ -345,13 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list like 0:1/3,2:2/3")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("verify")
-    common(p, channel=False)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=cmd_verify)
     return top
 
 

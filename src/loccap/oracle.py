@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import gf_core, subspace_enum
-from .channel_model import ChannelSpec, TransitionCore, column_factor
+from . import gf_core
+from .channel_model import ChannelSpec, TransitionCore, inputs_by_column_space
 from .classify import PredicateResult, _lift
 from .gf_core import MatrixGF, mat_mul
-from .subspace_enum import Subspace, span_columns, span_rows
+from .subspace_enum import Subspace, span_columns
 
 NAIVE_TABLE_BUDGET = 2 ** 24
 
@@ -72,26 +72,6 @@ def is_rank_symmetric(core: TransitionCore):
     return PredicateResult(True), {k: v for k, v in sorted(mu.items())}
 
 
-def _inputs_by_column_space(core: TransitionCore,
-                            budget: int = NAIVE_TABLE_BUDGET):
-    """Yield (W, [(X, B, U), ...]) for every input column space W.
-
-    B is the full-column-rank factor with X = B @ D_U, where U is the
-    row space of X and D_U its canonical basis.
-    """
-    spec = core.spec
-    q = spec.field.q
-    if q ** (spec.T * spec.M) > budget:
-        raise gf_core.BudgetExceeded("input enumeration exceeds budget")
-    kmax = min(spec.T, spec.M)
-    for w in subspace_enum.enumerate_projective(kmax, spec.T, spec.field):
-        group = []
-        for x in subspace_enum.matrices_with_column_space(w, spec.M):
-            u = span_rows(x)
-            group.append((x, column_factor(x, u), u))
-        yield w, group
-
-
 def _out_dist(core: TransitionCore, b: MatrixGF, u: Subspace) -> dict:
     """Support of P(.|X) as {y entries: prob} for X = b @ D_U."""
     spec = core.spec
@@ -105,7 +85,7 @@ def _out_dist(core: TransitionCore, b: MatrixGF, u: Subspace) -> dict:
 def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
     """P(column space of Y | X) agrees for all X with equal column space."""
     spec = core.spec
-    for w, group in _inputs_by_column_space(core):
+    for w, group in inputs_by_column_space(core):
         ref = None
         for x, b, u in group:
             dist: dict = {}
@@ -138,7 +118,7 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
     """
     spec = core.spec
     columns: dict = {}  # y entries -> {x entries: prob}
-    for w, group in _inputs_by_column_space(core):
+    for w, group in inputs_by_column_space(core):
         ref = None
         for x, b, u in group:
             dist = _out_dist(core, b, u)

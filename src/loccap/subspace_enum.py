@@ -59,10 +59,6 @@ def trivial_subspace(field: FieldSpec, ambient: int) -> Subspace:
     return _from_rref_rows(field, ambient, [])
 
 
-def full_space(field: FieldSpec, ambient: int) -> Subspace:
-    return span_rows(gf_core.identity(field, ambient))
-
-
 def enumerate_grassmannian(r: int, t: int, field: FieldSpec,
                            budget: int = DEFAULT_ENUM_BUDGET
                            ) -> Iterator[Subspace]:
@@ -109,30 +105,6 @@ def contains(u: Subspace, v: Subspace) -> bool:
     stacked = MatrixGF(u.field, u.dim + v.dim, u.ambient_dim,
                        u.basis.entries + v.basis.entries)
     return gf_core.rank(stacked) == u.dim
-
-
-def representative_matrix(u: Subspace, m: int, orientation: str = "row"
-                          ) -> MatrixGF:
-    """Deterministic canonical matrix with the given row or column space.
-
-    orientation "row": a dim(u) x m matrix impossible unless the ambient
-    matches; here it returns the RREF basis itself (dim(u) x ambient),
-    optionally padded with zero rows up to m rows.
-    orientation "col": the transposed basis padded with zero columns up
-    to m columns (an ambient x m matrix with column space u).
-    """
-    if u.dim > m:
-        raise ValueError("cannot represent a dim-{} space with {} vectors"
-                         .format(u.dim, m))
-    if orientation == "row":
-        pad = (0,) * ((m - u.dim) * u.ambient_dim)
-        return MatrixGF(u.field, m, u.ambient_dim, u.basis.entries + pad)
-    if orientation == "col":
-        bt = transpose(u.basis)  # ambient x dim
-        rows = [bt.row(i) + (0,) * (m - u.dim) for i in range(u.ambient_dim)]
-        return MatrixGF(u.field, u.ambient_dim, m,
-                        tuple(e for r in rows for e in r))
-    raise ValueError(f"unknown orientation {orientation!r}")
 
 
 def matrices_with_column_space(u: Subspace, m: int,

@@ -388,6 +388,25 @@ def test_criterion_10c_row_space_index_matches_cube_recount(capsys):
             assert core.fibers == _recount_fibers(core), core.spec
 
 
+def test_criterion_10d_unique_degradation_css_is_one_assignment(capsys):
+    with _Gate(capsys, "criterion 10d: with a unique subspace degradation "
+                       "the per-rank search tries one assignment and "
+                       "matches the exhaustive C_ss on 300 channels"):
+        rng = random.Random(1012)
+        usd = 0
+        for _ in range(300):
+            core = transition_core(_cross_check_channel(rng))
+            if not cls.has_unique_subspace_degradation(core):
+                continue
+            usd += 1
+            assert ce.css_alpha_lower(core).assignments_tried == 1
+            css = ce.css_unique(core)
+            assert css.mode == "unique"
+            assert css.value == pytest.approx(
+                ce.css_bruteforce(core).value, abs=1e-8), core.spec
+        assert usd >= 100, usd
+
+
 def test_criterion_11_css_below_capacity(capsys, fixtures):
     with _Gate(capsys, "criterion 11: subspace-coding capacity never "
                        "exceeds the Shannon capacity"):

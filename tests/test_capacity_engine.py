@@ -213,7 +213,7 @@ def test_css_unique_matches_capacity_for_uniform_given_rank():
                            rank_pmf=pmf)
         core = transition_core(spec)
         cap = ce.shannon_capacity(core, 1e-10)
-        css = ce.css_unique(core, 1e-10, verified=True)
+        css = ce.css_unique(core, 1e-10)
         assert cap.value == pytest.approx(css.value, abs=2e-9)
 
 
@@ -226,7 +226,7 @@ def test_css_never_exceeds_capacity(fixtures):
 
 def test_css_bruteforce_agrees_with_unique_path(fixtures):
     spec, core = fixtures["table1.json"]
-    a = ce.css_unique(core, 1e-10, verified=True)
+    a = ce.css_unique(core, 1e-10)
     b = ce.css_bruteforce(core, 1e-10)
     c = ce.css_alpha_lower(core, 1e-10)
     assert a.value == pytest.approx(b.value, abs=1e-8)
@@ -236,7 +236,7 @@ def test_css_bruteforce_agrees_with_unique_path(fixtures):
 def test_css_unique_refuses_multiple_degradations(fixtures):
     spec, core = fixtures["example6.json"]
     with pytest.raises(ValueError):
-        ce.css_unique(core, verified=False)
+        ce.css_unique(core)
 
 
 def test_css_bruteforce_lists_all_representatives(fixtures):
@@ -251,13 +251,6 @@ def test_r_of_class_zero_for_trivial_input(fixtures):
     spec, core = fixtures["table1.json"]
     trivial = next(u for u in core.input_classes() if u.dim == 0)
     assert ce.r_of_class(core, trivial) == 0.0
-
-
-def test_constant_rank_best_prefers_small_dimension_on_tie():
-    spec = cm.generate("custom_rank_dist", q=2, M=2, N=2, T=1,
-                       rank_pmf={0: 1})
-    rate, u = ce.constant_rank_best(transition_core(spec))
-    assert rate == 0.0 and u.dim == 0
 
 
 # ---------------------------------------------------------------------------

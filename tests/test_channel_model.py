@@ -9,8 +9,10 @@ from loccap import qcomb
 from loccap.channel_model import (ChannelSpec, ChannelSpecError,
                                   load_channel, p_y_given_x, save_channel,
                                   transition_core)
-from loccap.gf_core import FieldSpec, all_matrices, matrix, rank
+from loccap.gf_core import (BudgetExceeded, FieldSpec, all_matrices,
+                            mat_mul, matrix, rank)
 from loccap.oracle import transition_naive
+from loccap.subspace_enum import span_columns, span_rows
 
 from conftest import random_small_channel
 
@@ -67,6 +69,22 @@ def test_rank_joint_marginals(fixtures):
 
 # ---------------------------------------------------------------------------
 # spec I/O
+
+@pytest.mark.parametrize("q, T, M", [(2, 1, 1), (2, 2, 2), (2, 3, 2),
+                                     (2, 2, 3), (3, 2, 2), (3, 1, 3)])
+def test_inputs_by_column_space_yields_every_input_once(q, T, M):
+    core = transition_core(cm.generate("iid_uniform", q=q, M=M, N=1, T=T))
+    seen = []
+    for w, group in cm.inputs_by_column_space(core):
+        for x, b, u in group:
+            assert span_columns(x) == w and span_rows(x) == u
+            assert mat_mul(b, u.basis) == x
+            seen.append(x.entries)
+    assert sorted(seen) == sorted(
+        x.entries for x in all_matrices(core.spec.field, T, M))
+    with pytest.raises(BudgetExceeded):
+        next(cm.inputs_by_column_space(core, budget=len(seen) - 1))
+
 
 def test_round_trip_is_bit_exact(tmp_path, fixtures):
     for name, (spec, _) in fixtures.items():
@@ -140,6 +158,7 @@ def test_load_rejects_composite_field(tmp_path):
     ({"pmf": [{"H": [[1]], "p": True}]}, "probability"),
     ({"q": 2.0}, "q must"), ({"T": True}, "T must"), ({"M": "1"}, "M must"),
     ({"N": 1.5}, "N must"),
+    ({"q": 2 ** 61 - 1}, "q must be at most"),
 ])
 def test_load_rejects_non_integers_and_out_of_range_entries(tmp_path, change,
                                                              match):
@@ -198,6 +217,12 @@ def test_generate_rejects_bad_rank_pmf():
                     rank_pmf={1: Fraction(1, 2)})
     with pytest.raises(ChannelSpecError):
         cm.generate("no_such_kind", q=2, M=1, N=1)
+
+
+def test_generate_refuses_a_field_too_large_for_any_table():
+    # refused before the primality test, which would not finish on 2^61 - 1
+    with pytest.raises(ChannelSpecError, match="q must be at most"):
+        cm.generate("iid_uniform", q=2 ** 61 - 1, M=1, N=1)
 
 
 def test_spec_validation():

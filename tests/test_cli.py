@@ -170,12 +170,52 @@ def test_report_bounds_with_subnormal_achiever_weight(tmp_path, capsys):
     assert lower - 1e-9 <= c <= upper + 1e-9
 
 
-def test_seed_and_jobs_belong_to_verify(capsys):
-    path = cli.fixture_path("table1.json")
-    for option in ("--seed", "--jobs"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["classify", path, option, "1"])
-        assert exc.value.code == 2
+# The options each subcommand reads; argparse must reject all others.
+_ACCEPTED = {
+    "classify": (),
+    "capacity": ("--tol", "--max-iter", "--format"),
+    "bounds": ("--tol", "--max-iter", "--format"),
+    "css": ("--tol", "--max-iter", "--format", "--budget", "--mode"),
+    "report": ("--tol", "--max-iter", "--format", "--budget", "--mode"),
+    "verify": ("--trials", "--seed", "--jobs"),
+}
+_VALUES = {"--tol": "1", "--max-iter": "1", "--format": "json",
+           "--budget": "1", "--mode": "alpha", "--trials": "0",
+           "--seed": "1", "--jobs": "1"}
+
+
+def _argv(command, option):
+    path = [] if command == "verify" else [cli.fixture_path("table1.json")]
+    return [command, *path, option, _VALUES[option]]
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, accepted in _ACCEPTED.items()
+    for option in _VALUES if option not in accepted])
+def test_subcommand_rejects_options_it_does_not_read(capsys, command,
+                                                     option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_argv(command, option))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, accepted in _ACCEPTED.items()
+    for option in accepted])
+def test_subcommand_accepts_the_options_it_reads(command, option):
+    args = cli._build_parser().parse_args(_argv(command, option))
+    assert getattr(args, option[2:].replace("-", "_")) is not None
+
+
+def test_report_without_convergence_gives_no_verdict(capsys):
+    # table2 is not degraded, so at 20 iterations nothing certifies the
+    # row-space-symmetric equality
+    code, doc = _run_json(capsys, ["report", cli.fixture_path("table2.json"),
+                                   "--max-iter", "20"])
+    assert code == cli.EXIT_CONVERGENCE
+    assert not doc["flags"]["degraded"] and not doc["C"]["converged"]
+    assert doc["verdict"] == "INCONCLUSIVE"
+    assert "optimization of C did not converge" in doc["verdict_reason"]
 
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7),

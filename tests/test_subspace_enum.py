@@ -6,9 +6,8 @@ import pytest
 from loccap import gf_core, qcomb, subspace_enum
 from loccap.gf_core import FieldSpec, MatrixGF, matrix, rank
 from loccap.subspace_enum import (contains, enumerate_grassmannian,
-                                  enumerate_projective, full_space,
-                                  matrices_with_column_space,
-                                  representative_matrix, span_columns,
+                                  enumerate_projective,
+                                  matrices_with_column_space, span_columns,
                                   span_rows, trivial_subspace)
 
 F2 = FieldSpec(2)
@@ -73,24 +72,9 @@ def test_projective_enumeration_caps_dimension():
     assert len(subs) == 1 + qcomb.gaussian_binomial(3, 1, 2)
 
 
-def test_representative_matrix_row_orientation():
-    u = span_rows(matrix(F2, [[1, 1, 0]]))
-    rep = representative_matrix(u, 3, "row")
-    assert rep.rows == 3 and rep.cols == 3
-    assert span_rows(rep) == u
-    assert rep.row(1) == (0, 0, 0)
-
-
-def test_representative_matrix_col_orientation():
-    u = span_rows(matrix(F2, [[1, 0], [0, 1]]))
-    rep = representative_matrix(u, 3, "col")
-    assert rep.rows == 2 and rep.cols == 3
-    assert span_columns(rep) == u
-
-
 def test_trivial_and_full():
     t = trivial_subspace(F3, 4)
-    f = full_space(F3, 4)
+    f = span_rows(gf_core.identity(F3, 4))
     assert t.dim == 0 and f.dim == 4
     assert contains(f, t)
     assert not contains(t, f)
