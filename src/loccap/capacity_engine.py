@@ -7,11 +7,14 @@ per subspace of F^M (dimension at most min(T, M)).  For such inputs
 the whole mutual information collapses onto the exact per-class tables
 of D_U @ H, which keeps the alphabet tiny even when q^(T M) is not.
 
-Subspace-coding capacity is computed two ways: a rank-domain search
-over one subspace choice per input rank, a lower bound in general and a
-single convex optimization when the induced subspace channel is
-representative independent, and an exhaustive maximization over
-deterministic subspace-to-matrix degradations.
+Subspace-coding capacity has three modes (``CSS_MODES`` adds "auto",
+which picks "unique" or "bruteforce").  "alpha" searches one row-space
+class per input rank: a lower bound in general.  "unique" is that search
+on a channel with a unique subspace degradation, where it has a single
+choice and its convex optimum is the capacity.  "bruteforce" maximizes
+over deterministic degradations, one input matrix per input column
+space.  The searches share one loop, ``_best_choice``, which runs
+Blahut-Arimoto on every choice of one option per group.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import classify as classify_mod
-from . import qcomb, subspace_enum
-from .channel_model import (ChannelSpec, TransitionCore,
-                            cond_rank_given_rowspace, inputs_by_column_space,
+from . import qcomb
+from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
+                            cond_rank_given_rowspace, output_laws,
                             rank_joint, transition_core)
-from .gf_core import BudgetExceeded, MatrixGF, mat_mul
-from .subspace_enum import Subspace, span_columns
+from .gf_core import BudgetExceeded, MatrixGF
+from .subspace_enum import Subspace
 
 LOG2 = math.log2
 DEFAULT_TOL = 1e-9
@@ -221,17 +224,10 @@ def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
     if q ** (spec.T * spec.M) * max(len(t) for t in core.tables.values()) \
             > budget:
         raise BudgetExceeded("full-alphabet optimization exceeds budget")
-    y_index: Dict[tuple, int] = {}
-    rows = []
-    for _, group in inputs_by_column_space(core):
-        for _, b, u in group:
-            row: Dict[int, float] = {}
-            for e_ent, p in core.tables[u].items():
-                e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-                y_ent = mat_mul(b, e).entries
-                yi = y_index.setdefault(y_ent, len(y_index))
-                row[yi] = row.get(yi, 0.0) + float(p)
-            rows.append(row)
+    y_index: Dict[MatrixGF, int] = {}
+    rows = [{y_index.setdefault(y, len(y_index)): float(p)
+             for y, p in law.items()}
+            for _, laws in output_laws(core) for _, law in laws]
     value, alpha, gap, its, ok = _ba(rows, None, tol, max_iter)
     return CapacityResult(value, gap, its, ok, "naive")
 
@@ -322,14 +318,7 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
 
 def r_of_class(core: TransitionCore, u: Subspace) -> float:
     """Achievable subspace-coding rate of the constant input class u."""
-    q = core.spec.field.q
-    out = 0.0
-    for s, p in cond_rank_given_rowspace(core, u).items():
-        if p == 0:
-            continue
-        out += float(p) * LOG2(Fraction(qcomb.xi(core.spec.T, s, q),
-                                        qcomb.xi(u.dim, s, q)))
-    return out
+    return j_rank(rank_joint(core, {u: 1}), core.spec.T, core.spec.field.q)
 
 
 def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -351,6 +340,25 @@ def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
     return res
 
 
+def _best_choice(groups: List[list], tol: float, max_iter: int,
+                 budget: int, what: str):
+    """Blahut-Arimoto on every choice of one (row, reward) option per
+    group; returns the first best (value, pmf, gap, its, converged) and
+    the number of choices tried."""
+    total = math.prod(len(g) for g in groups)
+    if total > budget:
+        raise BudgetExceeded(f"{total} {what} exceed budget {budget}")
+    best = None
+    tried = 0
+    for choice in product(*groups):
+        tried += 1
+        res = _ba([row for row, _ in choice],
+                  [reward for _, reward in choice], tol, max_iter)
+        if best is None or res[0] > best[0]:
+            best = res
+    return best, tried
+
+
 def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER,
                     budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CssResult:
@@ -370,22 +378,11 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
         if entry not in options:
             options.append(entry)
     ranks = sorted(by_rank)
-    total = math.prod(len(by_rank[r]) for r in ranks)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} per-rank class assignments exceed budget {budget}")
-    best = None
-    tried = 0
-    for choice in product(*(by_rank[r] for r in ranks)):
-        tried += 1
-        rows = [c[0] for c in choice]
-        rewards = [c[1] for c in choice]
-        value, pmf, gap, its, ok = _ba(rows, rewards, tol, max_iter)
-        if best is None or value > best.value:
-            best = CssResult(value, gap, its, ok, "alpha",
-                             rank_pmf=dict(zip(ranks, pmf)))
-    best.assignments_tried = tried
-    return best
+    (value, pmf, gap, its, ok), tried = _best_choice(
+        [by_rank[r] for r in ranks], tol, max_iter, budget,
+        "per-rank class assignments")
+    return CssResult(value, gap, its, ok, "alpha",
+                     rank_pmf=dict(zip(ranks, pmf)), assignments_tried=tried)
 
 
 def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -395,51 +392,29 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
     degradations (one input matrix per input column space).
 
     Deterministic degradations suffice for the maximum.  Identical
-    subspace-channel rows are deduplicated before taking the product.
+    subspace-channel rows are deduplicated before taking the product;
+    output subspaces are numbered as they are met.
     """
-    spec = core.spec
-    v_spaces = sorted(
-        subspace_enum.enumerate_projective(min(spec.T, spec.N), spec.T,
-                                           spec.field),
-        key=lambda s: s.sort_key())
-    v_index = {v: i for i, v in enumerate(v_spaces)}
-    per_class_rows = []
+    v_index: Dict[Subspace, int] = {}
+    groups = []
     degradations = []
-    for w, group in inputs_by_column_space(core):
-        options = []
-        seen = set()
-        candidates = []
-        for x, b, u in group:
-            row: Dict[int, Fraction] = {}
-            for e_ent, p in core.tables[u].items():
-                e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-                vi = v_index[span_columns(mat_mul(b, e))]
-                row[vi] = row.get(vi, Fraction(0)) + p
-            candidates.append((x, {v_spaces[vi]: p for vi, p in row.items()}))
-            key = tuple(sorted(row.items()))
-            if key not in seen:
-                seen.add(key)
-                options.append({vi: float(p) for vi, p in row.items()})
-        per_class_rows.append(options)
+    for w, laws in output_laws(core):
+        candidates = [(x, column_space_law(law)) for x, law in laws]
+        rows = {}
+        for _, v_law in candidates:
+            row = {v_index.setdefault(v, len(v_index)): p
+                   for v, p in v_law.items()}
+            rows.setdefault(frozenset(row.items()), row)
+        groups.append([({vi: float(p) for vi, p in row.items()}, 0.0)
+                       for row in rows.values()])
         degradations.append((w, candidates))
-    total = math.prod(len(o) for o in per_class_rows)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} deterministic degradations exceed budget {budget}")
-    best = None
-    tried = 0
-    for choice in product(*per_class_rows):
-        tried += 1
-        value, pmf, gap, its, ok = _ba(list(choice), None, tol, max_iter)
-        if best is None or value > best.value:
-            rank_pmf: Dict[int, float] = {}
-            for (w, _), p in zip(degradations, pmf):
-                rank_pmf[w.dim] = rank_pmf.get(w.dim, 0.0) + p
-            best = CssResult(value, gap, its, ok, "bruteforce",
-                             rank_pmf=rank_pmf)
-    best.assignments_tried = tried
-    best.degradations = degradations
-    return best
+    (value, pmf, gap, its, ok), tried = _best_choice(
+        groups, tol, max_iter, budget, "deterministic degradations")
+    rank_pmf: Dict[int, float] = {}
+    for (w, _), p in zip(degradations, pmf):
+        rank_pmf[w.dim] = rank_pmf.get(w.dim, 0.0) + p
+    return CssResult(value, gap, its, ok, "bruteforce", rank_pmf=rank_pmf,
+                     assignments_tried=tried, degradations=degradations)
 
 
 CSS_MODES = ("auto", "unique", "alpha", "bruteforce")

@@ -150,23 +150,37 @@ def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
     return transpose(solve_factor(transpose(x), transpose(u.basis)))
 
 
-def inputs_by_column_space(core: TransitionCore,
-                           budget: int = INPUT_ENUM_BUDGET):
-    """Yield (W, [(X, B, U), ...]) for every input column space W.
+def output_laws(core: TransitionCore, budget: int = INPUT_ENUM_BUDGET):
+    """Yield (W, [(X, {Y: P(Y|X)}), ...]) for every input column space W.
 
-    Every one of the q^(T*M) input matrices X appears once, with U its
-    row space and B the full-column-rank factor with X = B @ D_U.
+    Every one of the q^(T*M) input matrices X appears once, with the
+    support of its output law.  With U the row space of X and
+    X = B @ D_U, Y = B @ E for each entry E of the table of U; B has full
+    column rank, so distinct E give distinct Y.
     """
     spec = core.spec
     if spec.field.q ** (spec.T * spec.M) > budget:
         raise BudgetExceeded("input enumeration exceeds budget")
+    entries = {u: [(MatrixGF(spec.field, u.dim, spec.N, e), p)
+                   for e, p in table.items()]
+               for u, table in core.tables.items()}
     kmax = min(spec.T, spec.M)
     for w in subspace_enum.enumerate_projective(kmax, spec.T, spec.field):
         group = []
         for x in subspace_enum.matrices_with_column_space(w, spec.M):
             u = span_rows(x)
-            group.append((x, column_factor(x, u), u))
+            b = column_factor(x, u)
+            group.append((x, {mat_mul(b, e): p for e, p in entries[u]}))
         yield w, group
+
+
+def column_space_law(law) -> Dict[Subspace, Fraction]:
+    """The law of the column space of Y, from a law {Y: P(Y|X)}."""
+    out: Dict[Subspace, Fraction] = {}
+    for y, p in law.items():
+        v = span_columns(y)
+        out[v] = out.get(v, ZERO) + p
+    return out
 
 
 def p_y_given_x(core: TransitionCore, x: MatrixGF, y: MatrixGF) -> Fraction:
@@ -260,10 +274,12 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
         if any(r > min(M, N) or r < 0 for r, p in rank_pmf.items() if p > 0):
             raise ChannelSpecError("rank outside [0, min(M,N)]")
         if kind == "uniform_given_rank":
+            share = {r: p / qcomb.xi2(M, N, r, q)
+                     for r, p in rank_pmf.items() if p > 0}
             for h in gf_core.all_matrices(field, M, N):
-                p = rank_pmf.get(gf_core.rank(h), ZERO)
-                if p > 0:
-                    pmf[h] = p / qcomb.xi2(M, N, gf_core.rank(h), q)
+                p = share.get(gf_core.rank(h))
+                if p is not None:
+                    pmf[h] = p
         else:
             for r, p in sorted(rank_pmf.items()):
                 if p == 0:

@@ -17,10 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import gf_core
-from .channel_model import ChannelSpec, TransitionCore, inputs_by_column_space
+from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
+                            output_laws)
 from .classify import PredicateResult, _lift
 from .gf_core import MatrixGF, mat_mul
-from .subspace_enum import Subspace, span_columns
+from .subspace_enum import span_columns
 
 NAIVE_TABLE_BUDGET = 2 ** 24
 
@@ -72,27 +73,12 @@ def is_rank_symmetric(core: TransitionCore):
     return PredicateResult(True), {k: v for k, v in sorted(mu.items())}
 
 
-def _out_dist(core: TransitionCore, b: MatrixGF, u: Subspace) -> dict:
-    """Support of P(.|X) as {y entries: prob} for X = b @ D_U."""
-    spec = core.spec
-    out = {}
-    for e_ent, p in core.tables[u].items():
-        e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-        out[mat_mul(b, e).entries] = p
-    return out
-
-
 def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
     """P(column space of Y | X) agrees for all X with equal column space."""
-    spec = core.spec
-    for w, group in inputs_by_column_space(core):
+    for w, laws in output_laws(core):
         ref = None
-        for x, b, u in group:
-            dist: dict = {}
-            for e_ent, p in core.tables[u].items():
-                e = MatrixGF(spec.field, u.dim, spec.N, e_ent)
-                v = span_columns(mat_mul(b, e))
-                dist[v] = dist.get(v, ZERO) + p
+        for x, law in laws:
+            dist = column_space_law(law)
             if ref is None:
                 ref = (x, dist)
             elif dist != ref[1]:
@@ -118,25 +104,24 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
     """
     spec = core.spec
     columns: dict = {}  # y entries -> {x entries: prob}
-    for w, group in inputs_by_column_space(core):
+    for w, laws in output_laws(core):
         ref = None
-        for x, b, u in group:
-            dist = _out_dist(core, b, u)
+        for x, law in laws:
             if ref is None:
-                ref = (x, dist)
-            elif dist != ref[1]:
-                y_bad = next(y for y in sorted(set(dist) | set(ref[1]))
-                             if dist.get(y, ZERO) != ref[1].get(y, ZERO))
+                ref = (x, law)
+            elif law != ref[1]:
+                y_bad = next(y for y in sorted(set(law) | set(ref[1]),
+                                               key=lambda m: m.entries)
+                             if law.get(y, ZERO) != ref[1].get(y, ZERO))
                 return PredicateResult(False, {
                     "reason": "P(Y|X) depends on more than the column "
                               "space of X",
                     "X1": ref[0].to_lists(), "X2": x.to_lists(),
-                    "Y": MatrixGF(spec.field, spec.T, spec.N,
-                                  y_bad).to_lists(),
+                    "Y": y_bad.to_lists(),
                     "p1": str(ref[1].get(y_bad, ZERO)),
-                    "p2": str(dist.get(y_bad, ZERO))})
-            for y_ent, p in dist.items():
-                columns.setdefault(y_ent, {})[x.entries] = p
+                    "p2": str(law.get(y_bad, ZERO))})
+            for y, p in law.items():
+                columns.setdefault(y.entries, {})[x.entries] = p
     by_colspace: dict = {}
     for y_ent in sorted(columns):
         y = MatrixGF(spec.field, spec.T, spec.N, y_ent)

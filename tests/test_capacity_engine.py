@@ -247,6 +247,23 @@ def test_css_bruteforce_lists_all_representatives(fixtures):
     assert len(by_dim[1]) == 3   # one candidate per nonzero input vector
 
 
+def test_ba_rows_are_keyed_by_int(fixtures, monkeypatch):
+    # a Subspace key hashes its MatrixGF basis on every lookup, which made
+    # a Subspace-keyed Blahut-Arimoto several times slower
+    keys = []
+    ba = ce._ba
+
+    def spy(rows, *args):
+        keys.extend(k for row in rows for k in row)
+        return ba(rows, *args)
+
+    monkeypatch.setattr(ce, "_ba", spy)
+    for spec, core in fixtures.values():
+        ce.capacity_report(spec, core=core)
+    ce.css_bruteforce(fixtures["example6.json"][1])
+    assert keys and all(type(k) is int for k in keys)
+
+
 def test_r_of_class_zero_for_trivial_input(fixtures):
     spec, core = fixtures["table1.json"]
     trivial = next(u for u in core.input_classes() if u.dim == 0)

@@ -12,7 +12,7 @@ from loccap.channel_model import (ChannelSpec, ChannelSpecError,
 from loccap.gf_core import (BudgetExceeded, FieldSpec, all_matrices,
                             mat_mul, matrix, rank)
 from loccap.oracle import transition_naive
-from loccap.subspace_enum import span_columns, span_rows
+from loccap.subspace_enum import span_columns
 
 from conftest import random_small_channel
 
@@ -73,17 +73,24 @@ def test_rank_joint_marginals(fixtures):
 @pytest.mark.parametrize("q, T, M", [(2, 1, 1), (2, 2, 2), (2, 3, 2),
                                      (2, 2, 3), (3, 2, 2), (3, 1, 3)])
 def test_inputs_by_column_space_yields_every_input_once(q, T, M):
-    core = transition_core(cm.generate("iid_uniform", q=q, M=M, N=1, T=T))
+    # each law is the push-forward of X @ H over pmf_H, equal products
+    # adding their masses
+    spec = cm.random_channel(random.Random(100 * q + 10 * T + M), q, T, M, 2)
+    core = transition_core(spec)
     seen = []
-    for w, group in cm.inputs_by_column_space(core):
-        for x, b, u in group:
-            assert span_columns(x) == w and span_rows(x) == u
-            assert mat_mul(b, u.basis) == x
+    for w, laws in cm.output_laws(core):
+        for x, law in laws:
+            assert span_columns(x) == w
+            want = {}
+            for h, p in spec.pmf_H.items():
+                y = mat_mul(x, h)
+                want[y] = want.get(y, Fraction(0)) + p
+            assert law == want
             seen.append(x.entries)
     assert sorted(seen) == sorted(
         x.entries for x in all_matrices(core.spec.field, T, M))
     with pytest.raises(BudgetExceeded):
-        next(cm.inputs_by_column_space(core, budget=len(seen) - 1))
+        next(cm.output_laws(core, budget=len(seen) - 1))
 
 
 def test_round_trip_is_bit_exact(tmp_path, fixtures):
