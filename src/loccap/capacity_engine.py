@@ -15,6 +15,13 @@ choice and its convex optimum is the capacity.  "bruteforce" maximizes
 over deterministic degradations, one input matrix per input column
 space.  The searches share one loop, ``_best_choice``, which runs
 Blahut-Arimoto on every choice of one option per group.
+
+Probabilities and counts stay exact (``Fraction``, ``int``) until an
+entropy, an orbit term, a rank-interaction term or a Blahut-Arimoto row
+needs floats, and each of these crosses one boundary: ``_log2`` takes
+the log of an exact value from its numerator and denominator, so no
+count or mass is rounded, or overflows, before its log; ``_float_row``
+turns an exact row into a Blahut-Arimoto row.
 """
 
 from __future__ import annotations
@@ -75,6 +82,22 @@ class MarkovVerdict:
 
 
 # ---------------------------------------------------------------------------
+# The boundary between exact values and floats.
+
+def _log2(x) -> float:
+    """log2 of a positive int or Fraction.  The logs of numerator and
+    denominator are taken separately, so neither a huge count nor a mass
+    below the float range is rounded before its log."""
+    return LOG2(x.numerator) - LOG2(x.denominator)
+
+
+def _float_row(row: Dict[int, object]) -> Dict[int, float]:
+    """An exact row as a Blahut-Arimoto row.  Entries that round to 0.0
+    are dropped: they carry no float mass, and ``_ba`` takes their log."""
+    return {k: f for k, p in row.items() if (f := float(p)) > 0.0}
+
+
+# ---------------------------------------------------------------------------
 # Generic reward-augmented Blahut-Arimoto.
 
 def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
@@ -126,7 +149,7 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
 @dataclass
 class _ClassSetup:
     classes: List[Subspace]
-    orbit_sizes: List[int]              # matrices per output row space
+    log_orbits: List[float]             # log2(matrices per out row space)
     mass_rows: List[Dict[int, Fraction]]  # P(out row space | class)
     h_cond: List[float]                 # H(Y | class), in bits
     rewards: List[float]
@@ -149,19 +172,18 @@ def _class_setup(core: TransitionCore) -> _ClassSetup:
     out_spaces = sorted({w for u in classes for w in core.fibers[u]},
                         key=lambda s: s.sort_key())
     w_index = {w: i for i, w in enumerate(out_spaces)}
-    orbit_sizes = [qcomb.xi(spec.T, w.dim, spec.field.q) for w in out_spaces]
+    log_orbits = [_log2(qcomb.xi(spec.T, w.dim, spec.field.q))
+                  for w in out_spaces]
     mass_rows, h_conds, rewards = [], [], []
     for u in classes:
         row = {w_index[w]: f.mass for w, f in core.fibers[u].items()}
-        h_cond = -sum(float(p) * LOG2(float(p))
-                      for p in core.tables[u].values())
-        h_row = -sum(float(p) * LOG2(float(p)) for p in row.values())
-        log_orbits = sum(float(p) * LOG2(orbit_sizes[wi])
-                         for wi, p in row.items())
+        h_cond = -sum(float(p) * _log2(p) for p in core.tables[u].values())
+        h_row = -sum(float(p) * _log2(p) for p in row.values())
+        orbit_bits = sum(float(p) * log_orbits[wi] for wi, p in row.items())
         mass_rows.append(row)
         h_conds.append(h_cond)
-        rewards.append(h_row + log_orbits - h_cond)
-    return _ClassSetup(classes, orbit_sizes, mass_rows, h_conds, rewards)
+        rewards.append(h_row + orbit_bits - h_cond)
+    return _ClassSetup(classes, log_orbits, mass_rows, h_conds, rewards)
 
 
 def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
@@ -178,9 +200,9 @@ def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
     for a, row in zip(weights, setup.mass_rows):
         if a == 0.0:
             continue
-        for wi, p in row.items():
-            mass[wi] = mass.get(wi, 0.0) + a * float(p)
-    h_y = -sum(m * LOG2(m / setup.orbit_sizes[wi])
+        for wi, p in _float_row(row).items():
+            mass[wi] = mass.get(wi, 0.0) + a * p
+    h_y = -sum(m * (LOG2(m) - setup.log_orbits[wi])
                for wi, m in mass.items() if m > 0.0)
     return h_y - sum(a * h for a, h in zip(weights, setup.h_cond))
 
@@ -204,8 +226,7 @@ def shannon_capacity(core: TransitionCore, tol: float = DEFAULT_TOL,
         if sig not in merged:
             merged[sig] = len(reps)
             reps.append(i)
-    rows = [{wi: float(p) for wi, p in setup.mass_rows[i].items()}
-            for i in reps]
+    rows = [_float_row(setup.mass_rows[i]) for i in reps]
     rewards = [setup.rewards[i] for i in reps]
     value, alpha, gap, its, ok = _ba(rows, rewards, tol, max_iter)
     full_alpha = {u: 0.0 for u in setup.classes}
@@ -225,8 +246,8 @@ def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
             > budget:
         raise BudgetExceeded("full-alphabet optimization exceeds budget")
     y_index: Dict[MatrixGF, int] = {}
-    rows = [{y_index.setdefault(y, len(y_index)): float(p)
-             for y, p in law.items()}
+    rows = [_float_row({y_index.setdefault(y, len(y_index)): p
+                        for y, p in law.items()})
             for _, laws in output_laws(core) for _, law in laws]
     value, alpha, gap, its, ok = _ba(rows, None, tol, max_iter)
     return CapacityResult(value, gap, its, ok, "naive")
@@ -245,8 +266,7 @@ def j_rank(joint: Dict[Tuple[int, int], object], T: int, q: int) -> float:
     for (r, s), p in joint.items():
         if p == 0:
             continue
-        out += float(p) * LOG2(Fraction(qcomb.xi(T, s, q),
-                                        qcomb.xi(r, s, q)))
+        out += float(p) * (_log2(qcomb.xi(T, s, q)) - _log2(qcomb.xi(r, s, q)))
     return out
 
 
@@ -308,7 +328,7 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
     q = spec.field.q
     ranks = rank_joint(core, alpha)
     lower = j_rank(ranks, spec.T, q) + _mi(_row_space_joint(core, alpha))
-    slack = sum(p * LOG2(qcomb.xi(r, s, q))
+    slack = sum(p * _log2(qcomb.xi(r, s, q))
                 for (r, s), p in ranks.items() if p > 0 and s > 0)
     return lower, lower + slack
 
@@ -373,7 +393,7 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
     by_rank: Dict[int, list] = {}
     for u in core.input_classes():
         row = cond_rank_given_rowspace(core, u)
-        entry = ({s: float(p) for s, p in row.items()}, r_of_class(core, u))
+        entry = (_float_row(row), r_of_class(core, u))
         options = by_rank.setdefault(u.dim, [])
         if entry not in options:
             options.append(entry)
@@ -405,8 +425,7 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
             row = {v_index.setdefault(v, len(v_index)): p
                    for v, p in v_law.items()}
             rows.setdefault(frozenset(row.items()), row)
-        groups.append([({vi: float(p) for vi, p in row.items()}, 0.0)
-                       for row in rows.values()])
+        groups.append([(_float_row(row), 0.0) for row in rows.values()])
         degradations.append((w, candidates))
     (value, pmf, gap, its, ok), tried = _best_choice(
         groups, tol, max_iter, budget, "deterministic degradations")
@@ -444,28 +463,6 @@ def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
 
 # ---------------------------------------------------------------------------
 # Diagnostics for comparing C with the subspace coding capacity.
-
-def theta(spec: ChannelSpec, T: int, r: int) -> float:
-    """Lower bound (in units of log2 q) on the constant-rate loss of
-    using input rank r instead of full rank, for T >= M.
-
-    Positive values certify that rank-r inputs are suboptimal for
-    subspace coding at this T.
-    """
-    q = spec.field.q
-    M = spec.M
-    rank_pmf = spec.rank_pmf()
-    tail = 0.0
-    for k in range(r + 1, M + 1):
-        tail += float(sum(p for s, p in rank_pmf.items() if s >= k))
-    return ((T - M) * tail - r * (M - r)
-            + LOG2(qcomb.xi_tilde(r, r, q)) / LOG2(q))
-
-
-def rank_star(spec: ChannelSpec) -> int:
-    """Largest rank of the transfer matrix with positive probability."""
-    return max(r for r, p in spec.rank_pmf().items() if p > 0)
-
 
 def markov_check(core: TransitionCore, alpha: Dict[Subspace, object],
                  tol: float = 1e-9) -> MarkovVerdict:

@@ -12,7 +12,6 @@ import hashlib
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__, capacity_engine as ce, channel_model as cm
@@ -194,7 +193,11 @@ def _parse_rank_pmf(text: str) -> dict:
     out = {}
     for part in text.split(","):
         r, _, p = part.partition(":")
-        out[int(r)] = Fraction(p)
+        try:
+            out[int(r)] = Fraction(p)
+        except ZeroDivisionError:
+            raise ValueError(f"rank PMF entry {part!r} has a zero "
+                             f"denominator") from None
     return out
 
 
@@ -293,14 +296,8 @@ def cmd_verify(args) -> int:
     for name in FIXTURES:
         spec = cm.load_channel(fixture_path(name))
         fails += _check_channel(spec, name, ba=True)
-    seeds = [args.seed + i for i in range(args.trials)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for result in pool.map(_verify_trial, seeds):
-                fails += result
-    else:
-        for s in seeds:
-            fails += _verify_trial(s)
+    for i in range(args.trials):
+        fails += _verify_trial(args.seed + i)
     doc = {"tool": {"name": "loccap", "version": __version__},
            "seed": args.seed, "trials": args.trials,
            "failures": fails, "ok": not fails}
@@ -323,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode": dict(choices=ce.CSS_MODES, default="auto"),
         "--trials": dict(type=int, default=25),
         "--seed": dict(type=int, default=0),
-        "--jobs": dict(type=int, default=1),
     }
     solver = ("--tol", "--max-iter", "--format")
     for name, fn, opts in (
@@ -332,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("css", cmd_css, solver + ("--budget", "--mode")),
             ("bounds", cmd_bounds, solver),
             ("report", cmd_report, solver + ("--budget", "--mode")),
-            ("verify", cmd_verify, ("--trials", "--seed", "--jobs"))):
+            ("verify", cmd_verify, ("--trials", "--seed"))):
         p = sub.add_parser(name)
         if name != "verify":
             p.add_argument("channel", help="channel spec JSON file")

@@ -1,8 +1,8 @@
 """Exact q-combinatorial counting.
 
 All counts are arbitrary-precision integers and all probabilities exact
-fractions; nothing here touches floating point except the final log in
-epsilon_term.
+fractions; nothing here touches floating point except the final
+quotient and log in epsilon_term.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ def xi(m: int, r: int, q: int) -> int:
     for i in range(r):
         out *= q ** m - q ** i
     return out
-
-
-def xi_tilde(m: int, r: int, q: int) -> Fraction:
-    """Probability that a uniformly random m x r matrix has full column rank."""
-    return Fraction(xi(m, r, q), q ** (m * r))
 
 
 @lru_cache(maxsize=None)
@@ -72,16 +67,15 @@ def count_superspaces(T: int, s: int, r: int, q: int) -> int:
     return a
 
 
-def projective_size(m: int, t: int, q: int) -> int:
-    """Number of subspaces of F_q^t with dimension at most m."""
-    return sum(gaussian_binomial(t, r, q) for r in range(min(m, t) + 1))
-
-
 def epsilon_term(rank_pmf_H, T: int, M: int, q: int) -> float:
     """Correction term of the full-rank-input rate decomposition.
 
-    sum_s p_rank(s) * log2( xi_tilde(T,s) / xi_tilde(M,s) ); lies in
-    [0, 1.8) whenever T >= M.
+    sum_s p_rank(s) * log2( xi~(T,s) / xi~(M,s) ), where
+    xi~(m,s) = xi(m,s) / q^(m s) is the chance that a uniform m x s
+    matrix has full column rank; lies in [0, 1.8) whenever T >= M.
+    The log is taken of the quotient of the integer counts
+    xi(T,s) q^(M s) and xi(M,s) q^(T s), which lies in [1, 3.5), so the
+    counts are never rounded to floats however large T is.
     """
     if T < M:
         raise ValueError(f"requires T >= M, got T={T}, M={M}")
@@ -92,6 +86,6 @@ def epsilon_term(rank_pmf_H, T: int, M: int, q: int) -> float:
     for s, p in rank_pmf_H.items():
         if p == 0:
             continue
-        ratio = xi_tilde(T, s, q) / xi_tilde(M, s, q)
+        ratio = (xi(T, s, q) * q ** (M * s)) / (xi(M, s, q) * q ** (T * s))
         out += float(p) * math.log2(ratio)
     return out

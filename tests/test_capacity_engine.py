@@ -264,6 +264,35 @@ def test_ba_rows_are_keyed_by_int(fixtures, monkeypatch):
     assert keys and all(type(k) is int for k in keys)
 
 
+def test_best_choice_keeps_the_first_of_tied_choices():
+    # The first and last of the four choices are mirror images: the same
+    # value to the last bit, with achievers (2/3, 1/3) and (1/3, 2/3).
+    # The two mixed choices send both inputs to one output and lose.
+    groups = [[({0: 1.0}, 1.0), ({1: 1.0}, 0.0)],
+              [({1: 1.0}, 0.0), ({0: 1.0}, 1.0)]]
+    last = ce._ba([{1: 1.0}, {0: 1.0}], [0.0, 1.0], 1e-12, 10 ** 5)
+    (value, pmf, *_), tried = ce._best_choice(groups, 1e-12, 10 ** 5, 4,
+                                              "choices")
+    assert tried == 4
+    assert value == last[0] == pytest.approx(math.log2(3))
+    assert pmf == pytest.approx([2 / 3, 1 / 3])
+
+
+@pytest.mark.parametrize("T", [600, 4096])
+def test_capacity_grows_by_expected_rank_per_row(T):
+    # For T >> M each extra row adds E[rank H] log2 q bits (the training
+    # part of lemma_full_rank_decomposition); xi(T, 2) overflows a float
+    spec = cm.generate("iid_uniform", q=2, T=T, M=2, N=2)
+    prev = cm.generate("iid_uniform", q=2, T=T - 1, M=2, N=2)
+    growth = (ce.shannon_capacity(transition_core(spec)).value
+              - ce.shannon_capacity(transition_core(prev)).value)
+    assert spec.expected_rank() == Fraction(21, 16)
+    assert growth == pytest.approx(21 / 16, abs=1e-6)
+    j, training, eps = ce.lemma_full_rank_decomposition(spec, T)
+    assert j == pytest.approx(training + eps, abs=1e-9)
+    assert 0 <= eps < 1.8
+
+
 def test_r_of_class_zero_for_trivial_input(fixtures):
     spec, core = fixtures["table1.json"]
     trivial = next(u for u in core.input_classes() if u.dim == 0)
@@ -272,14 +301,6 @@ def test_r_of_class_zero_for_trivial_input(fixtures):
 
 # ---------------------------------------------------------------------------
 # diagnostics and the combined report
-
-def test_theta_point_mass_full_rank():
-    spec = cm.generate("custom_rank_dist", q=2, M=2, N=2,
-                       rank_pmf={2: 1})
-    # (T - M) Pr{rank >= 2} - r(M - r) + log2(xi_tilde(1,1,2))
-    assert ce.theta(spec, 6, 1) == pytest.approx(4 - 1 - 1.0)
-    assert ce.rank_star(spec) == 2
-
 
 def test_markov_check_exact_on_rank_symmetric_channel(fixtures):
     spec, core = fixtures["example9.json"]

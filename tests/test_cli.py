@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -62,9 +63,10 @@ def test_gen_uniform_given_rank(tmp_path, capsys):
 
 def test_gen_rejects_bad_rank_pmf(tmp_path, capsys):
     out = tmp_path / "chan.json"
-    code = cli.main(["gen", "uniform_given_rank", "--q", "2", "--M", "2",
-                     "--rank-pmf", "5:1", "-o", str(out)])
-    assert code == cli.EXIT_INPUT
+    for pmf in ("5:1", "1:1/0"):
+        code = cli.main(["gen", "uniform_given_rank", "--q", "2", "--M", "2",
+                         "--rank-pmf", pmf, "-o", str(out)])
+        assert code == cli.EXIT_INPUT
 
 
 def test_classify_schema(capsys):
@@ -140,10 +142,16 @@ def test_verify_small_run_ok_and_deterministic(tmp_path, capsys):
     assert doc["ok"] and doc["failures"] == []
 
 
-@pytest.mark.parametrize("T", [16, 40])
+# The channel subcommands that compute a rate; each must exit 0 on a
+# valid channel that its optimizers solve.
+_SOLVERS = (["capacity"], ["css"], ["css", "--mode", "alpha"], ["bounds"])
+
+
+@pytest.mark.parametrize("T", [16, 40, 600, 4096])
 def test_report_tall_iid_channel(tmp_path, capsys, T):
     # classify decides every predicate from the class tables, so a tall
-    # channel costs no more than T = M
+    # channel costs no more than T = M; counts such as xi(T, 2) exceed
+    # the float range from T = 512 on
     path = tmp_path / "iid.json"
     assert cli.main(["gen", "iid_uniform", "--q", "2", "--T", str(T),
                      "--M", "2", "--N", "2", "-o", str(path)]) == 0
@@ -151,6 +159,22 @@ def test_report_tall_iid_channel(tmp_path, capsys, T):
     assert code == 0
     assert all(doc["flags"].values())
     assert doc["verdict"] == "C_EQUALS_CSS"
+    for argv in _SOLVERS:
+        assert _run(capsys, [argv[0], str(path), *argv[1:]])[0] == 0
+
+
+def test_channel_with_a_mass_below_the_float_range(tmp_path, capsys):
+    # 1/10^400 rounds to 0.0; the file is valid and must not be refused
+    path = tmp_path / "chan.json"
+    tiny = Fraction(1, 10 ** 400)
+    path.write_text(json.dumps({
+        "q": 2, "T": 1, "M": 1, "N": 1,
+        "pmf": [{"H": [[1]], "p": str(tiny)},
+                {"H": [[0]], "p": str(1 - tiny)}]}))
+    for argv in _SOLVERS + (["report"],):
+        code, doc = _run_json(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 0, argv
+    assert doc["C"]["value"] == doc["C_ss"]["value"] == 0.0
 
 
 def test_report_bounds_with_subnormal_achiever_weight(tmp_path, capsys):
@@ -177,7 +201,7 @@ _ACCEPTED = {
     "bounds": ("--tol", "--max-iter", "--format"),
     "css": ("--tol", "--max-iter", "--format", "--budget", "--mode"),
     "report": ("--tol", "--max-iter", "--format", "--budget", "--mode"),
-    "verify": ("--trials", "--seed", "--jobs"),
+    "verify": ("--trials", "--seed"),
 }
 _VALUES = {"--tol": "1", "--max-iter": "1", "--format": "json",
            "--budget": "1", "--mode": "alpha", "--trials": "0",

@@ -48,16 +48,12 @@ def test_superspace_count_extremes():
 
 
 def test_xi_tilde_is_a_probability():
+    # xi(m, r) / q^(m r), the chance that a uniform m x r matrix has
+    # full column rank, which epsilon_term compares at m = T and m = M
     for q in (2, 3, 5):
         for m in range(1, 5):
             for r in range(m + 1):
-                v = qcomb.xi_tilde(m, r, q)
-                assert 0 < v <= 1
-
-
-def test_projective_size():
-    assert qcomb.projective_size(1, 2, 2) == 1 + 3
-    assert qcomb.projective_size(2, 2, 2) == 1 + 3 + 1
+                assert 0 < qcomb.xi(m, r, q) <= q ** (m * r)
 
 
 def test_epsilon_term_range_random_pmfs():

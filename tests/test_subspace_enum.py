@@ -37,7 +37,8 @@ def test_span_rows_is_canonical():
             assert seen[key] == u
         else:
             seen[key] = u
-    assert len(seen) == qcomb.projective_size(2, 2, 2)
+    assert len(seen) == sum(qcomb.gaussian_binomial(2, r, 2)
+                            for r in range(3))
 
 
 def _row_span_vectors(a):
