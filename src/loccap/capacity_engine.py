@@ -46,6 +46,11 @@ DEFAULT_MAX_ITER = 10 ** 5
 DEFAULT_ASSIGNMENT_BUDGET = 10 ** 5
 
 
+class NonMonotoneBound(AssertionError):
+    """Blahut-Arimoto's running lower bound fell between two iterations:
+    a numerical fault of the optimizer, with no result to report."""
+
+
 # ---------------------------------------------------------------------------
 # Result containers.
 
@@ -134,7 +139,7 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
         z = sum(a * 2.0 ** (di - upper) for a, di in zip(alpha, d))
         lower = upper + LOG2(z)
         if not (lower >= prev_lower - 1e-9):
-            raise AssertionError(
+            raise NonMonotoneBound(
                 f"lower bound decreased: {prev_lower} -> {lower}")
         prev_lower = lower
         if upper - lower <= tol:
@@ -189,7 +194,10 @@ def _class_setup(core: TransitionCore) -> _ClassSetup:
 def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
     """I(X;Y) in bits for the input uniform on each row-space fiber,
     with fiber weights alpha."""
-    setup = _class_setup(core)
+    return _mi_alpha(_class_setup(core), alpha)
+
+
+def _mi_alpha(setup: _ClassSetup, alpha: Dict[Subspace, object]) -> float:
     idx = {u: i for i, u in enumerate(setup.classes)}
     weights = [0.0] * len(setup.classes)
     for u, a in alpha.items():
@@ -217,7 +225,20 @@ def shannon_capacity(core: TransitionCore, tol: float = DEFAULT_TOL,
     merged weight on the canonically first class, which makes the
     output deterministic even when the optimum is not unique.
     """
+    return _shannon_capacity(core, _class_setup(core), tol, max_iter)
+
+
+def _capacity_and_mi(core: TransitionCore, tol: float,
+                     max_iter: int) -> Tuple[CapacityResult, float]:
+    """shannon_capacity and mi_alpha at its achiever, from one class
+    setup."""
     setup = _class_setup(core)
+    cap = _shannon_capacity(core, setup, tol, max_iter)
+    return cap, _mi_alpha(setup, cap.alpha)
+
+
+def _shannon_capacity(core: TransitionCore, setup: _ClassSetup, tol: float,
+                      max_iter: int) -> CapacityResult:
     merged: Dict[tuple, int] = {}
     reps: List[int] = []
     for i, (u, row) in enumerate(zip(setup.classes, setup.mass_rows)):

@@ -9,6 +9,16 @@ and Y through a common full-column-rank matrix.  A direct summation
 over the support of H, ``oracle.transition_naive``, serves as the
 oracle for that fast path.
 
+The tables are built from packed integers.  Each row of each H becomes
+one int with a b-bit digit per entry, b = bit_length((q-1)^2 * M): a
+row of D_U @ H is a sum of at most M products of residues, each at most
+(q-1)^2, so summing packed rows never carries between digits and the
+sum is reduced mod q digit by digit only once per distinct table key.
+Masses become int weights over their common denominator, so each
+(class, H) pair costs a few int operations and each table entry one
+``Fraction``.  ``oracle.transition_core_reference`` builds the same
+tables with one matrix product per pair.
+
 Each table is indexed once, as it is built, by the row space of its
 entries (``TransitionCore.fibers``); every later consumer reads that.
 """
@@ -17,8 +27,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, itemgetter, lshift
 from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
@@ -116,31 +130,89 @@ class TransitionCore:
 
 def transition_core(spec: ChannelSpec,
                     budget: int = CORE_TABLE_BUDGET) -> TransitionCore:
-    """Tabulate the exact distribution of D_U @ H for every class U."""
-    core = TransitionCore(spec)
-    kmax = min(spec.T, spec.M)
-    for u in subspace_enum.enumerate_projective(kmax, spec.M, spec.field):
-        if spec.field.q ** (u.dim * spec.N) > budget:
+    """Tabulate the exact distribution of D_U @ H for every class U.
+
+    Row i of E is the unreduced int sum over k of D_U[i, k] * (packed
+    row k of H); a basis row that several classes share is multiplied
+    out once.  Table keys keep the order of the first H in pmf_H that
+    gives each E, as in ``oracle.transition_core_reference``.
+    """
+    q, N = spec.field.q, spec.N
+    classes = []
+    for u in subspace_enum.enumerate_projective(min(spec.T, spec.M), spec.M,
+                                                spec.field):
+        if q ** (u.dim * N) > budget:
             raise BudgetExceeded(
                 f"per-class table for dim {u.dim} exceeds budget {budget}")
-        d_u = u.basis
-        dist: Dict[Tuple[int, ...], Fraction] = {}
-        for h, p in spec.pmf_H.items():
-            e = mat_mul(d_u, h)
-            dist[e.entries] = dist.get(e.entries, ZERO) + p
-        core.tables[u] = dist
-        core.fibers[u] = fibers = {}
-        for e_ent, p in sorted(dist.items()):   # one span_rows per entry
-            w = span_rows(MatrixGF(spec.field, u.dim, spec.N, e_ent))
-            f = fibers.get(w)
-            if f is None:
-                fibers[w] = Fiber(p, 1, e_ent, p)
-                continue
-            f.mass += p
-            f.count += 1
-            if f.odd is None and p != f.value:
-                f.odd = (e_ent, p)
+        classes.append(u)
+    b = ((q - 1) ** 2 * spec.M).bit_length()
+    digit = (1 << b) - 1
+    shifts = range(0, b * N, b)
+    denom = lcm(*(p.denominator for p in spec.pmf_H.values()))
+    weights = [p.numerator * (denom // p.denominator)
+               for p in spec.pmf_H.values()]
+    entries = [h.entries for h in spec.pmf_H]
+    packed = []     # packed[k][i]: row k of the i-th H
+    for k in range(0, spec.M * N, N):
+        row = [0] * len(entries)
+        for j, s in zip(range(k, k + N), shifts):
+            row = list(map(add, row, map(lshift, map(itemgetter(j), entries),
+                                         repeat(s))))
+        packed.append(row)
+    uses = Counter(v for u in classes for v in _basis_rows(u))
+    shared: Dict[Tuple[int, ...], list] = {}
+
+    def row_product(v):
+        """[row of v @ H, unreduced] over the support, in pmf_H order."""
+        uses[v] -= 1
+        out = shared.pop(v, None) if uses[v] == 0 else shared.get(v)
+        if out is None:
+            for c, rows in zip(v, packed):
+                if c:
+                    term = rows if c == 1 else [c * x for x in rows]
+                    out = term if out is None else list(map(add, out, term))
+            if uses[v]:
+                shared[v] = out
+        return out
+
+    core = TransitionCore(spec)
+    for u in classes:
+        products = [row_product(v) for v in _basis_rows(u)]
+        acc: Dict[Tuple[int, ...], int] = {}
+        for key, w in zip(zip(*products) if products else repeat(()),
+                          weights):
+            acc[key] = acc.get(key, 0) + w
+        merged: Dict[Tuple[int, ...], int] = {}
+        for key, w in acc.items():
+            e = tuple(((x >> s) & digit) % q for x in key for s in shifts)
+            merged[e] = merged.get(e, 0) + w
+        core.tables[u] = dist = {e: Fraction(w, denom)
+                                 for e, w in merged.items()}
+        core.fibers[u] = index_fibers(spec, u, dist)
     return core
+
+
+def _basis_rows(u: Subspace):
+    return [u.basis.row(i) for i in range(u.dim)]
+
+
+def index_fibers(spec: ChannelSpec, u: Subspace,
+                 table: Dict[Tuple[int, ...], Fraction]
+                 ) -> Dict[Subspace, Fiber]:
+    """The table of class u indexed by row space: one span_rows per
+    entry, visited in sorted-E order."""
+    fibers: Dict[Subspace, Fiber] = {}
+    for e_ent, p in sorted(table.items()):
+        w = span_rows(MatrixGF(spec.field, u.dim, spec.N, e_ent))
+        f = fibers.get(w)
+        if f is None:
+            fibers[w] = Fiber(p, 1, e_ent, p)
+            continue
+        f.mass += p
+        f.count += 1
+        if f.odd is None and p != f.value:
+            f.odd = (e_ent, p)
+    return fibers
 
 
 def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
@@ -274,12 +346,7 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
         if any(r > min(M, N) or r < 0 for r, p in rank_pmf.items() if p > 0):
             raise ChannelSpecError("rank outside [0, min(M,N)]")
         if kind == "uniform_given_rank":
-            share = {r: p / qcomb.xi2(M, N, r, q)
-                     for r, p in rank_pmf.items() if p > 0}
-            for h in gf_core.all_matrices(field, M, N):
-                p = share.get(gf_core.rank(h))
-                if p is not None:
-                    pmf[h] = p
+            pmf = _rank_shells(field, M, N, rank_pmf)
         else:
             for r, p in sorted(rank_pmf.items()):
                 if p == 0:
@@ -291,6 +358,31 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
     else:
         raise ChannelSpecError(f"unknown generator kind {kind!r}")
     return ChannelSpec(field, T, M, N, pmf)
+
+
+def _rank_shells(field: FieldSpec, M: int, N: int,
+                 rank_pmf) -> Dict[MatrixGF, Fraction]:
+    """Mass p(r) spread evenly over the rank-r M x N matrices, keyed in
+    lexicographic order of their entries.
+
+    Each rank-r matrix is C @ R for exactly one RREF basis R of its row
+    space and one full-column-rank M x r matrix C, so the shells are
+    built without ranking the q^(M*N) matrices.
+    """
+    q = field.q
+    ranks = [r for r, p in sorted(rank_pmf.items()) if p > 0]
+    support = sum(qcomb.xi2(M, N, r, q) for r in ranks)
+    if support > gf_core.DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"{support} support matrices exceeds budget "
+                             f"{gf_core.DEFAULT_ENUM_BUDGET}")
+    shells = []
+    for r in ranks:
+        share = rank_pmf[r] / qcomb.xi2(M, N, r, q)
+        factors = list(gf_core.enumerate_full_rank(M, r, field))
+        for row_space in subspace_enum.enumerate_grassmannian(r, N, field):
+            shells += [(mat_mul(c, row_space.basis), share) for c in factors]
+    shells.sort(key=lambda hp: hp[0].entries)
+    return dict(shells)
 
 
 def random_channel(rng, q: int, T: int, M: int, N: int,

@@ -2,7 +2,8 @@
 
 Subcommands: classify, capacity, css, bounds, report, gen, verify.
 Exit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 optimizer did not
-converge (partial results are still printed), 5 verification failure.
+converge (partial results are still printed) or failed its monotonicity
+check (nothing printed), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -150,9 +151,8 @@ def cmd_css(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec, core = _load(args)
-    cap = ce.shannon_capacity(core, args.tol, args.max_iter)
+    cap, mi = ce._capacity_and_mi(core, args.tol, args.max_iter)
     lower, upper = ce.bounds_row_space(core, cap.alpha)
-    mi = ce.mi_alpha(core, cap.alpha)
     doc = _base_doc(args)
     doc["C"] = _cap_json(cap, with_alpha=False)
     doc["lower"] = {"value": _fmt(lower), "mode": "row-space", "gap": ""}
@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         code = EXIT_BUDGET
+    except ce.NonMonotoneBound as exc:
+        print(f"error: optimizer failed: {exc}", file=sys.stderr)
+        code = EXIT_CONVERGENCE
     if argv is None:
         sys.exit(code)
     return code

@@ -2,13 +2,15 @@
 
 Matrices are immutable, stored row-major as tuples of canonical residues
 in [0, q).  Everything here is a pure function; results can be shared
-freely between threads.
+freely between threads.  A field remembers the inverses its eliminations
+have looked up; every write stores the one true inverse, so sharing a
+field between threads stays safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field as dc_field
+from itertools import chain, product
 from typing import Iterator
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -53,20 +55,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class _Inverses(dict):
+    """a -> a^-1 mod q for residues a in [1, q), each computed on its
+    first lookup, so a large field costs only the inverses it uses."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, a: int) -> int:
+        inv = self[a] = pow(a, self.q - 2, self.q)
+        return inv
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A prime field F_q."""
 
     q: int
+    inverses: _Inverses = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_prime(self.q):
             raise GFError(f"field order must be prime, got {self.q}")
+        object.__setattr__(self, "inverses", _Inverses(self.q))
 
     def inv(self, a: int) -> int:
-        if a % self.q == 0:
+        a %= self.q
+        if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.q - 2, self.q)
+        return self.inverses[a]
 
 
 @dataclass(frozen=True)
@@ -83,8 +101,8 @@ class MatrixGF:
             raise GFError("negative dimension")
         if len(self.entries) != self.rows * self.cols:
             raise GFError("entry count does not match dimensions")
-        q = self.field.q
-        if any(not (0 <= e < q) for e in self.entries):
+        ent = self.entries
+        if ent and (min(ent) < 0 or max(ent) >= self.field.q):
             raise GFError("entry out of range [0, q)")
 
     def __getitem__(self, rc):
@@ -145,33 +163,49 @@ def transpose(a: MatrixGF) -> MatrixGF:
     return MatrixGF(a.field, a.cols, a.rows, ent)
 
 
+def _reduce(rows: list, q: int, inverses: _Inverses) -> list:
+    """Bring a list of equal-length row lists over F_q to reduced row
+    echelon form in place; returns the pivot columns.
+
+    Stops once every row holds a pivot.  Entries must lie in [0, q).
+    """
+    n = len(rows)
+    pivots = []
+    for col in range(len(rows[0]) if n else 0):
+        pr = len(pivots)
+        for sel in range(pr, n):
+            if rows[sel][col]:
+                break
+        else:
+            continue
+        piv = rows[sel]
+        rows[sel] = rows[pr]
+        x = piv[col]
+        if x != 1:
+            x = inverses[x]
+            piv = [v * x % q for v in piv]
+        rows[pr] = piv
+        for r in range(n):
+            f = rows[r][col]
+            if f and r != pr:
+                rows[r] = [(v - f * w) % q for v, w in zip(rows[r], piv)]
+        pivots.append(col)
+        if pr + 1 == n:
+            break
+    return pivots
+
+
 def rref(a: MatrixGF):
     """Reduced row-echelon form.
 
     Returns (R, rank, pivot_cols).  R has the same shape as a; its first
     `rank` rows are the nonzero rows, the rest are zero.
     """
-    q = a.field.q
-    rows = [list(a.row(r)) for r in range(a.rows)]
-    pivot_cols = []
-    pr = 0
-    for col in range(a.cols):
-        if pr >= a.rows:
-            break
-        sel = next((r for r in range(pr, a.rows) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = a.field.inv(rows[pr][col])
-        rows[pr] = [(x * inv) % q for x in rows[pr]]
-        for r in range(a.rows):
-            if r != pr and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % q for x, y in zip(rows[r], rows[pr])]
-        pivot_cols.append(col)
-        pr += 1
-    ent = tuple(e for row in rows for e in row)
-    return MatrixGF(a.field, a.rows, a.cols, ent), pr, pivot_cols
+    c, ent = a.cols, a.entries
+    rows = [list(ent[i * c:i * c + c]) for i in range(a.rows)]
+    pivots = _reduce(rows, a.field.q, a.field.inverses)
+    red = MatrixGF(a.field, a.rows, a.cols, tuple(chain.from_iterable(rows)))
+    return red, len(pivots), pivots
 
 
 def rank(a: MatrixGF) -> int:
@@ -231,17 +265,19 @@ def enumerate_full_rank(t: int, r: int, field: FieldSpec,
     if count > budget:
         raise BudgetExceeded(f"{count} matrices exceeds budget {budget}")
 
-    def rec(cols_so_far):
-        k = len(cols_so_far)
-        if k == r:
-            ent = tuple(cols_so_far[j][i] for i in range(t) for j in range(r))
+    def rec(cols, span):
+        """Extend cols by each vector outside span, the set of their
+        linear combinations; a full set of r columns needs no span."""
+        if len(cols) == r:
+            ent = tuple(chain.from_iterable(zip(*cols)))   # row-major
             yield MatrixGF(field, t, r, ent)
             return
         for vec in product(range(q), repeat=t):
-            cand = cols_so_far + [vec]
-            m = MatrixGF(field, k + 1, t,
-                         tuple(e for c in cand for e in c))
-            if rank(m) == k + 1:
-                yield from rec(cand)
+            if vec in span:
+                continue
+            wider = None if len(cols) + 1 == r else {
+                tuple((x + c * y) % q for x, y in zip(s, vec))
+                for s in span for c in range(q)}
+            yield from rec(cols + [vec], wider)
 
-    yield from rec([])
+    yield from rec([], {(0,) * t})

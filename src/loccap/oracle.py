@@ -1,9 +1,13 @@
-"""Brute-force oracles: the transition table by direct summation, and
-the rank-symmetric, degraded and unique-subspace-degradation predicates.
+"""Brute-force oracles: the class tables and the transition table by
+direct summation, and the rank-symmetric, degraded and
+unique-subspace-degradation predicates.
 
-``transition_naive`` sums over the support of H for every input
-matrix; ``channel_model.p_y_given_x`` reads the same values from the
-class tables.  The degraded and unique-subspace-degradation scans visit
+``transition_core_reference`` builds the class tables with one matrix
+product per (class, support matrix) pair, where
+``channel_model.transition_core`` adds packed integer rows.
+``transition_naive`` sums over the support of H for every input matrix;
+``channel_model.p_y_given_x`` reads the same values from the class
+tables.  The degraded and unique-subspace-degradation scans visit
 every one of the q^(T*M) input matrices, grouped by column space, and
 compare the output laws inside each group; the rank-symmetric scan
 visits the whole q^(r*N) cube of every class table.  They are exact but
@@ -16,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import gf_core
+from . import gf_core, subspace_enum
 from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
-                            output_laws)
+                            index_fibers, output_laws)
 from .classify import PredicateResult, _lift
 from .gf_core import MatrixGF, mat_mul
 from .subspace_enum import span_columns
@@ -26,6 +30,21 @@ from .subspace_enum import span_columns
 NAIVE_TABLE_BUDGET = 2 ** 24
 
 ZERO = Fraction(0)
+
+
+def transition_core_reference(spec: ChannelSpec) -> TransitionCore:
+    """``channel_model.transition_core`` by one ``mat_mul`` and one
+    ``Fraction`` addition per (class, support matrix) pair."""
+    core = TransitionCore(spec)
+    kmax = min(spec.T, spec.M)
+    for u in subspace_enum.enumerate_projective(kmax, spec.M, spec.field):
+        dist: dict = {}
+        for h, p in spec.pmf_H.items():
+            e = mat_mul(u.basis, h)
+            dist[e.entries] = dist.get(e.entries, ZERO) + p
+        core.tables[u] = dist
+        core.fibers[u] = index_fibers(spec, u, dist)
+    return core
 
 
 def transition_naive(spec: ChannelSpec,

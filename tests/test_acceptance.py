@@ -388,6 +388,33 @@ def test_criterion_10c_row_space_index_matches_cube_recount(capsys):
             assert core.fibers == _recount_fibers(core), core.spec
 
 
+def _assert_core_matches_reference(spec):
+    core = transition_core(spec)
+    ref = oracle.transition_core_reference(spec)
+    assert list(core.tables) == list(ref.tables)
+    for u, table in ref.tables.items():
+        # equal values, and keys in the order of the first H giving each E
+        assert list(core.tables[u].items()) == list(table.items()), spec
+    assert core.fibers == ref.fibers, spec
+
+
+def test_criterion_10e_packed_core_matches_reference(capsys, fixtures):
+    with _Gate(capsys, "criterion 10e: the packed-integer core equals the "
+                       "matrix-product reference, key order included, on "
+                       "criterion 10c's 500 channels and the fixtures"):
+        rng = random.Random(1011)
+        for _ in range(500):
+            _assert_core_matches_reference(_cross_check_channel(rng))
+        for spec, _ in fixtures.values():
+            _assert_core_matches_reference(spec)
+        _assert_core_matches_reference(cm.generate(
+            "uniform_given_rank", q=2, T=1, M=3, N=3,
+            rank_pmf={1: Fraction(1, 2), 3: Fraction(1, 2)}))
+        # q = 5, M = 3: 6-bit digits, (q-1)^2 * M = 48 at most per entry
+        _assert_core_matches_reference(cm.random_channel(
+            random.Random(5), 5, 2, 3, 2, max_support=40))
+
+
 def test_criterion_10d_unique_degradation_css_is_one_assignment(capsys):
     with _Gate(capsys, "criterion 10d: with a unique subspace degradation "
                        "the per-rank search tries one assignment and "

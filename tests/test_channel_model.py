@@ -208,6 +208,33 @@ def test_generate_uniform_given_rank():
     assert all(p == Fraction(1, 9) for p in spec.pmf_H.values())
 
 
+@pytest.mark.parametrize("q, M, N, rank_pmf", [
+    (2, 1, 1, {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+    (2, 2, 3, {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2)}),
+    (2, 3, 2, {2: Fraction(1)}),
+    (2, 3, 3, {1: Fraction(1, 3), 3: Fraction(2, 3)}),
+    (3, 2, 2, {1: Fraction(1, 2), 2: Fraction(1, 2)}),
+    (5, 1, 2, {0: Fraction(1, 5), 1: Fraction(4, 5)}),
+])
+def test_uniform_given_rank_shells_equal_the_rank_filter(q, M, N, rank_pmf):
+    # the PMF of ranking all q^(M*N) matrices, in the same key order
+    field = FieldSpec(q)
+    share = {r: p / qcomb.xi2(M, N, r, q) for r, p in rank_pmf.items()}
+    want = [(h, share[rank(h)]) for h in all_matrices(field, M, N)
+            if rank(h) in share]
+    spec = cm.generate("uniform_given_rank", q=q, M=M, N=N,
+                       rank_pmf=rank_pmf)
+    assert list(spec.pmf_H.items()) == want
+
+
+def test_uniform_given_rank_budgets_the_support_not_the_cube():
+    # 2^25 matrices of shape 5x5, of which 961 have rank 1
+    spec = cm.generate("uniform_given_rank", q=2, M=5, N=5, rank_pmf={1: 1})
+    assert len(spec.pmf_H) == qcomb.xi2(5, 5, 1, 2) == 961
+    with pytest.raises(BudgetExceeded):
+        cm.generate("uniform_given_rank", q=2, M=6, N=6, rank_pmf={6: 1})
+
+
 def test_generate_custom_rank_dist_is_not_uniform():
     spec = cm.generate("custom_rank_dist", q=2, M=2, N=2,
                        rank_pmf={0: Fraction(1, 2), 2: Fraction(1, 2)})

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loccap import cli
+from loccap import capacity_engine as ce
 from loccap import channel_model as cm
+from loccap import cli
 
 
 def _run(capsys, argv):
@@ -128,6 +129,35 @@ def test_bounds_subcommand(capsys):
     assert code == 0
     assert doc["lower"]["value"] <= doc["mi_at_achiever"]["value"] + 1e-9
     assert doc["mi_at_achiever"]["value"] <= doc["upper"]["value"] + 1e-9
+
+
+def test_bounds_builds_the_class_setup_once(monkeypatch, capsys):
+    calls = []
+    original = ce._class_setup
+
+    def counted(core):
+        calls.append(1)
+        return original(core)
+
+    monkeypatch.setattr(ce, "_class_setup", counted)
+    code, _ = _run_json(capsys, ["bounds", cli.fixture_path("example9.json")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["capacity", "css", "bounds", "report"])
+def test_non_monotone_optimizer_exits_4_without_traceback(monkeypatch,
+                                                          capsys, command):
+    def failing(*args, **kwargs):
+        raise ce.NonMonotoneBound("lower bound decreased: 1.0 -> 0.5")
+
+    monkeypatch.setattr(ce, "_ba", failing)
+    code = cli.main([command, cli.fixture_path("example9.json")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONVERGENCE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "lower bound decreased" in captured.err
 
 
 def test_verify_small_run_ok_and_deterministic(tmp_path, capsys):

@@ -64,6 +64,48 @@ def test_rref_is_reduced_and_rank_correct():
             assert all(v == 0 for v in red.row(r))
 
 
+def _rref_reference(a):
+    """The elimination rref used before the lean kernel: a pow inverse
+    per pivot and a scan of every column."""
+    q = a.field.q
+    rows = [list(a.row(r)) for r in range(a.rows)]
+    pivot_cols = []
+    pr = 0
+    for col in range(a.cols):
+        if pr >= a.rows:
+            break
+        sel = next((r for r in range(pr, a.rows) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv = pow(rows[pr][col], q - 2, q)
+        rows[pr] = [(x * inv) % q for x in rows[pr]]
+        for r in range(a.rows):
+            if r != pr and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % q for x, y in zip(rows[r], rows[pr])]
+        pivot_cols.append(col)
+        pr += 1
+    ent = tuple(e for row in rows for e in row)
+    return MatrixGF(a.field, a.rows, a.cols, ent), pr, pivot_cols
+
+
+@pytest.mark.parametrize("q, rows, cols", [(2, 2, 3), (2, 3, 3),
+                                           (3, 2, 3), (3, 3, 3)])
+def test_rref_matches_reference_exhaustively(q, rows, cols):
+    field = FieldSpec(q)
+    for a in gf_core.all_matrices(field, rows, cols):
+        assert rref(a) == _rref_reference(a), a
+
+
+def test_rref_matches_reference_on_random_matrices():
+    rng = random.Random(13)
+    for _ in range(2000):
+        field = FieldSpec(rng.choice([2, 3, 5, 7]))
+        a = _random_matrix(rng, field, rng.randint(0, 4), rng.randint(0, 6))
+        assert rref(a) == _rref_reference(a), a
+
+
 def test_rank_matches_span_enumeration():
     # brute-force rank: size of the row span as a set of vectors
     for ent in product(range(2), repeat=4):
@@ -114,9 +156,11 @@ def test_enumerate_full_rank_count(t, r, q):
     field = FieldSpec(q)
     mats = list(gf_core.enumerate_full_rank(t, r, field))
     assert len(mats) == qcomb.xi(t, r, q)
-    assert len(set(m.entries for m in mats)) == len(mats)
-    for m in mats:
-        assert rank(m) == r
+    # the full-rank matrices of the q^(t*r) cube, in column-sequence order
+    cube = [tuple(e for row in zip(*cols) for e in row)
+            for cols in product(product(range(q), repeat=t), repeat=r)]
+    assert [m.entries for m in mats] == [
+        ent for ent in cube if rank(MatrixGF(field, t, r, ent)) == r]
 
 
 def test_all_matrices_budget():
