@@ -14,7 +14,13 @@ on a channel with a unique subspace degradation, where it has a single
 choice and its convex optimum is the capacity.  "bruteforce" maximizes
 over deterministic degradations, one input matrix per input column
 space.  The searches share one loop, ``_best_choice``, which runs
-Blahut-Arimoto on every choice of one option per group.
+Blahut-Arimoto on every choice of one option per group and keeps the
+first best.  Each Blahut-Arimoto iteration yields a certificate: its
+upper value max_i d_i is at least the optimum of its own choice.  A run
+whose upper value falls below the best value found so far cannot
+replace the first best, so it is abandoned there; the result, the
+iteration count reported with it and the number of choices tried are
+those of the full search.
 
 Probabilities and counts stay exact (``Fraction``, ``int``) until an
 entropy, an orbit term, a rank-interaction term or a Blahut-Arimoto row
@@ -106,12 +112,16 @@ def _float_row(row: Dict[int, object]) -> Dict[int, float]:
 # Generic reward-augmented Blahut-Arimoto.
 
 def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
-        tol: float, max_iter: int):
+        tol: float, max_iter: int, floor: float = -math.inf):
     """Maximize sum_i p(i) reward(i) + I(input; output) over input PMFs.
 
     rows[i] maps output index to probability; rewards defaults to 0.
     Returns (value, input PMF list, gap, iterations, converged).  The
-    running lower bound is checked to be monotone.
+    running lower bound is checked to be monotone.  Each iteration's
+    upper value max_i d_i bounds the optimum from above, so once it is
+    below ``floor`` the run is abandoned: it returns unconverged, after
+    the iterations run, with a value below ``floor`` (-inf if it stopped
+    before computing a lower value).
     """
     n = len(rows)
     if n == 0:
@@ -136,6 +146,10 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
                 acc += c * LOG2(c / p_out[w])
             d.append(acc)
         upper = max(d)
+        if upper < floor:
+            # the last lower value, kept below floor against rounding
+            lower = min(prev_lower, upper)
+            break
         z = sum(a * 2.0 ** (di - upper) for a, di in zip(alpha, d))
         lower = upper + LOG2(z)
         if not (lower >= prev_lower - 1e-9):
@@ -385,7 +399,18 @@ def _best_choice(groups: List[list], tol: float, max_iter: int,
                  budget: int, what: str):
     """Blahut-Arimoto on every choice of one (row, reward) option per
     group; returns the first best (value, pmf, gap, its, converged) and
-    the number of choices tried."""
+    the number of choices tried.
+
+    A choice replaces the best only with a strictly larger value.  Every
+    Blahut-Arimoto iteration's upper value bounds its choice's optimum,
+    and so the value the run would end with; once it is below the best
+    value so far, the choice cannot replace the best, and its run is
+    abandoned.  Abandoned choices still count as tried.  The bound is
+    exact in real arithmetic; in floats a run could only end above an
+    upper value it passed by a rounding error, so a choice within a few
+    ulps of the best is where the two searches could part, and the tests
+    compare them on choice sets full of exact ties.
+    """
     total = math.prod(len(g) for g in groups)
     if total > budget:
         raise BudgetExceeded(f"{total} {what} exceed budget {budget}")
@@ -393,8 +418,9 @@ def _best_choice(groups: List[list], tol: float, max_iter: int,
     tried = 0
     for choice in product(*groups):
         tried += 1
+        floor = -math.inf if best is None else best[0]
         res = _ba([row for row, _ in choice],
-                  [reward for _, reward in choice], tol, max_iter)
+                  [reward for _, reward in choice], tol, max_iter, floor)
         if best is None or res[0] > best[0]:
             best = res
     return best, tried

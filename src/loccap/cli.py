@@ -9,6 +9,7 @@ check (nothing printed), 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -322,20 +323,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0),
     }
     solver = ("--tol", "--max-iter", "--format")
-    for name, fn, opts in (
-            ("classify", cmd_classify, ()),
-            ("capacity", cmd_capacity, solver),
-            ("css", cmd_css, solver + ("--budget", "--mode")),
-            ("bounds", cmd_bounds, solver),
-            ("report", cmd_report, solver + ("--budget", "--mode")),
-            ("verify", cmd_verify, ("--trials", "--seed"))):
+    for name, opts in (
+            ("classify", ()),
+            ("capacity", solver),
+            ("css", solver + ("--budget", "--mode")),
+            ("bounds", solver),
+            ("report", solver + ("--budget", "--mode")),
+            ("verify", ("--trials", "--seed"))):
         p = sub.add_parser(name)
         if name != "verify":
             p.add_argument("channel", help="channel spec JSON file")
         for opt in opts:
             p.add_argument(opt, **options[opt])
         p.add_argument("-o", "--output", default=None)
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("gen")
     p.add_argument("kind", choices=("iid_uniform", "full_rank_uniform",
@@ -348,14 +348,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-pmf", default=None,
                    help="comma list like 0:1/3,2:2/3")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_gen)
     return top
 
 
+# One parser per process.  It holds no handlers: main looks up
+# cmd_<command> among the module's globals on every call, so a rebinding
+# of a handler reaches the next call.
+_parser = functools.cache(_build_parser)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        code = globals()[f"cmd_{args.command}"](args)
     except (ChannelSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT

@@ -14,6 +14,8 @@ from loccap import capacity_engine as ce
 from loccap import channel_model as cm
 from loccap import cli
 
+from conftest import best_choice_unpruned
+
 _TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -46,3 +48,29 @@ def test_tracer_counts_every_enumerated_input():
         ce.css_bruteforce(core)
     assert tracer.counts["subspace_enum.inputs_enumerated"] == \
         spec.field.q ** (spec.T * spec.M)
+
+
+def test_traced_bruteforce_abandons_choices_that_cannot_win(monkeypatch):
+    # table2's first degradation wins, so every later Blahut-Arimoto run
+    # stops once its upper value falls below it; example6's winner comes
+    # last, where nothing can be abandoned
+    core = cm.transition_core(cm.load_channel(cli.fixture_path(
+        "table2.json")))
+    with _tr.Tracer().installed() as pruned:
+        got = ce.css_bruteforce(core)
+    monkeypatch.setattr(ce, "_best_choice", best_choice_unpruned)
+    with _tr.Tracer().installed() as reference:
+        want = ce.css_bruteforce(core)
+    assert got == want
+    iterations = pruned.counts["capacity_engine.ba.iterations"]
+    assert 0 < iterations < reference.counts["capacity_engine.ba.iterations"]
+
+
+def test_traced_report_records_the_report_handler(capsys):
+    # main dispatches through the module attribute, so the tracer's
+    # rebinding of cli.cmd_report reaches a parser built before it
+    cli.main(["report", cli.fixture_path("table1.json")])
+    with _tr.Tracer().installed() as tracer:
+        code = cli.main(["report", cli.fixture_path("example6.json")])
+    assert code == cli.EXIT_OK
+    assert _tr.calls(tracer.spans, "cli.cmd_report") == 1

@@ -10,11 +10,11 @@ from loccap import channel_model as cm
 from loccap import classify as cls
 from loccap import qcomb, subspace_enum
 from loccap.channel_model import transition_core
-from loccap.gf_core import FieldSpec
+from loccap.gf_core import BudgetExceeded, FieldSpec
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_rows
 
-from conftest import random_small_channel
+from conftest import best_choice_unpruned, random_small_channel
 
 F2 = FieldSpec(2)
 
@@ -276,6 +276,70 @@ def test_best_choice_keeps_the_first_of_tied_choices():
     assert tried == 4
     assert value == last[0] == pytest.approx(math.log2(3))
     assert pmf == pytest.approx([2 / 3, 1 / 3])
+
+
+def _random_groups(rng):
+    """2-4 groups of 1-4 (row, reward) options over at most 4 outputs.
+
+    Options are drawn from a small pool, some also with their outputs
+    relabelled, so that groups share options and many choices tie
+    exactly."""
+    n_out = rng.randint(1, 4)
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        support = rng.sample(range(n_out), rng.randint(1, n_out))
+        weights = [rng.randint(1, 4) for _ in support]
+        row = {w: c / sum(weights) for w, c in zip(support, weights)}
+        pool.append((row, rng.choice([0.0, 0.0, 0.5, 1.0, rng.random()])))
+    for row, reward in list(pool):
+        if rng.random() < 0.5:
+            perm = rng.sample(range(n_out), n_out)
+            pool.append(({perm[w]: c for w, c in row.items()}, reward))
+    return [[rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(2, 4))]
+
+
+def test_pruned_choice_search_matches_the_unpruned_reference(monkeypatch):
+    # an abandoned run must never change the first best, to the last bit
+    rng = random.Random(808)
+    ba = ce._ba
+    abandoned = []
+
+    def spy(rows, rewards, tol, max_iter, floor=-math.inf):
+        res = ba(rows, rewards, tol, max_iter, floor)
+        abandoned.append(res[3] < max_iter and not res[4])
+        return res
+
+    for _ in range(1000):
+        groups = _random_groups(rng)
+        tol = rng.choice([1e-6, 1e-9])
+        max_iter = rng.choice([20, 100])
+        want = best_choice_unpruned(groups, tol, max_iter, 256, "choices")
+        with monkeypatch.context() as m:
+            m.setattr(ce, "_ba", spy)
+            got = ce._best_choice(groups, tol, max_iter, 256, "choices")
+        assert got == want
+    assert sum(abandoned) > 1000
+
+
+def test_pruned_css_searches_match_the_unpruned_reference(monkeypatch):
+    rng = random.Random(809)
+    checked = 0
+    for _ in range(200):
+        spec = cm.random_channel(rng, rng.choice([2, 3]), rng.randint(1, 2),
+                                 rng.randint(1, 2), rng.randint(1, 2),
+                                 max_support=4)
+        core = transition_core(spec)
+        for search in (ce.css_bruteforce, ce.css_alpha_lower):
+            try:
+                got = search(core, budget=16)
+            except BudgetExceeded:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(ce, "_best_choice", best_choice_unpruned)
+                assert got == search(core, budget=16)
+            checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize("T", [600, 4096])
