@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import classify as classify_mod
 from . import qcomb
@@ -50,6 +50,7 @@ LOG2 = math.log2
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10 ** 5
 DEFAULT_ASSIGNMENT_BUDGET = 10 ** 5
+NAIVE_ALPHABET_BUDGET = 2 ** 24    # inputs times largest class table
 
 
 class NonMonotoneBound(AssertionError):
@@ -271,14 +272,13 @@ def _shannon_capacity(core: TransitionCore, setup: _ClassSetup, tol: float,
 
 
 def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
-                           max_iter: int = DEFAULT_MAX_ITER,
-                           budget: int = 2 ** 24) -> CapacityResult:
+                           max_iter: int = DEFAULT_MAX_ITER) -> CapacityResult:
     """Blahut-Arimoto over the full matrix alphabet; the oracle for
     shannon_capacity."""
     spec = core.spec
     q = spec.field.q
     if q ** (spec.T * spec.M) * max(len(t) for t in core.tables.values()) \
-            > budget:
+            > NAIVE_ALPHABET_BUDGET:
         raise BudgetExceeded("full-alphabet optimization exceeds budget")
     y_index: Dict[MatrixGF, int] = {}
     rows = [_float_row({y_index.setdefault(y, len(y_index)): p
@@ -318,7 +318,8 @@ def lemma_full_rank_decomposition(spec: ChannelSpec, T: int):
     rank_pmf = spec.rank_pmf()
     joint = {(spec.M, s): p for s, p in rank_pmf.items()}
     j = j_rank(joint, T, q)
-    training = (T - spec.M) * float(spec.expected_rank()) * LOG2(q)
+    expected_rank = sum(s * p for s, p in rank_pmf.items())
+    training = (T - spec.M) * float(expected_rank) * LOG2(q)
     eps = qcomb.epsilon_term(rank_pmf, T, spec.M, q)
     return j, training, eps
 
@@ -395,11 +396,12 @@ def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
     return res
 
 
-def _best_choice(groups: List[list], tol: float, max_iter: int,
+def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
                  budget: int, what: str):
     """Blahut-Arimoto on every choice of one (row, reward) option per
     group; returns the first best (value, pmf, gap, its, converged) and
-    the number of choices tried.
+    the number of choices tried.  Groups are read one at a time, and the
+    search is refused at the first that lifts the choices past ``budget``.
 
     A choice replaces the best only with a strictly larger value.  Every
     Blahut-Arimoto iteration's upper value bounds its choice's optimum,
@@ -411,12 +413,15 @@ def _best_choice(groups: List[list], tol: float, max_iter: int,
     ulps of the best is where the two searches could part, and the tests
     compare them on choice sets full of exact ties.
     """
-    total = math.prod(len(g) for g in groups)
-    if total > budget:
-        raise BudgetExceeded(f"{total} {what} exceed budget {budget}")
+    read, total = [], 1
+    for group in groups:
+        total *= len(group)
+        if total > budget:
+            raise BudgetExceeded(f"more than {budget} {what}")
+        read.append(group)
     best = None
     tried = 0
-    for choice in product(*groups):
+    for choice in product(*read):
         tried += 1
         floor = -math.inf if best is None else best[0]
         res = _ba([row for row, _ in choice],
@@ -463,19 +468,20 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
     output subspaces are numbered as they are met.
     """
     v_index: Dict[Subspace, int] = {}
-    groups = []
     degradations = []
-    for w, laws in output_laws(core):
-        candidates = [(x, column_space_law(law)) for x, law in laws]
-        rows = {}
-        for _, v_law in candidates:
-            row = {v_index.setdefault(v, len(v_index)): p
-                   for v, p in v_law.items()}
-            rows.setdefault(frozenset(row.items()), row)
-        groups.append([(_float_row(row), 0.0) for row in rows.values()])
-        degradations.append((w, candidates))
+
+    def groups():
+        for w, laws in output_laws(core):
+            candidates = [(x, column_space_law(law)) for x, law in laws]
+            rows = {}
+            for _, v_law in candidates:
+                row = {v_index.setdefault(v, len(v_index)): p
+                       for v, p in v_law.items()}
+                rows.setdefault(frozenset(row.items()), row)
+            degradations.append((w, candidates))
+            yield [(_float_row(row), 0.0) for row in rows.values()]
     (value, pmf, gap, its, ok), tried = _best_choice(
-        groups, tol, max_iter, budget, "deterministic degradations")
+        groups(), tol, max_iter, budget, "deterministic degradations")
     rank_pmf: Dict[int, float] = {}
     for (w, _), p in zip(degradations, pmf):
         rank_pmf[w.dim] = rank_pmf.get(w.dim, 0.0) + p

@@ -30,7 +30,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import add, itemgetter, lshift
 from typing import Dict, Optional, Tuple
@@ -40,14 +40,19 @@ from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
                       solve_factor, transpose)
 from .subspace_enum import Subspace, span_columns, span_rows
 
-CORE_TABLE_BUDGET = 2 ** 20
-INPUT_ENUM_BUDGET = 2 ** 24
+CORE_TABLE_BUDGET = 2 ** 20    # the most entries one class table may have
+INPUT_ENUM_BUDGET = 2 ** 24    # the most inputs one scan of them may visit
 
 ZERO = Fraction(0)
 
 
 class ChannelSpecError(Exception):
     """Invalid channel specification (file or constructor input)."""
+
+
+def _check_sizes(T: int, M: int, N: int) -> None:
+    if min(T, M, N) < 1:
+        raise ChannelSpecError("T, M, N must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,7 @@ class ChannelSpec:
     pmf_H: Dict[MatrixGF, Fraction]
 
     def __post_init__(self):
-        if min(self.T, self.M, self.N) < 1:
-            raise ChannelSpecError("T, M, N must be positive")
+        _check_sizes(self.T, self.M, self.N)
         if not self.pmf_H:
             raise ChannelSpecError("empty transfer-matrix support")
         total = ZERO
@@ -128,8 +132,7 @@ class TransitionCore:
         return sorted(self.tables, key=lambda u: u.sort_key())
 
 
-def transition_core(spec: ChannelSpec,
-                    budget: int = CORE_TABLE_BUDGET) -> TransitionCore:
+def transition_core(spec: ChannelSpec) -> TransitionCore:
     """Tabulate the exact distribution of D_U @ H for every class U.
 
     Row i of E is the unreduced int sum over k of D_U[i, k] * (packed
@@ -141,9 +144,9 @@ def transition_core(spec: ChannelSpec,
     classes = []
     for u in subspace_enum.enumerate_projective(min(spec.T, spec.M), spec.M,
                                                 spec.field):
-        if q ** (u.dim * N) > budget:
-            raise BudgetExceeded(
-                f"per-class table for dim {u.dim} exceeds budget {budget}")
+        if q ** (u.dim * N) > CORE_TABLE_BUDGET:
+            raise BudgetExceeded(f"per-class table for dim {u.dim} exceeds "
+                                 f"budget {CORE_TABLE_BUDGET}")
         classes.append(u)
     b = ((q - 1) ** 2 * spec.M).bit_length()
     digit = (1 << b) - 1
@@ -222,7 +225,7 @@ def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
     return transpose(solve_factor(transpose(x), transpose(u.basis)))
 
 
-def output_laws(core: TransitionCore, budget: int = INPUT_ENUM_BUDGET):
+def output_laws(core: TransitionCore):
     """Yield (W, [(X, {Y: P(Y|X)}), ...]) for every input column space W.
 
     Every one of the q^(T*M) input matrices X appears once, with the
@@ -231,7 +234,7 @@ def output_laws(core: TransitionCore, budget: int = INPUT_ENUM_BUDGET):
     column rank, so distinct E give distinct Y.
     """
     spec = core.spec
-    if spec.field.q ** (spec.T * spec.M) > budget:
+    if spec.field.q ** (spec.T * spec.M) > INPUT_ENUM_BUDGET:
         raise BudgetExceeded("input enumeration exceeds budget")
     entries = {u: [(MatrixGF(spec.field, u.dim, spec.N, e), p)
                    for e, p in table.items()]
@@ -321,11 +324,12 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
     matrices), "custom_rank_dist" (mass p(r) concentrated on one
     canonical rank-r matrix; deliberately not uniform given rank).
     """
-    field = _channel_field(q)
     if kind == "full_rank_uniform":
         N = M
     if N is None:
         raise ChannelSpecError("N is required")
+    _check_sizes(T, M, N)
+    field = _channel_field(q)
     pmf: Dict[MatrixGF, Fraction] = {}
     if kind == "iid_uniform":
         mass = Fraction(1, q ** (M * N))
@@ -372,9 +376,9 @@ def _rank_shells(field: FieldSpec, M: int, N: int,
     q = field.q
     ranks = [r for r, p in sorted(rank_pmf.items()) if p > 0]
     support = sum(qcomb.xi2(M, N, r, q) for r in ranks)
-    if support > gf_core.DEFAULT_ENUM_BUDGET:
+    if support > gf_core.ENUM_BUDGET:
         raise BudgetExceeded(f"{support} support matrices exceeds budget "
-                             f"{gf_core.DEFAULT_ENUM_BUDGET}")
+                             f"{gf_core.ENUM_BUDGET}")
     shells = []
     for r in ranks:
         share = rank_pmf[r] / qcomb.xi2(M, N, r, q)
@@ -438,20 +442,21 @@ def spec_from_dict(doc) -> ChannelSpec:
                 f"{key} must be a JSON {kind.__name__}, got {doc[key]!r}")
     field = _channel_field(doc["q"])
     q, M, N = doc["q"], doc["M"], doc["N"]
+    _check_sizes(doc["T"], M, N)
     pmf: Dict[MatrixGF, Fraction] = {}
     for i, item in enumerate(doc["pmf"]):
         where = f"pmf[{i}]"
         if not isinstance(item, dict) or "H" not in item or "p" not in item:
             raise ChannelSpecError(f"{where}: needs keys 'H' and 'p'")
         rows = item["H"]
-        # gf_core.matrix reduces mod q for library callers; files may not
+        # files give entries in [0, q): nothing is reduced mod q
         if not (type(rows) is list and len(rows) == M and all(
                 type(row) is list and len(row) == N and all(
                     type(e) is int and 0 <= e < q for e in row)
                 for row in rows)):
             raise ChannelSpecError(f"{where}: H must have shape {M}x{N}, "
                                    f"with integer entries in [0, {q})")
-        h = gf_core.matrix(field, rows)
+        h = MatrixGF(field, M, N, tuple(chain.from_iterable(rows)))
         if h in pmf:
             raise ChannelSpecError(f"{where}: duplicate support matrix")
         pmf[h] = _parse_rational(item["p"], where)

@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -308,18 +309,33 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _at_least(kind, low):
+    """An argparse type: a value of kind that is at least low and finite."""
+    def parse(text):
+        value = kind(text)
+        if not low <= value < math.inf:
+            what = "a finite number" if kind is float else "an integer"
+            raise argparse.ArgumentTypeError(
+                f"must be {what} >= {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names the kind on a bad parse
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="loccap")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
     options = {
-        "--tol": dict(type=float, default=ce.DEFAULT_TOL),
-        "--max-iter": dict(type=int, default=ce.DEFAULT_MAX_ITER),
+        "--tol": dict(type=_at_least(float, 0), default=ce.DEFAULT_TOL),
+        "--max-iter": dict(type=_at_least(int, 1),
+                           default=ce.DEFAULT_MAX_ITER),
         "--format": dict(choices=("json", "csv"), default="json"),
-        "--budget": dict(type=int, default=ce.DEFAULT_ASSIGNMENT_BUDGET),
+        "--budget": dict(type=_at_least(int, 1),
+                         default=ce.DEFAULT_ASSIGNMENT_BUDGET),
         "--mode": dict(choices=ce.CSS_MODES, default="auto"),
-        "--trials": dict(type=int, default=25),
+        "--trials": dict(type=_at_least(int, 0), default=25),
         "--seed": dict(type=int, default=0),
     }
     solver = ("--tol", "--max-iter", "--format")

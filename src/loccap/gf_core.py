@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain, product
 from typing import Iterator
 
-DEFAULT_ENUM_BUDGET = 10**7
+ENUM_BUDGET = 10**7     # the most matrices or subspaces one enumeration yields
 
 
 class GFError(Exception):
@@ -195,21 +195,27 @@ def _reduce(rows: list, q: int, inverses: _Inverses) -> list:
     return pivots
 
 
+def reduced_rows(a: MatrixGF):
+    """The rows of a as lists, in reduced row echelon form, and the pivot
+    columns: the first len(pivots) rows are the nonzero ones."""
+    c, ent = a.cols, a.entries
+    rows = [list(ent[i * c:i * c + c]) for i in range(a.rows)]
+    return rows, _reduce(rows, a.field.q, a.field.inverses)
+
+
 def rref(a: MatrixGF):
     """Reduced row-echelon form.
 
     Returns (R, rank, pivot_cols).  R has the same shape as a; its first
     `rank` rows are the nonzero rows, the rest are zero.
     """
-    c, ent = a.cols, a.entries
-    rows = [list(ent[i * c:i * c + c]) for i in range(a.rows)]
-    pivots = _reduce(rows, a.field.q, a.field.inverses)
+    rows, pivots = reduced_rows(a)
     red = MatrixGF(a.field, a.rows, a.cols, tuple(chain.from_iterable(rows)))
     return red, len(pivots), pivots
 
 
 def rank(a: MatrixGF) -> int:
-    return rref(a)[1]
+    return len(reduced_rows(a)[1])
 
 
 def solve_factor(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -239,18 +245,18 @@ def solve_factor(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     return MatrixGF(a.field, b.cols, a.cols, ent)
 
 
-def all_matrices(field: FieldSpec, rows: int, cols: int,
-                 budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[MatrixGF]:
+def all_matrices(field: FieldSpec, rows: int,
+                 cols: int) -> Iterator[MatrixGF]:
     """Yield every rows x cols matrix over the field, lexicographically."""
     total = field.q ** (rows * cols)
-    if total > budget:
-        raise BudgetExceeded(f"{total} matrices exceeds budget {budget}")
+    if total > ENUM_BUDGET:
+        raise BudgetExceeded(f"{total} matrices exceeds budget {ENUM_BUDGET}")
     for ent in product(range(field.q), repeat=rows * cols):
         yield MatrixGF(field, rows, cols, ent)
 
 
-def enumerate_full_rank(t: int, r: int, field: FieldSpec,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[MatrixGF]:
+def enumerate_full_rank(t: int, r: int,
+                        field: FieldSpec) -> Iterator[MatrixGF]:
     """Yield every full-column-rank t x r matrix exactly once.
 
     Order is lexicographic on the column sequence (each column read
@@ -262,8 +268,8 @@ def enumerate_full_rank(t: int, r: int, field: FieldSpec,
     count = 1
     for i in range(r):
         count *= q ** t - q ** i
-    if count > budget:
-        raise BudgetExceeded(f"{count} matrices exceeds budget {budget}")
+    if count > ENUM_BUDGET:
+        raise BudgetExceeded(f"{count} matrices exceeds budget {ENUM_BUDGET}")
 
     def rec(cols, span):
         """Extend cols by each vector outside span, the set of their

@@ -47,12 +47,11 @@ def transition_core_reference(spec: ChannelSpec) -> TransitionCore:
     return core
 
 
-def transition_naive(spec: ChannelSpec,
-                     budget: int = NAIVE_TABLE_BUDGET):
+def transition_naive(spec: ChannelSpec):
     """Full table {(x.entries, y.entries): P(y|x)} by direct summation."""
     q = spec.field.q
     n_inputs = q ** (spec.T * spec.M)
-    if n_inputs * len(spec.pmf_H) > budget:
+    if n_inputs * len(spec.pmf_H) > NAIVE_TABLE_BUDGET:
         raise gf_core.BudgetExceeded("naive table exceeds budget")
     table: dict = {}
     for x in gf_core.all_matrices(spec.field, spec.T, spec.M):

@@ -13,8 +13,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from . import gf_core, qcomb
-from .gf_core import (BudgetExceeded, DEFAULT_ENUM_BUDGET, FieldSpec,
-                      MatrixGF, mat_mul, rref, transpose)
+from .gf_core import BudgetExceeded, FieldSpec, MatrixGF, mat_mul, transpose
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,8 @@ def _from_rref_rows(field, ambient, rows) -> Subspace:
 
 def span_rows(a: MatrixGF) -> Subspace:
     """Canonical subspace spanned by the rows of a."""
-    red, rk, _ = rref(a)
-    rows = [red.row(i) for i in range(rk)]
-    return _from_rref_rows(a.field, a.cols, rows)
+    rows, pivots = gf_core.reduced_rows(a)
+    return _from_rref_rows(a.field, a.cols, rows[:len(pivots)])
 
 
 def span_columns(a: MatrixGF) -> Subspace:
@@ -59,9 +57,8 @@ def trivial_subspace(field: FieldSpec, ambient: int) -> Subspace:
     return _from_rref_rows(field, ambient, [])
 
 
-def enumerate_grassmannian(r: int, t: int, field: FieldSpec,
-                           budget: int = DEFAULT_ENUM_BUDGET
-                           ) -> Iterator[Subspace]:
+def enumerate_grassmannian(r: int, t: int,
+                           field: FieldSpec) -> Iterator[Subspace]:
     """Yield every r-dimensional subspace of F_q^t exactly once.
 
     Generates RREF profiles directly: for each pivot-column pattern, the
@@ -71,7 +68,7 @@ def enumerate_grassmannian(r: int, t: int, field: FieldSpec,
     if not (0 <= r <= t):
         raise ValueError(f"need 0 <= r <= t, got r={r}, t={t}")
     q = field.q
-    if qcomb.gaussian_binomial(t, r, q) > budget:
+    if qcomb.gaussian_binomial(t, r, q) > gf_core.ENUM_BUDGET:
         raise BudgetExceeded("Grassmannian larger than enumeration budget")
     for pivots in combinations(range(t), r):
         # Free positions: row i, column j with j > pivots[i], j not a pivot.
@@ -86,12 +83,11 @@ def enumerate_grassmannian(r: int, t: int, field: FieldSpec,
             yield _from_rref_rows(field, t, [tuple(row) for row in rows])
 
 
-def enumerate_projective(m: int, t: int, field: FieldSpec,
-                         budget: int = DEFAULT_ENUM_BUDGET
-                         ) -> Iterator[Subspace]:
+def enumerate_projective(m: int, t: int,
+                         field: FieldSpec) -> Iterator[Subspace]:
     """Yield every subspace of F_q^t with dimension at most m."""
     for r in range(min(m, t) + 1):
-        yield from enumerate_grassmannian(r, t, field, budget=budget)
+        yield from enumerate_grassmannian(r, t, field)
 
 
 def contains(u: Subspace, v: Subspace) -> bool:
@@ -107,9 +103,7 @@ def contains(u: Subspace, v: Subspace) -> bool:
     return gf_core.rank(stacked) == u.dim
 
 
-def matrices_with_column_space(u: Subspace, m: int,
-                               budget: int = DEFAULT_ENUM_BUDGET
-                               ) -> Iterator[MatrixGF]:
+def matrices_with_column_space(u: Subspace, m: int) -> Iterator[MatrixGF]:
     """Yield every ambient x m matrix whose column space is exactly u.
 
     Realized as B @ D over full-row-rank dim(u) x m matrices D, where B
@@ -121,5 +115,5 @@ def matrices_with_column_space(u: Subspace, m: int,
     if u.dim == 0:
         yield gf_core.zeros(u.field, u.ambient_dim, m)
         return
-    for d in gf_core.enumerate_full_rank(m, u.dim, u.field, budget=budget):
+    for d in gf_core.enumerate_full_rank(m, u.dim, u.field):
         yield mat_mul(b, transpose(d))

@@ -35,6 +35,7 @@ def best_choice_unpruned(groups, tol, max_iter, budget, what):
     every choice.  The reference for ``capacity_engine._best_choice``; it
     calls ``_ba`` through the module, so a patched or traced ``_ba``
     sees its runs."""
+    groups = list(groups)
     total = math.prod(len(g) for g in groups)
     if total > budget:
         raise BudgetExceeded(f"{total} {what} exceed budget {budget}")

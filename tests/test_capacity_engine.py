@@ -8,7 +8,7 @@ import pytest
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
 from loccap import classify as cls
-from loccap import qcomb, subspace_enum
+from loccap import gf_core, oracle, qcomb, subspace_enum
 from loccap.channel_model import transition_core
 from loccap.gf_core import BudgetExceeded, FieldSpec
 from loccap.oracle import transition_naive
@@ -340,6 +340,121 @@ def test_pruned_css_searches_match_the_unpruned_reference(monkeypatch):
                 assert got == search(core, budget=16)
             checked += 1
     assert checked > 300
+
+
+_IID = cm.generate("iid_uniform", q=2, T=2, M=2, N=2)   # 16 H, 16 inputs
+_IID_CORE = transition_core(_IID)
+
+
+# (module, budget constant, a value below the work of every call, calls)
+_BUDGET_CHECKS = [
+    (gf_core, "ENUM_BUDGET", 5, [
+        lambda: list(gf_core.all_matrices(F2, 2, 2)),
+        lambda: list(gf_core.enumerate_full_rank(2, 2, F2)),
+        lambda: list(subspace_enum.enumerate_grassmannian(1, 3, F2)),
+        lambda: list(subspace_enum.enumerate_projective(1, 3, F2)),
+        lambda: list(subspace_enum.matrices_with_column_space(
+            span_rows(gf_core.identity(F2, 2)), 3)),
+        lambda: cm.generate("iid_uniform", q=2, M=2, N=2),
+        lambda: cm.generate("uniform_given_rank", q=2, M=2, N=2,
+                            rank_pmf={1: 1})]),
+    (cm, "CORE_TABLE_BUDGET", 15, [lambda: transition_core(_IID)]),
+    (cm, "INPUT_ENUM_BUDGET", 15, [
+        lambda: next(cm.output_laws(_IID_CORE)),
+        lambda: ce.css_bruteforce(_IID_CORE),
+        lambda: ce.shannon_capacity_naive(_IID_CORE),
+        lambda: oracle.is_degraded(_IID_CORE),
+        lambda: oracle.has_unique_subspace_degradation(_IID_CORE)]),
+    (ce, "NAIVE_ALPHABET_BUDGET", 255,
+     [lambda: ce.shannon_capacity_naive(_IID_CORE)]),
+    (oracle, "NAIVE_TABLE_BUDGET", 255, [lambda: transition_naive(_IID)]),
+]
+
+
+@pytest.mark.parametrize("module, constant, value, calls", _BUDGET_CHECKS,
+                         ids=[check[1] for check in _BUDGET_CHECKS])
+def test_one_rebinding_trips_every_check_of_a_budget(monkeypatch, module,
+                                                     constant, value, calls):
+    # each budget is one constant read where it is checked: no function
+    # takes it as a parameter, so rebinding it reaches every check
+    for call in calls:
+        call()
+    monkeypatch.setattr(module, constant, value)
+    for call in calls:
+        with pytest.raises(BudgetExceeded):
+            call()
+
+
+def _counting_inputs(monkeypatch):
+    """Count the inputs output_laws enumerates; returns the list that
+    collects them."""
+    original = subspace_enum.matrices_with_column_space
+    inputs = []
+
+    def counted(u, m):
+        for x in original(u, m):
+            inputs.append(x)
+            yield x
+
+    monkeypatch.setattr(subspace_enum, "matrices_with_column_space", counted)
+    return inputs
+
+
+def test_bruteforce_refuses_before_enumerating_every_input(monkeypatch):
+    # crd(2;3,3,3) has 512 inputs and far more than 10^5 degradations;
+    # the choice budget is checked as each column space's inputs are read
+    spec = cm.generate("custom_rank_dist", q=2, T=3, M=3, N=3,
+                       rank_pmf={1: Fraction(1, 3), 2: Fraction(1, 3),
+                                 3: Fraction(1, 3)})
+    core = transition_core(spec)
+    inputs = _counting_inputs(monkeypatch)
+    with pytest.raises(BudgetExceeded,
+                       match="^more than 100000 deterministic degradations$"):
+        ce.css_bruteforce(core)
+    assert 0 < len(inputs) < 2 ** 9
+
+
+def test_choice_searches_refuse_exactly_above_the_budget(monkeypatch):
+    # a search is refused iff its number of choices, the product of its
+    # group sizes, exceeds the budget; css_bruteforce stops reading inputs
+    # at the first column space whose group lifts the product past it
+    rng = random.Random(910)
+    inputs = _counting_inputs(monkeypatch)
+    checked = early = 0
+    for _ in range(50):
+        spec = cm.random_channel(rng, rng.choice([2, 3]), rng.randint(1, 2),
+                                 rng.randint(1, 2), rng.randint(1, 2),
+                                 max_support=4)
+        core = transition_core(spec)
+        columns = [(len(laws), len({frozenset(cm.column_space_law(law)
+                                              .items()) for _, law in laws}))
+                   for _, laws in cm.output_laws(core)]
+        rank_laws = {}
+        for u in core.input_classes():
+            rank_laws.setdefault(u.dim, set()).add(frozenset(
+                cm.cond_rank_given_rowspace(core, u).items()))
+        for search, sizes in (
+                (ce.css_bruteforce, [n for _, n in columns]),
+                (ce.css_alpha_lower, [len(s) for s in rank_laws.values()])):
+            total = math.prod(sizes)
+            if total > 64:
+                continue
+            assert search(core, budget=total).assignments_tried == total
+            budget = rng.randrange(total)
+            inputs.clear()
+            with pytest.raises(BudgetExceeded, match=f"^more than {budget} "):
+                search(core, budget=budget)
+            if search is ce.css_bruteforce:
+                read, product_so_far = 0, 1
+                for n_inputs, n_options in columns:
+                    read += n_inputs
+                    product_so_far *= n_options
+                    if product_so_far > budget:
+                        break
+                assert len(inputs) == read
+                early += read < sum(n for n, _ in columns)
+            checked += 1
+    assert checked > 75 and early > 20
 
 
 @pytest.mark.parametrize("T", [600, 4096])

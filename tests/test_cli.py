@@ -70,6 +70,15 @@ def test_gen_rejects_bad_rank_pmf(tmp_path, capsys):
         assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("size, value", [("--M", "-1"), ("--N", "-1"),
+                                         ("--T", "0")])
+def test_gen_rejects_a_size_below_one(tmp_path, capsys, size, value):
+    code = cli.main(["gen", "iid_uniform", "--q", "2", "--M", "2", "--N", "2",
+                     size, value, "-o", str(tmp_path / "chan.json")])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: T, M, N must be positive\n"
+
+
 def test_classify_schema(capsys):
     path = cli.fixture_path("table1.json")
     code, doc = _run_json(capsys, ["classify", path])
@@ -259,6 +268,20 @@ def test_subcommand_rejects_options_it_does_not_read(capsys, command,
 def test_subcommand_accepts_the_options_it_reads(command, option):
     args = cli._build_parser().parse_args(_argv(command, option))
     assert getattr(args, option[2:].replace("-", "_")) is not None
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("report", "--tol", "nan"), ("capacity", "--tol", "-1"),
+    ("bounds", "--tol", "inf"), ("capacity", "--max-iter", "0"),
+    ("css", "--budget", "0"), ("verify", "--trials", "-3")])
+def test_out_of_range_numeric_option_exits_2(capsys, command, option, value):
+    path = [] if command == "verify" else [cli.fixture_path("table1.json")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *path, option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: must be " in captured.err
 
 
 def test_report_without_convergence_gives_no_verdict(capsys):

@@ -102,6 +102,7 @@ def test_sort_key_orders_by_dimension_first():
     assert [u.dim for u in subs] == [0, 1, 1, 1, 2]
 
 
-def test_grassmannian_budget():
+def test_grassmannian_budget(monkeypatch):
+    monkeypatch.setattr(gf_core, "ENUM_BUDGET", 10)
     with pytest.raises(gf_core.BudgetExceeded):
-        list(enumerate_grassmannian(4, 8, F3, budget=10))
+        list(enumerate_grassmannian(4, 8, F3))
