@@ -21,6 +21,15 @@ tables with one matrix product per pair.
 
 Each table is indexed once, as it is built, by the row space of its
 entries (``TransitionCore.fibers``); every later consumer reads that.
+
+A channel file is read in one pass over its items (``spec_from_dict``):
+each H is checked as a whole (the types and lengths of its rows, the
+types of its entries, its least and greatest entry), each distinct mass
+string is parsed once, and ``ChannelSpec`` checks that the masses sum
+to 1 with one integer sum over the lcm of their denominators.  The ranks
+of the support come from one ``gf_core.sorted_ranks`` pass over the
+entry tuples in sorted order, which reduces only the rows below the
+prefix each matrix shares with the one before it.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20    # the most entries one class table may have
 INPUT_ENUM_BUDGET = 2 ** 24    # the most inputs one scan of them may visit
+SUPPORT_BUDGET = 2 ** 18       # the most support matrices generate may build
 
 ZERO = Fraction(0)
 
@@ -69,30 +79,37 @@ class ChannelSpec:
         _check_sizes(self.T, self.M, self.N)
         if not self.pmf_H:
             raise ChannelSpecError("empty transfer-matrix support")
-        total = ZERO
+        M, N, field = self.M, self.N, self.field
         for h, p in self.pmf_H.items():
-            if h.rows != self.M or h.cols != self.N:
+            if h.rows != M or h.cols != N:
                 raise ChannelSpecError(
                     f"support matrix has shape {h.rows}x{h.cols}, "
-                    f"expected {self.M}x{self.N}")
-            if h.field != self.field:
+                    f"expected {M}x{N}")
+            if h.field is not field and h.field != field:
                 raise ChannelSpecError("support matrix over the wrong field")
-            if p <= 0:
+            if p.numerator <= 0:
                 raise ChannelSpecError("probability masses must be positive")
-            total += p
+        total = _exact_sum(self.pmf_H.values())
         if total != 1:
             raise ChannelSpecError(f"PMF sums to {total}, not 1")
 
     def rank_pmf(self) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
+        """P(rank H = r), keyed in the order the ranks first occur in
+        pmf_H."""
+        keys = sorted(h.entries for h in self.pmf_H)
+        rank = dict(zip(keys, gf_core.sorted_ranks(self.field, self.N, keys)))
+        shells: Dict[int, list] = {}
         for h, p in self.pmf_H.items():
-            r = gf_core.rank(h)
-            out[r] = out.get(r, ZERO) + p
-        return out
+            shells.setdefault(rank[h.entries], []).append(p)
+        return {r: _exact_sum(masses) for r, masses in shells.items()}
 
-    def expected_rank(self) -> Fraction:
-        return sum((Fraction(r) * p for r, p in self.rank_pmf().items()),
-                   ZERO)
+
+def _exact_sum(masses) -> Fraction:
+    """The sum of a collection of rationals, as one integer sum over the
+    lcm of their denominators."""
+    denom = lcm(*{p.denominator for p in masses})
+    return Fraction(sum(p.numerator * (denom // p.denominator)
+                        for p in masses), denom)
 
 
 @dataclass
@@ -330,15 +347,10 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
         raise ChannelSpecError("N is required")
     _check_sizes(T, M, N)
     field = _channel_field(q)
-    pmf: Dict[MatrixGF, Fraction] = {}
     if kind == "iid_uniform":
-        mass = Fraction(1, q ** (M * N))
-        for h in gf_core.all_matrices(field, M, N):
-            pmf[h] = mass
+        support = q ** (M * N)
     elif kind == "full_rank_uniform":
-        count = qcomb.xi(M, M, q)
-        for d in gf_core.enumerate_full_rank(M, M, field):
-            pmf[d] = Fraction(1, count)
+        support = qcomb.xi(M, M, q)
     elif kind in ("uniform_given_rank", "custom_rank_dist"):
         if rank_pmf is None:
             raise ChannelSpecError(f"{kind} requires a rank PMF")
@@ -349,18 +361,31 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
             raise ChannelSpecError("rank PMF does not sum to 1")
         if any(r > min(M, N) or r < 0 for r, p in rank_pmf.items() if p > 0):
             raise ChannelSpecError("rank outside [0, min(M,N)]")
-        if kind == "uniform_given_rank":
-            pmf = _rank_shells(field, M, N, rank_pmf)
-        else:
-            for r, p in sorted(rank_pmf.items()):
-                if p == 0:
-                    continue
-                # Canonical rank-r matrix: identity block, zeros elsewhere.
-                ent = tuple(1 if (i == j and i < r) else 0
-                            for i in range(M) for j in range(N))
-                pmf[MatrixGF(field, M, N, ent)] = p
+        ranks = [r for r, p in sorted(rank_pmf.items()) if p > 0]
+        support = (sum(qcomb.xi2(M, N, r, q) for r in ranks)
+                   if kind == "uniform_given_rank" else len(ranks))
     else:
         raise ChannelSpecError(f"unknown generator kind {kind!r}")
+    if support > SUPPORT_BUDGET:
+        raise BudgetExceeded(f"{support} support matrices exceeds budget "
+                             f"{SUPPORT_BUDGET}")
+    pmf: Dict[MatrixGF, Fraction] = {}
+    if kind == "iid_uniform":
+        mass = Fraction(1, support)
+        for h in gf_core.all_matrices(field, M, N):
+            pmf[h] = mass
+    elif kind == "full_rank_uniform":
+        mass = Fraction(1, support)
+        for d in gf_core.enumerate_full_rank(M, M, field):
+            pmf[d] = mass
+    elif kind == "uniform_given_rank":
+        pmf = _rank_shells(field, M, N, {r: rank_pmf[r] for r in ranks})
+    else:
+        for r in ranks:
+            # Canonical rank-r matrix: identity block, zeros elsewhere.
+            ent = tuple(1 if (i == j and i < r) else 0
+                        for i in range(M) for j in range(N))
+            pmf[MatrixGF(field, M, N, ent)] = rank_pmf[r]
     return ChannelSpec(field, T, M, N, pmf)
 
 
@@ -373,15 +398,9 @@ def _rank_shells(field: FieldSpec, M: int, N: int,
     space and one full-column-rank M x r matrix C, so the shells are
     built without ranking the q^(M*N) matrices.
     """
-    q = field.q
-    ranks = [r for r, p in sorted(rank_pmf.items()) if p > 0]
-    support = sum(qcomb.xi2(M, N, r, q) for r in ranks)
-    if support > gf_core.ENUM_BUDGET:
-        raise BudgetExceeded(f"{support} support matrices exceeds budget "
-                             f"{gf_core.ENUM_BUDGET}")
     shells = []
-    for r in ranks:
-        share = rank_pmf[r] / qcomb.xi2(M, N, r, q)
+    for r, p in rank_pmf.items():
+        share = p / qcomb.xi2(M, N, r, field.q)
         factors = list(gf_core.enumerate_full_rank(M, r, field))
         for row_space in subspace_enum.enumerate_grassmannian(r, N, field):
             shells += [(mat_mul(c, row_space.basis), share) for c in factors]
@@ -416,21 +435,27 @@ def random_channel(rng, q: int, T: int, M: int, N: int,
 # must be distinct.  The integers are JSON integers, never booleans, and
 # H entries lie in [0, q): the loader reduces nothing mod q.
 
-def _parse_rational(s, where: str) -> Fraction:
+def _parse_rational(s, where: str, parsed: Dict[str, Fraction]) -> Fraction:
+    """The mass s of a pmf item; parsed maps each mass string already read
+    to its Fraction, so equal strings are parsed once and share it."""
     if type(s) is int:
         return Fraction(s)
+    if type(s) is str and s in parsed:
+        return parsed[s]
     if not isinstance(s, str) or not re.fullmatch(r"\d+(/\d+)?", s.strip()):
         raise ChannelSpecError(f"{where}: probability must be a rational "
                                f"string like \"1/6\", got {s!r}")
     try:
-        return Fraction(s)
+        p = parsed[s] = Fraction(s)
     except ZeroDivisionError as exc:
         raise ChannelSpecError(f"{where}: bad rational {s!r}: {exc}") from exc
+    return p
 
 
 def spec_from_dict(doc) -> ChannelSpec:
     """The ChannelSpec of a decoded document in the schema above; any
-    departure from it raises ChannelSpecError."""
+    departure from it raises ChannelSpecError, for the first item at
+    fault."""
     if not isinstance(doc, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
     for key, kind in (("q", int), ("T", int), ("M", int), ("N", int),
@@ -443,23 +468,30 @@ def spec_from_dict(doc) -> ChannelSpec:
     field = _channel_field(doc["q"])
     q, M, N = doc["q"], doc["M"], doc["N"]
     _check_sizes(doc["T"], M, N)
+    shape = f"H must have shape {M}x{N}, with integer entries in [0, {q})"
+    parsed: Dict[str, Fraction] = {}
     pmf: Dict[MatrixGF, Fraction] = {}
     for i, item in enumerate(doc["pmf"]):
         where = f"pmf[{i}]"
         if not isinstance(item, dict) or "H" not in item or "p" not in item:
             raise ChannelSpecError(f"{where}: needs keys 'H' and 'p'")
         rows = item["H"]
-        # files give entries in [0, q): nothing is reduced mod q
-        if not (type(rows) is list and len(rows) == M and all(
-                type(row) is list and len(row) == N and all(
-                    type(e) is int and 0 <= e < q for e in row)
-                for row in rows)):
-            raise ChannelSpecError(f"{where}: H must have shape {M}x{N}, "
-                                   f"with integer entries in [0, {q})")
-        h = MatrixGF(field, M, N, tuple(chain.from_iterable(rows)))
+        if not (type(rows) is list and len(rows) == M
+                and set(map(type, rows)) == {list}
+                and set(map(len, rows)) == {N}):
+            raise ChannelSpecError(f"{where}: {shape}")
+        ent = tuple(chain.from_iterable(rows))
+        if set(map(type, ent)) != {int}:
+            raise ChannelSpecError(f"{where}: {shape}")
+        try:
+            # MatrixGF checks min(ent) >= 0 and max(ent) < q: files give
+            # entries in [0, q), and nothing is reduced mod q
+            h = MatrixGF(field, M, N, ent)
+        except gf_core.GFError:
+            raise ChannelSpecError(f"{where}: {shape}") from None
         if h in pmf:
             raise ChannelSpecError(f"{where}: duplicate support matrix")
-        pmf[h] = _parse_rational(item["p"], where)
+        pmf[h] = _parse_rational(item["p"], where, parsed)
     return ChannelSpec(field, doc["T"], M, N, pmf)
 
 

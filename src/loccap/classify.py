@@ -81,23 +81,31 @@ def _lift(e: MatrixGF, t: int) -> list:
 
 
 def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
-    """True iff the transfer PMF is constant on each rank shell."""
+    """True iff the transfer PMF is constant on each rank shell.
+
+    The support is ranked in sorted entry order by one
+    ``gf_core.sorted_ranks`` pass; the witness is the least rank at
+    fault, with the first two matrices of unequal mass in that order.
+    """
+    items = sorted(spec.pmf_H.items(), key=lambda hp: hp[0].entries)
+    ranks = gf_core.sorted_ranks(spec.field, spec.N,
+                                 [h.entries for h, _ in items])
     by_rank: dict = {}
-    for h in sorted(spec.pmf_H, key=lambda m: m.entries):
-        by_rank.setdefault(gf_core.rank(h), []).append(h)
-    for r, mats in sorted(by_rank.items()):
-        first = mats[0]
-        for h in mats[1:]:
-            if spec.pmf_H[h] != spec.pmf_H[first]:
+    for r, hp in zip(ranks, items):
+        by_rank.setdefault(r, []).append(hp)
+    for r, shell_items in sorted(by_rank.items()):
+        first, p1 = shell_items[0]
+        for h, p in shell_items:
+            if p is not p1 and p != p1:
                 return PredicateResult(False, {
                     "reason": "unequal mass at equal rank",
                     "rank": r, "H1": first.to_lists(), "H2": h.to_lists(),
-                    "p1": str(spec.pmf_H[first]), "p2": str(spec.pmf_H[h])})
+                    "p1": str(p1), "p2": str(p)})
         shell = qcomb.xi2(spec.M, spec.N, r, spec.field.q)
-        if len(mats) != shell:
+        if len(shell_items) != shell:
             return PredicateResult(False, {
                 "reason": "rank shell only partially covered",
-                "rank": r, "support": len(mats), "shell_size": shell})
+                "rank": r, "support": len(shell_items), "shell_size": shell})
     return PredicateResult(True)
 
 

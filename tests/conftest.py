@@ -6,7 +6,9 @@ import pytest
 
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
+from loccap import gf_core, qcomb
 from loccap.cli import fixture_path
+from loccap.classify import PredicateResult
 from loccap.gf_core import BudgetExceeded
 
 FIXTURE_NAMES = ["table1.json", "table2.json", "example9.json",
@@ -48,3 +50,35 @@ def best_choice_unpruned(groups, tol, max_iter, budget, what):
         if best is None or res[0] > best[0]:
             best = res
     return best, tried
+
+
+def is_uniform_given_rank_reference(spec):
+    """The uniform-given-rank test with one ``gf_core.rank`` per support
+    matrix: the reference for ``classify.is_uniform_given_rank``."""
+    by_rank: dict = {}
+    for h in sorted(spec.pmf_H, key=lambda m: m.entries):
+        by_rank.setdefault(gf_core.rank(h), []).append(h)
+    for r, mats in sorted(by_rank.items()):
+        first = mats[0]
+        for h in mats[1:]:
+            if spec.pmf_H[h] != spec.pmf_H[first]:
+                return PredicateResult(False, {
+                    "reason": "unequal mass at equal rank",
+                    "rank": r, "H1": first.to_lists(), "H2": h.to_lists(),
+                    "p1": str(spec.pmf_H[first]), "p2": str(spec.pmf_H[h])})
+        shell = qcomb.xi2(spec.M, spec.N, r, spec.field.q)
+        if len(mats) != shell:
+            return PredicateResult(False, {
+                "reason": "rank shell only partially covered",
+                "rank": r, "support": len(mats), "shell_size": shell})
+    return PredicateResult(True)
+
+
+def rank_pmf_reference(spec):
+    """P(rank H = r) with one ``gf_core.rank`` per support matrix, keyed
+    in first-occurrence order: the reference for ``ChannelSpec.rank_pmf``."""
+    out: dict = {}
+    for h, p in spec.pmf_H.items():
+        r = gf_core.rank(h)
+        out[r] = out.get(r, 0) + p
+    return out

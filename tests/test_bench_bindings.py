@@ -5,6 +5,7 @@ benchmark; these tests fail first.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 import loccap
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
-from loccap import cli
+from loccap import classify as cls
+from loccap import cli, gf_core
 
 from conftest import best_choice_unpruned
 
@@ -74,3 +76,23 @@ def test_traced_report_records_the_report_handler(capsys):
         code = cli.main(["report", cli.fixture_path("example6.json")])
     assert code == cli.EXIT_OK
     assert _tr.calls(tracer.spans, "cli.cmd_report") == 1
+
+
+def test_uniform_given_rank_reduces_far_fewer_matrices_than_it_ranks(
+        monkeypatch):
+    # the rank kernel reuses the echelon basis of the rows each support
+    # matrix shares with the one before it, instead of reducing every
+    # matrix through gf_core.rank
+    spec = cm.generate("uniform_given_rank", q=2, T=1, M=3, N=3,
+                       rank_pmf={1: Fraction(1, 2), 3: Fraction(1, 2)})
+    original = gf_core.reduced_rows
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(gf_core, "reduced_rows", counted)
+    assert cls.is_uniform_given_rank(spec).holds
+    assert len(spec.pmf_H) == 217
+    assert len(calls) * 10 < len(spec.pmf_H)

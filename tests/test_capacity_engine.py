@@ -355,9 +355,14 @@ _BUDGET_CHECKS = [
         lambda: list(subspace_enum.enumerate_projective(1, 3, F2)),
         lambda: list(subspace_enum.matrices_with_column_space(
             span_rows(gf_core.identity(F2, 2)), 3)),
+        lambda: cm.generate("iid_uniform", q=2, M=2, N=2)]),
+    (cm, "SUPPORT_BUDGET", 1, [
         lambda: cm.generate("iid_uniform", q=2, M=2, N=2),
+        lambda: cm.generate("full_rank_uniform", q=2, M=2),
         lambda: cm.generate("uniform_given_rank", q=2, M=2, N=2,
-                            rank_pmf={1: 1})]),
+                            rank_pmf={1: 1}),
+        lambda: cm.generate("custom_rank_dist", q=2, M=2, N=2,
+                            rank_pmf={0: Fraction(1, 2), 2: Fraction(1, 2)})]),
     (cm, "CORE_TABLE_BUDGET", 15, [lambda: transition_core(_IID)]),
     (cm, "INPUT_ENUM_BUDGET", 15, [
         lambda: next(cm.output_laws(_IID_CORE)),
@@ -465,7 +470,7 @@ def test_capacity_grows_by_expected_rank_per_row(T):
     prev = cm.generate("iid_uniform", q=2, T=T - 1, M=2, N=2)
     growth = (ce.shannon_capacity(transition_core(spec)).value
               - ce.shannon_capacity(transition_core(prev)).value)
-    assert spec.expected_rank() == Fraction(21, 16)
+    assert sum(r * p for r, p in spec.rank_pmf().items()) == Fraction(21, 16)
     assert growth == pytest.approx(21 / 16, abs=1e-6)
     j, training, eps = ce.lemma_full_rank_decomposition(spec, T)
     assert j == pytest.approx(training + eps, abs=1e-9)

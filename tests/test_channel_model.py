@@ -175,6 +175,58 @@ def test_load_rejects_non_integers_and_out_of_range_entries(tmp_path, change,
         load_channel(_write(tmp_path, dict(BASE, **change)))
 
 
+def _doc(*items):
+    return {"q": 3, "T": 1, "M": 2, "N": 2,
+            "pmf": [{"H": h, "p": p} for h, p in items]}
+
+
+_A, _B, _C = [[0, 1], [1, 0]], [[0, 1], [2, 2]], [[1, 1], [0, 0]]
+_SHAPE = "H must have shape 2x2, with integer entries in [0, 3)"
+_RATIONAL = 'probability must be a rational string like "1/6", got '
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_doc((_A, "1/2"), ([[0, 1], [True, 0]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1.0], [1, 0]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1], ["1", 0]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1], [3, 0]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1], [-1, 0]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1], [1]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1, 1], [1]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1]], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ([[0, 1], "01"], "1/2")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), ({"0": [0, 1], "1": [1, 0]}, "1/2")),
+     f"pmf[1]: {_SHAPE}"),
+    (dict(_doc((_A, "1/2")), pmf=[{"H": _A, "p": "1/2"}, [_B, "1/2"]]),
+     "pmf[1]: needs keys 'H' and 'p'"),
+    (_doc((_A, "1/2"), (_A, "1/2")), "pmf[1]: duplicate support matrix"),
+    (_doc((_A, "1/2"), (_B, "0.5")), f"pmf[1]: {_RATIONAL}'0.5'"),
+    (_doc((_A, "1/2"), (_B, "1/0")),
+     "pmf[1]: bad rational '1/0': Fraction(1, 0)"),
+    (_doc((_A, 1), (_B, True)), f"pmf[1]: {_RATIONAL}True"),
+    (_doc((_A, 1), (_B, "1/2")), "PMF sums to 3/2, not 1"),
+    (_doc((_A, 0), (_B, 1)), "probability masses must be positive"),
+    (_doc((_A, "0/3"), (_B, "1")), "probability masses must be positive"),
+    (_doc((_A, "1/2"), (_B, "1/3")), "PMF sums to 5/6, not 1"),
+    # several faults: the first item at fault sets the message, and the
+    # masses are checked as a whole once every item has been read
+    (_doc((_A, "x"), ([[0, 1], [1]], "1/2")), f"pmf[0]: {_RATIONAL}'x'"),
+    (_doc((_A, "1/2"), ([[0, 1], [3, 0]], "1/0")), f"pmf[1]: {_SHAPE}"),
+    (_doc((_A, "1/2"), (_A, "1/0")), "pmf[1]: duplicate support matrix"),
+    (_doc((_A, "1/3"), (_A, "1/3"), ([[0, 7], [0, 0]], "1/3")),
+     "pmf[1]: duplicate support matrix"),
+    (_doc((_A, "0"), (_B, "1/2"), (_C, True)), f"pmf[2]: {_RATIONAL}True"),
+    (_doc((_A, "1/3"), (_B, "1/3"), ([[1.0, 0], [0, 0]], "1/3")),
+     f"pmf[2]: {_SHAPE}"),
+    (_doc((_A, "1/3"), (_B, "0"), (_C, "1/2")),
+     "probability masses must be positive"),
+])
+def test_loader_error_messages(doc, message):
+    with pytest.raises(ChannelSpecError) as exc:
+        cm.spec_from_dict(doc)
+    assert str(exc.value) == message
+
+
 def test_load_rejects_non_object_document(tmp_path):
     with pytest.raises(ChannelSpecError, match="JSON object"):
         load_channel(_write(tmp_path, [BASE]))

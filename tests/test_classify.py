@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from loccap import channel_model as cm
 from loccap import classify as cls
+from loccap import gf_core
 from loccap.channel_model import transition_core
-from loccap.gf_core import FieldSpec, matrix
+from loccap.gf_core import FieldSpec, MatrixGF, matrix
 
-from conftest import random_small_channel
+from conftest import (is_uniform_given_rank_reference, random_small_channel,
+                      rank_pmf_reference)
 
 F2 = FieldSpec(2)
 
@@ -108,3 +112,81 @@ def test_rank_symmetric_example_has_degraded_flag(fixtures):
     report = cls.classify(spec, core)
     assert report.degraded.holds
     assert report.unique_subspace_degradation.holds
+
+
+def _prefix_sharing_channel(rng):
+    """A random T=1 channel whose support matrices share their top rows,
+    keyed in shuffled order, with masses of few distinct values."""
+    q = rng.choice([2, 3, 5, 7])
+    M, N = rng.randint(1, 4), rng.randint(1, 4)
+    field = FieldSpec(q)
+
+    def row():
+        return tuple(rng.randrange(q) for _ in range(N))
+
+    tops = [[row() for _ in range(M - 1)] for _ in range(rng.randint(1, 3))]
+    chosen = set()
+    for _ in range(rng.randint(1, 12)):
+        top = list(rng.choice(tops))
+        if top and rng.random() < 0.3:
+            top[rng.randrange(len(top))] = row()
+        chosen.add(tuple(chain(*top, row())))
+    keys = sorted(chosen)
+    rng.shuffle(keys)
+    weights = [rng.choice([1, 1, 2]) for _ in keys]
+    pmf = {MatrixGF(field, M, N, e): Fraction(w, sum(weights))
+           for e, w in zip(keys, weights)}
+    return cm.ChannelSpec(field, 1, M, N, pmf)
+
+
+def test_uniform_given_rank_equals_the_per_matrix_reference():
+    rng = random.Random(10)
+    outcomes = Counter()
+    for _ in range(1000):
+        spec = _prefix_sharing_channel(rng)
+        got = cls.is_uniform_given_rank(spec)
+        assert got == is_uniform_given_rank_reference(spec)
+        outcomes[got.witness["reason"] if got.witness else "holds"] += 1
+        assert list(spec.rank_pmf().items()) == \
+            list(rank_pmf_reference(spec).items())
+        keys = [h.entries for h in spec.pmf_H]
+        want = [gf_core.rank(h) for h in spec.pmf_H]
+        assert gf_core.sorted_ranks(spec.field, spec.N, keys) == want
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        assert gf_core.sorted_ranks(spec.field, spec.N,
+                                    [keys[i] for i in order]) == \
+            [want[i] for i in order]
+    assert min(outcomes[k] for k in (
+        "holds", "unequal mass at equal rank",
+        "rank shell only partially covered")) > 10
+
+
+def test_uniform_given_rank_equals_the_reference_on_rank_families():
+    rng = random.Random(11)
+    outcomes = Counter()
+    for _ in range(60):
+        q, M, N = rng.choice([2, 3]), rng.randint(1, 3), rng.randint(1, 3)
+        if q == 3 and M * N > 6:
+            continue
+        weights = [rng.randint(0, 2) for _ in range(min(M, N) + 1)]
+        weights[rng.randrange(len(weights))] += 1
+        pmf = {r: Fraction(w, sum(weights)) for r, w in enumerate(weights)
+               if w}
+        kind = rng.choice(["uniform_given_rank", "custom_rank_dist"])
+        spec = cm.generate(kind, q=q, M=M, N=N, rank_pmf=pmf)
+        specs = [spec]
+        shells = {}
+        for h in spec.pmf_H:
+            shells.setdefault(gf_core.rank(h), []).append(h)
+        wide = [hs for hs in shells.values() if len(hs) > 1]
+        if wide:
+            # move mass between two matrices of one rank shell
+            h1, h2 = rng.sample(rng.choice(wide), 2)
+            moved = dict(spec.pmf_H)
+            moved[h1], moved[h2] = moved[h1] / 2, moved[h2] + moved[h1] / 2
+            specs.append(cm.ChannelSpec(spec.field, 1, M, N, moved))
+        for s in specs:
+            got = cls.is_uniform_given_rank(s)
+            assert got == is_uniform_given_rank_reference(s)
+            outcomes[got.witness["reason"] if got.witness else "holds"] += 1
+    assert len(outcomes) == 3

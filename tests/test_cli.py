@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,20 @@ def test_gen_rejects_a_size_below_one(tmp_path, capsys, size, value):
                      size, value, "-o", str(tmp_path / "chan.json")])
     assert code == cli.EXIT_INPUT
     assert capsys.readouterr().err == "error: T, M, N must be positive\n"
+
+
+def test_gen_refuses_a_support_over_budget_at_once(tmp_path, capsys):
+    # 9,999,360 invertible 5x5 matrices over F_2: refused from the closed
+    # form before any is enumerated
+    out = tmp_path / "chan.json"
+    start = time.perf_counter()
+    code = cli.main(["gen", "full_rank_uniform", "--q", "2", "--M", "5",
+                     "-o", str(out)])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: 9999360 support matrices exceeds budget 262144\n")
+    assert not out.exists()
 
 
 def test_classify_schema(capsys):
