@@ -7,11 +7,15 @@ per subspace of F^M (dimension at most min(T, M)).  For such inputs
 the whole mutual information collapses onto the exact per-class tables
 of D_U @ H, which keeps the alphabet tiny even when q^(T M) is not.
 
-Subspace-coding capacity has three modes (``CSS_MODES`` adds "auto",
-which picks "unique" or "bruteforce").  "alpha" searches one row-space
+Subspace-coding capacity has three modes (``CSS_MODES`` adds "auto":
+"unique", falling back to "bruteforce").  "alpha" searches one row-space
 class per input rank: a lower bound in general.  "unique" is that search
-on a channel with a unique subspace degradation, where it has a single
-choice and its convex optimum is the capacity.  "bruteforce" maximizes
+on a channel with a unique subspace degradation (USD), where it has a
+single choice and its convex optimum is the capacity.  A USD means one
+exact law of rank E per class dimension: rank E = 0 iff E = 0, so one
+law gives one zero mass P_U(E = 0), which ``classify`` tests; conversely
+the zero masses fix the laws of colspace(E) (see ``classify``'s USD
+test), and so of rank E.  "bruteforce" maximizes
 over deterministic degradations, one input matrix per input column
 space.  The searches share one loop, ``_best_choice``, which runs
 Blahut-Arimoto on every choice of one option per group and keeps the
@@ -58,6 +62,10 @@ class NonMonotoneBound(AssertionError):
     a numerical fault of the optimizer, with no result to report."""
 
 
+class NoUniqueDegradation(ValueError):
+    """``css_unique`` on a channel without a unique subspace degradation."""
+
+
 # ---------------------------------------------------------------------------
 # Result containers.
 
@@ -80,9 +88,6 @@ class CssResult:
     mode: str
     rank_pmf: Optional[Dict[int, float]] = None
     assignments_tried: int = 1
-    # for the exhaustive mode: per input column space, every candidate
-    # representative with its induced subspace law
-    degradations: Optional[list] = None
 
 
 @dataclass
@@ -372,26 +377,28 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
 # ---------------------------------------------------------------------------
 # Subspace coding.
 
-def r_of_class(core: TransitionCore, u: Subspace) -> float:
-    """Achievable subspace-coding rate of the constant input class u."""
-    return j_rank(rank_joint(core, {u: 1}), core.spec.T, core.spec.field.q)
+def _rank_laws(core: TransitionCore) -> Dict[int, dict]:
+    """Per input rank r, the distinct exact laws of rank Y that the
+    classes of dimension r give, in class order."""
+    by_rank: Dict[int, dict] = {}
+    for u in core.input_classes():
+        law = cond_rank_given_rowspace(core, u)
+        by_rank.setdefault(u.dim, {}).setdefault(frozenset(law.items()), law)
+    return by_rank
 
 
 def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> CssResult:
     """Subspace coding capacity for channels with a unique subspace
-    degradation, via convex rank-domain optimization.
-
-    There every class of dimension r has the same output rank law (see
-    ``classify.has_unique_subspace_degradation``), so the per-rank search
-    of ``css_alpha_lower`` has exactly one assignment, and its optimum
-    is the capacity.
-    """
-    if not classify_mod.has_unique_subspace_degradation(core):
-        raise ValueError(
+    degradation, via convex rank-domain optimization.  Its rank laws are
+    compared exactly, never as float rows, which can merge them."""
+    by_rank = _rank_laws(core)
+    if any(len(laws) > 1 for laws in by_rank.values()):
+        raise NoUniqueDegradation(
             "subspace channel depends on the input representative; "
             "the rank-domain optimization does not apply")
-    res = css_alpha_lower(core, tol, max_iter)
+    res = _rank_search(core, by_rank, tol, max_iter,
+                       DEFAULT_ASSIGNMENT_BUDGET)
     res.mode = "unique"
     return res
 
@@ -442,17 +449,26 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
     a lower bound on the subspace coding capacity, tight for channels
     with a representative independent subspace channel.
     """
-    by_rank: Dict[int, list] = {}
-    for u in core.input_classes():
-        row = cond_rank_given_rowspace(core, u)
-        entry = (_float_row(row), r_of_class(core, u))
-        options = by_rank.setdefault(u.dim, [])
-        if entry not in options:
-            options.append(entry)
+    return _rank_search(core, _rank_laws(core), tol, max_iter, budget)
+
+
+def _rank_search(core: TransitionCore, by_rank: Dict[int, dict], tol: float,
+                 max_iter: int, budget: int) -> CssResult:
+    """The search of ``css_alpha_lower`` over ``_rank_laws``: the options
+    of rank r are the distinct (float row, rate) pairs of its laws."""
+    T, q = core.spec.T, core.spec.field.q
     ranks = sorted(by_rank)
+    groups = []
+    for r in ranks:
+        options = []
+        for law in by_rank[r].values():
+            entry = (_float_row(law),
+                     j_rank({(r, s): p for s, p in law.items()}, T, q))
+            if entry not in options:
+                options.append(entry)
+        groups.append(options)
     (value, pmf, gap, its, ok), tried = _best_choice(
-        [by_rank[r] for r in ranks], tol, max_iter, budget,
-        "per-rank class assignments")
+        groups, tol, max_iter, budget, "per-rank class assignments")
     return CssResult(value, gap, its, ok, "alpha",
                      rank_pmf=dict(zip(ranks, pmf)), assignments_tried=tried)
 
@@ -468,25 +484,24 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
     output subspaces are numbered as they are met.
     """
     v_index: Dict[Subspace, int] = {}
-    degradations = []
+    dims = []   # the dimension of each input column space read
 
     def groups():
         for w, laws in output_laws(core):
-            candidates = [(x, column_space_law(law)) for x, law in laws]
             rows = {}
-            for _, v_law in candidates:
+            for _, law in laws:
                 row = {v_index.setdefault(v, len(v_index)): p
-                       for v, p in v_law.items()}
+                       for v, p in column_space_law(law).items()}
                 rows.setdefault(frozenset(row.items()), row)
-            degradations.append((w, candidates))
+            dims.append(w.dim)
             yield [(_float_row(row), 0.0) for row in rows.values()]
     (value, pmf, gap, its, ok), tried = _best_choice(
         groups(), tol, max_iter, budget, "deterministic degradations")
     rank_pmf: Dict[int, float] = {}
-    for (w, _), p in zip(degradations, pmf):
-        rank_pmf[w.dim] = rank_pmf.get(w.dim, 0.0) + p
+    for r, p in zip(dims, pmf):
+        rank_pmf[r] = rank_pmf.get(r, 0.0) + p
     return CssResult(value, gap, its, ok, "bruteforce", rank_pmf=rank_pmf,
-                     assignments_tried=tried, degradations=degradations)
+                     assignments_tried=tried)
 
 
 CSS_MODES = ("auto", "unique", "alpha", "bruteforce")
@@ -497,19 +512,17 @@ def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
                              max_iter: int = DEFAULT_MAX_ITER,
                              budget: int = DEFAULT_ASSIGNMENT_BUDGET
                              ) -> CssResult:
-    """C_ss by one of CSS_MODES.
-
-    "auto" takes the rank-domain optimization when the subspace channel
-    is representative independent and the exhaustive search otherwise.
-    """
+    """C_ss by one of CSS_MODES; "auto" falls back from ``css_unique``
+    to ``css_bruteforce`` on a channel without a USD."""
     if mode not in CSS_MODES:
         raise ValueError(f"unknown css mode {mode!r}")
-    if mode == "auto":
-        mode = ("unique" if classify_mod.has_unique_subspace_degradation(core)
-                else "bruteforce")
-    if mode == "unique":
-        return css_unique(core, tol, max_iter)
-    if mode == "alpha":
+    if mode in ("auto", "unique"):
+        try:
+            return css_unique(core, tol, max_iter)
+        except NoUniqueDegradation:
+            if mode == "unique":
+                raise
+    elif mode == "alpha":
         return css_alpha_lower(core, tol, max_iter, budget)
     return css_bruteforce(core, tol, max_iter, budget)
 

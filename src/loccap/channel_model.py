@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain, repeat
@@ -153,8 +152,7 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     """Tabulate the exact distribution of D_U @ H for every class U.
 
     Row i of E is the unreduced int sum over k of D_U[i, k] * (packed
-    row k of H); a basis row that several classes share is multiplied
-    out once.  Table keys keep the order of the first H in pmf_H that
+    row k of H).  Table keys keep the order of the first H in pmf_H that
     gives each E, as in ``oracle.transition_core_reference``.
     """
     q, N = spec.field.q, spec.N
@@ -179,25 +177,19 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
             row = list(map(add, row, map(lshift, map(itemgetter(j), entries),
                                          repeat(s))))
         packed.append(row)
-    uses = Counter(v for u in classes for v in _basis_rows(u))
-    shared: Dict[Tuple[int, ...], list] = {}
 
     def row_product(v):
         """[row of v @ H, unreduced] over the support, in pmf_H order."""
-        uses[v] -= 1
-        out = shared.pop(v, None) if uses[v] == 0 else shared.get(v)
-        if out is None:
-            for c, rows in zip(v, packed):
-                if c:
-                    term = rows if c == 1 else [c * x for x in rows]
-                    out = term if out is None else list(map(add, out, term))
-            if uses[v]:
-                shared[v] = out
+        out = None
+        for c, rows in zip(v, packed):
+            if c:
+                term = rows if c == 1 else [c * x for x in rows]
+                out = term if out is None else list(map(add, out, term))
         return out
 
     core = TransitionCore(spec)
     for u in classes:
-        products = [row_product(v) for v in _basis_rows(u)]
+        products = [row_product(u.basis.row(i)) for i in range(u.dim)]
         acc: Dict[Tuple[int, ...], int] = {}
         for key, w in zip(zip(*products) if products else repeat(()),
                           weights):
@@ -210,10 +202,6 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
                                  for e, w in merged.items()}
         core.fibers[u] = index_fibers(spec, u, dist)
     return core
-
-
-def _basis_rows(u: Subspace):
-    return [u.basis.row(i) for i in range(u.dim)]
 
 
 def index_fibers(spec: ChannelSpec, u: Subspace,
@@ -347,10 +335,12 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
         raise ChannelSpecError("N is required")
     _check_sizes(T, M, N)
     field = _channel_field(q)
+    what = "support matrices"
     if kind == "iid_uniform":
+        gf_core.check_power(q, M * N, SUPPORT_BUDGET, what)
         support = q ** (M * N)
     elif kind == "full_rank_uniform":
-        support = qcomb.xi(M, M, q)
+        support = gf_core.bounded_xi(M, M, q, SUPPORT_BUDGET, what)
     elif kind in ("uniform_given_rank", "custom_rank_dist"):
         if rank_pmf is None:
             raise ChannelSpecError(f"{kind} requires a rank PMF")
@@ -362,22 +352,24 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
         if any(r > min(M, N) or r < 0 for r, p in rank_pmf.items() if p > 0):
             raise ChannelSpecError("rank outside [0, min(M,N)]")
         ranks = [r for r, p in sorted(rank_pmf.items()) if p > 0]
-        support = (sum(qcomb.xi2(M, N, r, q) for r in ranks)
-                   if kind == "uniform_given_rank" else len(ranks))
+        support = len(ranks)
+        if kind == "uniform_given_rank":
+            # the rank-r shell holds at least xi(max(M, N), r) matrices
+            for r in ranks:
+                gf_core.bounded_xi(max(M, N), r, q, SUPPORT_BUDGET, what)
+            support = sum(qcomb.xi2(M, N, r, q) for r in ranks)
     else:
         raise ChannelSpecError(f"unknown generator kind {kind!r}")
     if support > SUPPORT_BUDGET:
-        raise BudgetExceeded(f"{support} support matrices exceeds budget "
+        raise BudgetExceeded(f"{support} {what} exceeds budget "
                              f"{SUPPORT_BUDGET}")
     pmf: Dict[MatrixGF, Fraction] = {}
     if kind == "iid_uniform":
-        mass = Fraction(1, support)
-        for h in gf_core.all_matrices(field, M, N):
-            pmf[h] = mass
+        pmf = dict.fromkeys(gf_core.all_matrices(field, M, N),
+                            Fraction(1, support))
     elif kind == "full_rank_uniform":
-        mass = Fraction(1, support)
-        for d in gf_core.enumerate_full_rank(M, M, field):
-            pmf[d] = mass
+        pmf = dict.fromkeys(gf_core.enumerate_full_rank(M, M, field),
+                            Fraction(1, support))
     elif kind == "uniform_given_rank":
         pmf = _rank_shells(field, M, N, {r: rank_pmf[r] for r in ranks})
     else:

@@ -42,20 +42,10 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _frac(p) -> str:
-    p = Fraction(p)
-    return f"{p.numerator}/{p.denominator}"
-
-
-def _subspace_json(u) -> dict:
-    return {"dim": u.dim, "basis": u.basis.to_lists()}
-
-
 def _alpha_json(alpha) -> list:
-    out = []
-    for u in sorted(alpha, key=lambda s: s.sort_key()):
-        out.append({"subspace": _subspace_json(u), "p": _fmt(alpha[u])})
-    return out
+    return [{"subspace": {"dim": u.dim, "basis": u.basis.to_lists()},
+             "p": _fmt(alpha[u])}
+            for u in sorted(alpha, key=lambda s: s.sort_key())]
 
 
 def _cap_json(res: ce.CapacityResult, with_alpha: bool = True) -> dict:
@@ -68,23 +58,11 @@ def _cap_json(res: ce.CapacityResult, with_alpha: bool = True) -> dict:
 
 
 def _css_json(res: ce.CssResult) -> dict:
-    doc = {"value": _fmt(res.value), "gap": _fmt(res.gap),
-           "iterations": res.iterations, "converged": res.converged,
-           "mode": res.mode, "assignments_tried": res.assignments_tried}
+    doc = _cap_json(res, with_alpha=False)
+    doc["assignments_tried"] = res.assignments_tried
     if res.rank_pmf is not None:
         doc["rank_achiever"] = {str(r): _fmt(p)
                                 for r, p in sorted(res.rank_pmf.items())}
-    if res.degradations is not None:
-        doc["degradations"] = [
-            {"column_space": _subspace_json(w),
-             "candidates": [
-                 {"X": x.to_lists(),
-                  "law": [{"V": _subspace_json(v), "p": _frac(p)}
-                          for v, p in sorted(row.items(),
-                                             key=lambda kv:
-                                             kv[0].sort_key())]}
-                 for x, row in cands]}
-            for w, cands in res.degradations]
     return doc
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain, product
 from typing import Iterator
 
+from . import qcomb
+
 ENUM_BUDGET = 10**7     # the most matrices or subspaces one enumeration yields
 
 
@@ -38,6 +40,23 @@ class NotFullColumnRank(GFError):
 
 class BudgetExceeded(GFError):
     """An enumeration would exceed the configured element budget."""
+
+
+def check_power(q: int, e: int, budget: int, what: str) -> None:
+    """Refuse q^e items of ``what`` over budget, by the exponent: q^e
+    exceeds the budget once e reaches its bit length."""
+    if q ** min(e, budget.bit_length()) > budget:
+        raise BudgetExceeded(f"{q}^{e} {what} exceeds budget {budget}")
+
+
+def bounded_xi(m: int, r: int, q: int, budget: int, what: str) -> int:
+    """xi(m, r, q) for r <= m, a product of r factors q^m - q^i that are
+    each at least q^(m-1).  If q^(m-1) is over budget, it is refused as
+    q^((m-1) r) or more; otherwise its factors are at most q * budget."""
+    if r and q ** min(m - 1, budget.bit_length()) > budget:
+        raise BudgetExceeded(f"{q}^{(m - 1) * r} or more {what} exceeds "
+                             f"budget {budget}")
+    return qcomb.xi(m, r, q)
 
 
 def _is_prime(n: int) -> bool:
@@ -290,9 +309,7 @@ def solve_factor(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 def all_matrices(field: FieldSpec, rows: int,
                  cols: int) -> Iterator[MatrixGF]:
     """Yield every rows x cols matrix over the field, lexicographically."""
-    total = field.q ** (rows * cols)
-    if total > ENUM_BUDGET:
-        raise BudgetExceeded(f"{total} matrices exceeds budget {ENUM_BUDGET}")
+    check_power(field.q, rows * cols, ENUM_BUDGET, "matrices")
     for ent in product(range(field.q), repeat=rows * cols):
         yield MatrixGF(field, rows, cols, ent)
 
@@ -307,9 +324,7 @@ def enumerate_full_rank(t: int, r: int,
     if r < 0 or r > t:
         return
     q = field.q
-    count = 1
-    for i in range(r):
-        count *= q ** t - q ** i
+    count = bounded_xi(t, r, q, ENUM_BUDGET, "matrices")
     if count > ENUM_BUDGET:
         raise BudgetExceeded(f"{count} matrices exceeds budget {ENUM_BUDGET}")
 

@@ -434,6 +434,48 @@ def test_criterion_10d_unique_degradation_css_is_one_assignment(capsys):
         assert usd >= 100, usd
 
 
+def _rank_law_channel(rng):
+    # rank families (half of them with a USD) where their support is small
+    q = rng.choice([2, 3])
+    T, M, N = (rng.randint(1, 3) for _ in range(3))
+    if rng.random() < 0.5 or q ** (M * N) > 512:
+        return cm.random_channel(rng, q, T, M, N, max_support=6)
+    weights = [rng.randint(0, 2) for _ in range(min(M, N) + 1)]
+    if not any(weights):
+        weights[-1] = 1
+    pmf = {r: Fraction(w, sum(weights)) for r, w in enumerate(weights) if w}
+    family = rng.choice(["uniform_given_rank", "custom_rank_dist"])
+    return cm.generate(family, q=q, M=M, N=N, T=T, rank_pmf=pmf)
+
+
+def test_criterion_10f_usd_iff_one_rank_law_per_rank(capsys, monkeypatch):
+    with _Gate(capsys, "criterion 10f: a channel has a unique subspace "
+                       "degradation iff each input rank has one exact law "
+                       "of rank Y, and the auto and unique C_ss modes "
+                       "follow it, on 1000 channels"):
+        # only the dispatch is checked here: brute force is stubbed, and
+        # the rank-domain run need not be tight
+        monkeypatch.setattr(ce, "css_bruteforce", lambda core, *args:
+                            ce.CssResult(0.0, 0.0, 0, True, "bruteforce"))
+        rng = random.Random(1013)
+        usd = 0
+        for _ in range(1000):
+            core = transition_core(_rank_law_channel(rng))
+            flag = cls.has_unique_subspace_degradation(core).holds
+            laws = {}
+            for u in core.input_classes():
+                laws.setdefault(u.dim, set()).add(frozenset(
+                    cm.cond_rank_given_rowspace(core, u).items()))
+            assert flag == all(len(s) == 1 for s in laws.values()), core.spec
+            auto = ce.subspace_coding_capacity(core, "auto", 1e-4)
+            assert auto.mode == ("unique" if flag else "bruteforce")
+            if not flag:
+                with pytest.raises(ce.NoUniqueDegradation):
+                    ce.css_unique(core)
+            usd += flag
+        assert 300 <= usd <= 700, usd
+
+
 def test_criterion_11_css_below_capacity(capsys, fixtures):
     with _Gate(capsys, "criterion 11: subspace-coding capacity never "
                        "exceeds the Shannon capacity"):

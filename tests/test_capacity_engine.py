@@ -239,14 +239,6 @@ def test_css_unique_refuses_multiple_degradations(fixtures):
         ce.css_unique(core)
 
 
-def test_css_bruteforce_lists_all_representatives(fixtures):
-    spec, core = fixtures["example6.json"]
-    res = ce.css_bruteforce(core, 1e-10)
-    by_dim = {w.dim: cands for w, cands in res.degradations}
-    assert len(by_dim[0]) == 1
-    assert len(by_dim[1]) == 3   # one candidate per nonzero input vector
-
-
 def test_ba_rows_are_keyed_by_int(fixtures, monkeypatch):
     # a Subspace key hashes its MatrixGF basis on every lookup, which made
     # a Subspace-keyed Blahut-Arimoto several times slower
@@ -477,10 +469,11 @@ def test_capacity_grows_by_expected_rank_per_row(T):
     assert 0 <= eps < 1.8
 
 
-def test_r_of_class_zero_for_trivial_input(fixtures):
+def test_j_rank_zero_for_trivial_input(fixtures):
     spec, core = fixtures["table1.json"]
     trivial = next(u for u in core.input_classes() if u.dim == 0)
-    assert ce.r_of_class(core, trivial) == 0.0
+    joint = cm.rank_joint(core, {trivial: 1})
+    assert ce.j_rank(joint, spec.T, spec.field.q) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +533,58 @@ def test_report_ranks_each_table_entry_at_most_once(monkeypatch, kind,
         calls.append(1)
         return original(a)
 
+    _rebind_everywhere(monkeypatch, original, counted)
+    rep = ce.capacity_report(spec)
+    assert all(rep.classes.flags().values())
+    assert 0 < len(calls) <= entries
+
+
+def _rebind_everywhere(monkeypatch, original, replacement):
+    """Bind replacement wherever a loaded loccap module binds original."""
     for name, module in list(sys.modules.items()):
         if name == "loccap" or name.startswith("loccap."):
             for key, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, counted)
-    rep = ce.capacity_report(spec)
-    assert all(rep.classes.flags().values())
-    assert 0 < len(calls) <= entries
+                    monkeypatch.setattr(module, key, replacement)
+
+
+@pytest.mark.parametrize("name, mode", [("table1.json", "unique"),
+                                        ("example9.json", "unique"),
+                                        ("table2.json", "bruteforce"),
+                                        ("example6.json", "bruteforce")])
+def test_auto_report_decides_usd_once_and_ranks_each_class_once(
+        monkeypatch, fixtures, name, mode):
+    # classify decides USD; the C_ss step builds each class's rank law
+    # once, whether it then runs the rank-domain search or brute force
+    spec, core = fixtures[name]
+    usd_calls, ranked, in_css = [], [], []
+    usd, rank_law = cls.has_unique_subspace_degradation, \
+        cm.cond_rank_given_rowspace
+    dispatch = ce.subspace_coding_capacity
+
+    def counted_usd(c):
+        usd_calls.append(1)
+        return usd(c)
+
+    def counted_rank_law(c, u):
+        if in_css:
+            ranked.append(u)
+        return rank_law(c, u)
+
+    def traced_dispatch(*args):
+        in_css.append(1)
+        try:
+            return dispatch(*args)
+        finally:
+            in_css.pop()
+
+    _rebind_everywhere(monkeypatch, usd, counted_usd)
+    _rebind_everywhere(monkeypatch, rank_law, counted_rank_law)
+    monkeypatch.setattr(ce, "subspace_coding_capacity", traced_dispatch)
+    rep = ce.capacity_report(spec, core=core)
+    assert rep.css.mode == mode
+    assert len(usd_calls) == 1
+    assert sorted(ranked, key=lambda u: u.sort_key()) == core.input_classes()
 
 
 def test_table2_achiever(fixtures):

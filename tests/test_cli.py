@@ -94,6 +94,50 @@ def test_gen_refuses_a_support_over_budget_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["iid_uniform", "--q", "2", "--M", "120", "--N", "120"], "2^14400"),
+    (["iid_uniform", "--q", "2", "--M", "5", "--N", "5"], "2^25"),
+    (["full_rank_uniform", "--q", "2", "--M", "3000"], "2^8997000 or more"),
+    (["uniform_given_rank", "--q", "3", "--M", "2", "--N", "3000",
+      "--rank-pmf", "2:1"], "3^5998 or more"),
+])
+def test_gen_prints_a_huge_support_as_a_power(tmp_path, capsys, argv, count):
+    # q^(M N) is compared by its exponent, and xi(M, M) is refused from a
+    # power below it, so no count of thousands of digits is built
+    out = tmp_path / "chan.json"
+    start = time.perf_counter()
+    code = cli.main(["gen", *argv, "-o", str(out)])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        f"budget exceeded: {count} support matrices exceeds budget 262144\n")
+    assert not out.exists()
+
+
+def test_rank_laws_apart_below_float_resolution_have_no_usd(tmp_path,
+                                                            capsys):
+    # T=1, M=2, N=1: the classes span(0,1) and span(1,1) put 1/2 +- 1e-30
+    # on E = 0, which the float rows of the per-rank search merge
+    tiny = Fraction(1, 10 ** 30)
+    masses = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 4) + tiny,
+              Fraction(1, 4) - tiny]
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"q": 2, "T": 1, "M": 2, "N": 1, "pmf": [
+        {"H": h, "p": f"{p.numerator}/{p.denominator}"}
+        for h, p in zip([[[0], [0]], [[0], [1]], [[1], [0]], [[1], [1]]],
+                        masses)]}))
+    assert ce.css_alpha_lower(cm.transition_core(
+        cm.load_channel(path))).assignments_tried == 1
+    code, doc = _run_json(capsys, ["report", str(path)])
+    assert code == cli.EXIT_OK
+    assert not doc["flags"]["unique_subspace_degradation"]
+    assert doc["C_ss"]["mode"] == "bruteforce"
+    code = cli.main(["css", str(path), "--mode", "unique"])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        "error: subspace channel depends on the input representative")
+
+
 def test_classify_schema(capsys):
     path = cli.fixture_path("table1.json")
     code, doc = _run_json(capsys, ["classify", path])
@@ -132,19 +176,6 @@ def test_report_verdict_and_csv(tmp_path, capsys):
     assert lines[0] == "quantity,value,mode,gap"
     assert any(line.startswith("C,") for line in lines[1:])
     assert any(line.startswith("C_ss,") for line in lines[1:])
-
-
-def test_css_bruteforce_lists_candidates(capsys):
-    path = cli.fixture_path("example6.json")
-    code, doc = _run_json(capsys, ["css", path, "--mode", "bruteforce"])
-    assert code == 0
-    by_dim = {d["column_space"]["dim"]: d["candidates"]
-              for d in doc["C_ss"]["degradations"]}
-    assert len(by_dim[1]) == 3
-    # each candidate carries an exact law over output subspaces
-    from fractions import Fraction
-    for cand in by_dim[1]:
-        assert sum(Fraction(e["p"]) for e in cand["law"]) == 1
 
 
 def test_bounds_subcommand(capsys):
