@@ -310,22 +310,22 @@ def j_rank(joint: Dict[Tuple[int, int], object], T: int, q: int) -> float:
     return out
 
 
-def lemma_full_rank_decomposition(spec: ChannelSpec, T: int):
+def lemma_full_rank_decomposition(spec: ChannelSpec):
     """For T >= M and full-rank inputs the rank-interaction rate splits
     into a channel-training part plus a bounded correction.
 
     Returns (j, training, eps) with j = training + eps, training =
     (T - M) E[rank H] log2 q, and eps in [0, 1.8).
     """
-    if T < spec.M:
+    if spec.T < spec.M:
         raise ValueError("requires T >= M")
     q = spec.field.q
     rank_pmf = spec.rank_pmf()
     joint = {(spec.M, s): p for s, p in rank_pmf.items()}
-    j = j_rank(joint, T, q)
+    j = j_rank(joint, spec.T, q)
     expected_rank = sum(s * p for s, p in rank_pmf.items())
-    training = (T - spec.M) * float(expected_rank) * LOG2(q)
-    eps = qcomb.epsilon_term(rank_pmf, T, spec.M, q)
+    training = (spec.T - spec.M) * float(expected_rank) * LOG2(q)
+    eps = qcomb.epsilon_term(rank_pmf, spec.T, spec.M, q)
     return j, training, eps
 
 

@@ -24,11 +24,12 @@ entries (``TransitionCore.fibers``); every later consumer reads that.
 
 A channel file is read in one pass over its items (``spec_from_dict``):
 each H is checked as a whole (the types and lengths of its rows, the
-types of its entries, its least and greatest entry), each distinct mass
-string is parsed once, and ``ChannelSpec`` checks that the masses sum
-to 1 with one integer sum over the lcm of their denominators.  The ranks
-of the support come from one ``gf_core.sorted_ranks`` pass over the
-entry tuples in sorted order, which reduces only the rows below the
+types of its entries, its least and greatest entry) and kept as its
+row-major entry tuple, the key of ``ChannelSpec.pmf_H``; each distinct
+mass string is parsed once, and ``ChannelSpec`` checks that the masses
+sum to 1 with one integer sum over the lcm of their denominators.  The
+ranks of the support come from one ``gf_core.sorted_ranks`` pass over
+the entry tuples in sorted order, which reduces only the rows below the
 prefix each matrix shares with the one before it.
 """
 
@@ -45,7 +46,7 @@ from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
 from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
-                      solve_factor, transpose)
+                      row_lists, solve_factor, transpose)
 from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20    # the most entries one class table may have
@@ -66,26 +67,25 @@ def _check_sizes(T: int, M: int, N: int) -> None:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A channel Y = XH: field, shape parameters, and the exact PMF of H."""
+    """A channel Y = XH: field, shape parameters, and the exact PMF of H,
+    keyed by the row-major entry tuple of each M x N support matrix."""
 
     field: FieldSpec
     T: int
     M: int
     N: int
-    pmf_H: Dict[MatrixGF, Fraction]
+    pmf_H: Dict[Tuple[int, ...], Fraction]
 
     def __post_init__(self):
         _check_sizes(self.T, self.M, self.N)
         if not self.pmf_H:
             raise ChannelSpecError("empty transfer-matrix support")
-        M, N, field = self.M, self.N, self.field
+        size, q = self.M * self.N, self.field.q
         for h, p in self.pmf_H.items():
-            if h.rows != M or h.cols != N:
-                raise ChannelSpecError(
-                    f"support matrix has shape {h.rows}x{h.cols}, "
-                    f"expected {M}x{N}")
-            if h.field is not field and h.field != field:
-                raise ChannelSpecError("support matrix over the wrong field")
+            if (type(h) is not tuple or len(h) != size
+                    or min(h) < 0 or max(h) >= q):
+                raise ChannelSpecError(f"support key {h!r} is not a tuple "
+                                       f"of {size} entries in [0, {q})")
             if p.numerator <= 0:
                 raise ChannelSpecError("probability masses must be positive")
         total = _exact_sum(self.pmf_H.values())
@@ -95,11 +95,11 @@ class ChannelSpec:
     def rank_pmf(self) -> Dict[int, Fraction]:
         """P(rank H = r), keyed in the order the ranks first occur in
         pmf_H."""
-        keys = sorted(h.entries for h in self.pmf_H)
+        keys = sorted(self.pmf_H)
         rank = dict(zip(keys, gf_core.sorted_ranks(self.field, self.N, keys)))
         shells: Dict[int, list] = {}
         for h, p in self.pmf_H.items():
-            shells.setdefault(rank[h.entries], []).append(p)
+            shells.setdefault(rank[h], []).append(p)
         return {r: _exact_sum(masses) for r, masses in shells.items()}
 
 
@@ -169,7 +169,7 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     denom = lcm(*(p.denominator for p in spec.pmf_H.values()))
     weights = [p.numerator * (denom // p.denominator)
                for p in spec.pmf_H.values()]
-    entries = [h.entries for h in spec.pmf_H]
+    entries = list(spec.pmf_H)
     packed = []     # packed[k][i]: row k of the i-th H
     for k in range(0, spec.M * N, N):
         row = [0] * len(entries)
@@ -363,26 +363,22 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
     if support > SUPPORT_BUDGET:
         raise BudgetExceeded(f"{support} {what} exceeds budget "
                              f"{SUPPORT_BUDGET}")
-    pmf: Dict[MatrixGF, Fraction] = {}
-    if kind == "iid_uniform":
-        pmf = dict.fromkeys(gf_core.all_matrices(field, M, N),
-                            Fraction(1, support))
-    elif kind == "full_rank_uniform":
-        pmf = dict.fromkeys(gf_core.enumerate_full_rank(M, M, field),
-                            Fraction(1, support))
+    if kind in ("iid_uniform", "full_rank_uniform"):
+        mats = (gf_core.all_matrices(field, M, N) if kind == "iid_uniform"
+                else gf_core.enumerate_full_rank(M, M, field))
+        pmf = dict.fromkeys((h.entries for h in mats), Fraction(1, support))
     elif kind == "uniform_given_rank":
         pmf = _rank_shells(field, M, N, {r: rank_pmf[r] for r in ranks})
     else:
-        for r in ranks:
-            # Canonical rank-r matrix: identity block, zeros elsewhere.
-            ent = tuple(1 if (i == j and i < r) else 0
-                        for i in range(M) for j in range(N))
-            pmf[MatrixGF(field, M, N, ent)] = rank_pmf[r]
+        # canonical rank-r matrices: identity block, zeros elsewhere
+        pmf = {tuple(1 if i == j < r else 0
+                     for i in range(M) for j in range(N)): rank_pmf[r]
+               for r in ranks}
     return ChannelSpec(field, T, M, N, pmf)
 
 
 def _rank_shells(field: FieldSpec, M: int, N: int,
-                 rank_pmf) -> Dict[MatrixGF, Fraction]:
+                 rank_pmf) -> Dict[Tuple[int, ...], Fraction]:
     """Mass p(r) spread evenly over the rank-r M x N matrices, keyed in
     lexicographic order of their entries.
 
@@ -394,9 +390,9 @@ def _rank_shells(field: FieldSpec, M: int, N: int,
     for r, p in rank_pmf.items():
         share = p / qcomb.xi2(M, N, r, field.q)
         factors = list(gf_core.enumerate_full_rank(M, r, field))
-        for row_space in subspace_enum.enumerate_grassmannian(r, N, field):
-            shells += [(mat_mul(c, row_space.basis), share) for c in factors]
-    shells.sort(key=lambda hp: hp[0].entries)
+        for w in subspace_enum.enumerate_grassmannian(r, N, field):
+            shells += [(mat_mul(c, w.basis).entries, share) for c in factors]
+    shells.sort()
     return dict(shells)
 
 
@@ -404,7 +400,6 @@ def random_channel(rng, q: int, T: int, M: int, N: int,
                    max_support: int = 6) -> ChannelSpec:
     """A random transfer-matrix PMF with rational masses, for oracle
     cross-checks.  Deterministic for a given random.Random state."""
-    field = FieldSpec(q)
     total = q ** (M * N)
     size = rng.randint(1, min(max_support, total))
     chosen = set()
@@ -413,9 +408,8 @@ def random_channel(rng, q: int, T: int, M: int, N: int,
         chosen.add(ent)
     weights = [rng.randint(1, 9) for _ in chosen]
     denom = sum(weights)
-    pmf = {MatrixGF(field, M, N, ent): Fraction(w, denom)
-           for ent, w in zip(sorted(chosen), weights)}
-    return ChannelSpec(field, T, M, N, pmf)
+    pmf = {ent: Fraction(w, denom) for ent, w in zip(sorted(chosen), weights)}
+    return ChannelSpec(FieldSpec(q), T, M, N, pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +456,7 @@ def spec_from_dict(doc) -> ChannelSpec:
     _check_sizes(doc["T"], M, N)
     shape = f"H must have shape {M}x{N}, with integer entries in [0, {q})"
     parsed: Dict[str, Fraction] = {}
-    pmf: Dict[MatrixGF, Fraction] = {}
+    pmf: Dict[Tuple[int, ...], Fraction] = {}
     for i, item in enumerate(doc["pmf"]):
         where = f"pmf[{i}]"
         if not isinstance(item, dict) or "H" not in item or "p" not in item:
@@ -473,27 +467,21 @@ def spec_from_dict(doc) -> ChannelSpec:
                 and set(map(len, rows)) == {N}):
             raise ChannelSpecError(f"{where}: {shape}")
         ent = tuple(chain.from_iterable(rows))
-        if set(map(type, ent)) != {int}:
+        # files give entries in [0, q), and nothing is reduced mod q
+        if set(map(type, ent)) != {int} or min(ent) < 0 or max(ent) >= q:
             raise ChannelSpecError(f"{where}: {shape}")
-        try:
-            # MatrixGF checks min(ent) >= 0 and max(ent) < q: files give
-            # entries in [0, q), and nothing is reduced mod q
-            h = MatrixGF(field, M, N, ent)
-        except gf_core.GFError:
-            raise ChannelSpecError(f"{where}: {shape}") from None
-        if h in pmf:
+        if ent in pmf:
             raise ChannelSpecError(f"{where}: duplicate support matrix")
-        pmf[h] = _parse_rational(item["p"], where, parsed)
+        pmf[ent] = _parse_rational(item["p"], where, parsed)
     return ChannelSpec(field, doc["T"], M, N, pmf)
 
 
 def spec_to_dict(spec: ChannelSpec) -> dict:
-    items = sorted(spec.pmf_H.items(), key=lambda kv: kv[0].entries)
     return {
         "q": spec.field.q, "T": spec.T, "M": spec.M, "N": spec.N,
-        "pmf": [{"H": h.to_lists(),
+        "pmf": [{"H": row_lists(h, spec.N),
                  "p": f"{p.numerator}/{p.denominator}"}
-                for h, p in items],
+                for h, p in sorted(spec.pmf_H.items())],
     }
 
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 from . import gf_core, qcomb, subspace_enum
 from .channel_model import ChannelSpec, TransitionCore, transition_core
-from .gf_core import MatrixGF, mat_mul, solve_factor
+from .gf_core import MatrixGF, mat_mul, row_lists, solve_factor
 from .subspace_enum import Subspace
 
 ZERO = Fraction(0)
@@ -87,9 +87,8 @@ def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
     ``gf_core.sorted_ranks`` pass; the witness is the least rank at
     fault, with the first two matrices of unequal mass in that order.
     """
-    items = sorted(spec.pmf_H.items(), key=lambda hp: hp[0].entries)
-    ranks = gf_core.sorted_ranks(spec.field, spec.N,
-                                 [h.entries for h, _ in items])
+    items = sorted(spec.pmf_H.items())
+    ranks = gf_core.sorted_ranks(spec.field, spec.N, [h for h, _ in items])
     by_rank: dict = {}
     for r, hp in zip(ranks, items):
         by_rank.setdefault(r, []).append(hp)
@@ -99,7 +98,8 @@ def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
             if p is not p1 and p != p1:
                 return PredicateResult(False, {
                     "reason": "unequal mass at equal rank",
-                    "rank": r, "H1": first.to_lists(), "H2": h.to_lists(),
+                    "rank": r, "H1": row_lists(first, spec.N),
+                    "H2": row_lists(h, spec.N),
                     "p1": str(p1), "p2": str(p)})
         shell = qcomb.xi2(spec.M, spec.N, r, spec.field.q)
         if len(shell_items) != shell:

@@ -139,7 +139,7 @@ def cmd_bounds(args) -> int:
     doc["upper"] = {"value": _fmt(upper), "mode": "row-space", "gap": ""}
     doc["mi_at_achiever"] = {"value": _fmt(mi), "mode": "class", "gap": ""}
     if spec.T >= spec.M:
-        j, training, eps = ce.lemma_full_rank_decomposition(spec, spec.T)
+        j, training, eps = ce.lemma_full_rank_decomposition(spec)
         doc["full_rank_input"] = {
             "j": _fmt(j), "training": _fmt(training), "epsilon": _fmt(eps)}
     _emit(doc, args)
@@ -225,7 +225,7 @@ def _check_counting() -> list:
     return fails
 
 
-def _check_channel(spec, label: str, ba: bool) -> list:
+def _check_channel(spec, label: str) -> list:
     from . import oracle   # brute-force oracles; only verify needs them
     fails = []
     core = cm.transition_core(spec)
@@ -255,12 +255,11 @@ def _check_channel(spec, label: str, ba: bool) -> list:
             fails.append(f"{label}: {name} (holds, witness keys) is {got} "
                          f"from the class tables but {want} from the "
                          f"brute-force scan")
-    if ba:
-        fast = ce.shannon_capacity(core, 1e-8)
-        slow = ce.shannon_capacity_naive(core, 1e-8)
-        if abs(fast.value - slow.value) > 1e-6:
-            fails.append(f"{label}: capacity mismatch "
-                         f"{fast.value} vs {slow.value}")
+    fast = ce.shannon_capacity(core, 1e-8)
+    slow = ce.shannon_capacity_naive(core, 1e-8)
+    if abs(fast.value - slow.value) > 1e-6:
+        fails.append(f"{label}: capacity mismatch "
+                     f"{fast.value} vs {slow.value}")
     return fails
 
 
@@ -268,14 +267,14 @@ def _verify_trial(seed: int) -> list:
     rng = random.Random(seed)
     T, M, N = (rng.randint(1, 2) for _ in range(3))
     spec = cm.random_channel(rng, 2, T, M, N)
-    return _check_channel(spec, f"random seed={seed}", ba=True)
+    return _check_channel(spec, f"random seed={seed}")
 
 
 def cmd_verify(args) -> int:
     fails = _check_counting()
     for name in FIXTURES:
         spec = cm.load_channel(fixture_path(name))
-        fails += _check_channel(spec, name, ba=True)
+        fails += _check_channel(spec, name)
     for i in range(args.trials):
         fails += _verify_trial(args.seed + i)
     doc = {"tool": {"name": "loccap", "version": __version__},

@@ -132,12 +132,17 @@ class MatrixGF:
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
     def to_lists(self) -> list:
-        return [list(self.row(r)) for r in range(self.rows)]
+        return row_lists(self.entries, self.cols)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(r))
                          for r in range(self.rows))
         return f"MatrixGF(q={self.field.q}, [{body}])"
+
+
+def row_lists(entries: tuple, cols: int) -> list:
+    """The row-major entries of a matrix with cols columns, as row lists."""
+    return [list(entries[i:i + cols]) for i in range(0, len(entries), cols)]
 
 
 def matrix(field: FieldSpec, rows_data) -> MatrixGF:

@@ -32,14 +32,21 @@ NAIVE_TABLE_BUDGET = 2 ** 24
 ZERO = Fraction(0)
 
 
+def _support(spec: ChannelSpec) -> list:
+    """[(H, P(H))] over the support, each H as one ``MatrixGF``."""
+    return [(MatrixGF(spec.field, spec.M, spec.N, h), p)
+            for h, p in spec.pmf_H.items()]
+
+
 def transition_core_reference(spec: ChannelSpec) -> TransitionCore:
     """``channel_model.transition_core`` by one ``mat_mul`` and one
     ``Fraction`` addition per (class, support matrix) pair."""
     core = TransitionCore(spec)
     kmax = min(spec.T, spec.M)
+    support = _support(spec)
     for u in subspace_enum.enumerate_projective(kmax, spec.M, spec.field):
         dist: dict = {}
-        for h, p in spec.pmf_H.items():
+        for h, p in support:
             e = mat_mul(u.basis, h)
             dist[e.entries] = dist.get(e.entries, ZERO) + p
         core.tables[u] = dist
@@ -54,8 +61,9 @@ def transition_naive(spec: ChannelSpec):
     if n_inputs * len(spec.pmf_H) > NAIVE_TABLE_BUDGET:
         raise gf_core.BudgetExceeded("naive table exceeds budget")
     table: dict = {}
+    support = _support(spec)
     for x in gf_core.all_matrices(spec.field, spec.T, spec.M):
-        for h, p in spec.pmf_H.items():
+        for h, p in support:
             y = mat_mul(x, h)
             key = (x.entries, y.entries)
             table[key] = table.get(key, ZERO) + p

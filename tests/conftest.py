@@ -52,19 +52,26 @@ def best_choice_unpruned(groups, tol, max_iter, budget, what):
     return best, tried
 
 
+def support_matrix(spec, h):
+    """The support key h of spec.pmf_H as an M x N ``MatrixGF``."""
+    return gf_core.MatrixGF(spec.field, spec.M, spec.N, h)
+
+
 def is_uniform_given_rank_reference(spec):
     """The uniform-given-rank test with one ``gf_core.rank`` per support
     matrix: the reference for ``classify.is_uniform_given_rank``."""
     by_rank: dict = {}
-    for h in sorted(spec.pmf_H, key=lambda m: m.entries):
-        by_rank.setdefault(gf_core.rank(h), []).append(h)
+    for h in sorted(spec.pmf_H):
+        by_rank.setdefault(gf_core.rank(support_matrix(spec, h)),
+                           []).append(h)
     for r, mats in sorted(by_rank.items()):
         first = mats[0]
         for h in mats[1:]:
             if spec.pmf_H[h] != spec.pmf_H[first]:
                 return PredicateResult(False, {
                     "reason": "unequal mass at equal rank",
-                    "rank": r, "H1": first.to_lists(), "H2": h.to_lists(),
+                    "rank": r, "H1": gf_core.row_lists(first, spec.N),
+                    "H2": gf_core.row_lists(h, spec.N),
                     "p1": str(spec.pmf_H[first]), "p2": str(spec.pmf_H[h])})
         shell = qcomb.xi2(spec.M, spec.N, r, spec.field.q)
         if len(mats) != shell:
@@ -79,6 +86,6 @@ def rank_pmf_reference(spec):
     in first-occurrence order: the reference for ``ChannelSpec.rank_pmf``."""
     out: dict = {}
     for h, p in spec.pmf_H.items():
-        r = gf_core.rank(h)
+        r = gf_core.rank(support_matrix(spec, h))
         out[r] = out.get(r, 0) + p
     return out

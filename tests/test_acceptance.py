@@ -162,7 +162,7 @@ def test_criterion_07_full_rank_decomposition(capsys):
                    for r, w in enumerate(weights) if w}
             spec = cm.generate("custom_rank_dist", q=q, M=M, N=M, T=T,
                                rank_pmf=pmf)
-            j, training, eps = ce.lemma_full_rank_decomposition(spec, T)
+            j, training, eps = ce.lemma_full_rank_decomposition(spec)
             assert 0.0 <= eps < 1.8
             assert j == pytest.approx(training + eps, abs=1e-12)
 
@@ -263,7 +263,7 @@ def _symmetric_channel(rng, q, T, M, N, span):
         weights[h] *= rng.choice([2, Fraction(1, 2)])
     total = sum(weights.values())
     return cm.ChannelSpec(field, T, M, N,
-                          {h: w / total for h, w in weights.items()})
+                          {h.entries: w / total for h, w in weights.items()})
 
 
 def _cross_check_channel(rng):

@@ -114,7 +114,7 @@ def test_full_rank_decomposition_reconstructs_j():
         # its rank pmf, so a one-matrix-per-rank support suffices
         spec = cm.generate("custom_rank_dist", q=q, M=M, N=M, T=T,
                            rank_pmf=pmf)
-        j, training, eps = ce.lemma_full_rank_decomposition(spec, T)
+        j, training, eps = ce.lemma_full_rank_decomposition(spec)
         assert 0.0 <= eps < 1.8
         assert j == pytest.approx(training + eps, abs=1e-12)
 
@@ -122,7 +122,7 @@ def test_full_rank_decomposition_reconstructs_j():
 def test_full_rank_decomposition_requires_tall_input():
     spec = cm.generate("iid_uniform", q=2, M=2, N=2, T=1)
     with pytest.raises(ValueError):
-        ce.lemma_full_rank_decomposition(spec, 1)
+        ce.lemma_full_rank_decomposition(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def test_capacity_grows_by_expected_rank_per_row(T):
               - ce.shannon_capacity(transition_core(prev)).value)
     assert sum(r * p for r, p in spec.rank_pmf().items()) == Fraction(21, 16)
     assert growth == pytest.approx(21 / 16, abs=1e-6)
-    j, training, eps = ce.lemma_full_rank_decomposition(spec, T)
+    j, training, eps = ce.lemma_full_rank_decomposition(spec)
     assert j == pytest.approx(training + eps, abs=1e-9)
     assert 0 <= eps < 1.8
 

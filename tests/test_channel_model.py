@@ -9,12 +9,12 @@ from loccap import qcomb
 from loccap.channel_model import (ChannelSpec, ChannelSpecError,
                                   load_channel, p_y_given_x, save_channel,
                                   transition_core)
-from loccap.gf_core import (BudgetExceeded, FieldSpec, all_matrices,
-                            mat_mul, matrix, rank)
+from loccap.gf_core import (BudgetExceeded, FieldSpec, MatrixGF,
+                            all_matrices, mat_mul, matrix, rank)
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_columns
 
-from conftest import random_small_channel
+from conftest import random_small_channel, support_matrix
 
 F2 = FieldSpec(2)
 
@@ -84,7 +84,7 @@ def test_inputs_by_column_space_yields_every_input_once(monkeypatch, q, T,
             assert span_columns(x) == w
             want = {}
             for h, p in spec.pmf_H.items():
-                y = mat_mul(x, h)
+                y = mat_mul(x, support_matrix(spec, h))
                 want[y] = want.get(y, Fraction(0)) + p
             assert law == want
             seen.append(x.entries)
@@ -252,7 +252,7 @@ def test_generate_full_rank_uniform():
     spec = cm.generate("full_rank_uniform", q=2, M=2)
     assert len(spec.pmf_H) == 6
     assert all(p == Fraction(1, 6) for p in spec.pmf_H.values())
-    assert all(rank(h) == 2 for h in spec.pmf_H)
+    assert all(rank(support_matrix(spec, h)) == 2 for h in spec.pmf_H)
 
 
 def test_generate_uniform_given_rank():
@@ -274,7 +274,7 @@ def test_uniform_given_rank_shells_equal_the_rank_filter(q, M, N, rank_pmf):
     # the PMF of ranking all q^(M*N) matrices, in the same key order
     field = FieldSpec(q)
     share = {r: p / qcomb.xi2(M, N, r, q) for r, p in rank_pmf.items()}
-    want = [(h, share[rank(h)]) for h in all_matrices(field, M, N)
+    want = [(h.entries, share[rank(h)]) for h in all_matrices(field, M, N)
             if rank(h) in share]
     spec = cm.generate("uniform_given_rank", q=q, M=M, N=N,
                        rank_pmf=rank_pmf)
@@ -315,9 +315,43 @@ def test_generate_refuses_a_field_too_large_for_any_table():
 
 def test_spec_validation():
     with pytest.raises(ChannelSpecError, match="positive"):
-        ChannelSpec(F2, 0, 1, 1, {matrix(F2, [[1]]): Fraction(1)})
+        ChannelSpec(F2, 0, 1, 1, {(1,): Fraction(1)})
     with pytest.raises(ChannelSpecError, match="empty"):
         ChannelSpec(F2, 1, 1, 1, {})
+
+
+@pytest.mark.parametrize("key", [
+    (1, 0, 1),                       # 3 entries for a 2x2 matrix
+    (1, 0, 0, 1, 0),                 # 5 entries
+    (1, 0, 2, 1),                    # 2 is not in F_2
+    (1, 0, -1, 1),
+    matrix(F2, [[1, 0], [0, 1]]),    # a matrix, not its entry tuple
+])
+def test_spec_refuses_malformed_support_keys(key):
+    with pytest.raises(ChannelSpecError, match="support key"):
+        ChannelSpec(F2, 1, 2, 2, {key: Fraction(1)})
+
+
+def test_load_builds_no_matrix(tmp_path, monkeypatch):
+    # pmf_H is keyed by entry tuples, so the loader checks each H
+    # without constructing a MatrixGF
+    spec = cm.generate("uniform_given_rank", q=2, T=1, M=3, N=3,
+                       rank_pmf={1: Fraction(1, 2), 3: Fraction(1, 2)})
+    save_channel(spec, tmp_path / "ugr.json")
+    original = MatrixGF.__post_init__
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        original(m)
+
+    monkeypatch.setattr(MatrixGF, "__post_init__", counted)
+    again = load_channel(tmp_path / "ugr.json")
+    assert len(again.pmf_H) == 217
+    assert again.pmf_H == spec.pmf_H
+    assert calls == []
+    support_matrix(again, next(iter(again.pmf_H)))   # the count is live
+    assert len(calls) == 1
 
 
 def test_random_channel_is_deterministic():

@@ -7,10 +7,10 @@ from loccap import channel_model as cm
 from loccap import classify as cls
 from loccap import gf_core
 from loccap.channel_model import transition_core
-from loccap.gf_core import FieldSpec, MatrixGF, matrix
+from loccap.gf_core import FieldSpec, matrix
 
 from conftest import (is_uniform_given_rank_reference, random_small_channel,
-                      rank_pmf_reference)
+                      rank_pmf_reference, support_matrix)
 
 F2 = FieldSpec(2)
 
@@ -43,7 +43,7 @@ def test_example9_mu_table(fixtures):
 
 def test_zero_channel_in_every_class():
     zero = matrix(F2, [[0, 0], [0, 0]])
-    spec = cm.ChannelSpec(F2, 2, 2, 2, {zero: Fraction(1)})
+    spec = cm.ChannelSpec(F2, 2, 2, 2, {zero.entries: Fraction(1)})
     report = cls.classify(spec)
     assert all(report.flags().values())
 
@@ -134,8 +134,7 @@ def _prefix_sharing_channel(rng):
     keys = sorted(chosen)
     rng.shuffle(keys)
     weights = [rng.choice([1, 1, 2]) for _ in keys]
-    pmf = {MatrixGF(field, M, N, e): Fraction(w, sum(weights))
-           for e, w in zip(keys, weights)}
+    pmf = {e: Fraction(w, sum(weights)) for e, w in zip(keys, weights)}
     return cm.ChannelSpec(field, 1, M, N, pmf)
 
 
@@ -149,8 +148,8 @@ def test_uniform_given_rank_equals_the_per_matrix_reference():
         outcomes[got.witness["reason"] if got.witness else "holds"] += 1
         assert list(spec.rank_pmf().items()) == \
             list(rank_pmf_reference(spec).items())
-        keys = [h.entries for h in spec.pmf_H]
-        want = [gf_core.rank(h) for h in spec.pmf_H]
+        keys = list(spec.pmf_H)
+        want = [gf_core.rank(support_matrix(spec, h)) for h in spec.pmf_H]
         assert gf_core.sorted_ranks(spec.field, spec.N, keys) == want
         order = sorted(range(len(keys)), key=keys.__getitem__)
         assert gf_core.sorted_ranks(spec.field, spec.N,
@@ -177,7 +176,8 @@ def test_uniform_given_rank_equals_the_reference_on_rank_families():
         specs = [spec]
         shells = {}
         for h in spec.pmf_H:
-            shells.setdefault(gf_core.rank(h), []).append(h)
+            shells.setdefault(gf_core.rank(support_matrix(spec, h)),
+                              []).append(h)
         wide = [hs for hs in shells.values() if len(hs) > 1]
         if wide:
             # move mass between two matrices of one rank shell
