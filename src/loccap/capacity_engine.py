@@ -17,14 +17,19 @@ law gives one zero mass P_U(E = 0), which ``classify`` tests; conversely
 the zero masses fix the laws of colspace(E) (see ``classify``'s USD
 test), and so of rank E.  "bruteforce" maximizes
 over deterministic degradations, one input matrix per input column
-space.  The searches share one loop, ``_best_choice``, which runs
-Blahut-Arimoto on every choice of one option per group and keeps the
-first best.  Each Blahut-Arimoto iteration yields a certificate: its
-upper value max_i d_i is at least the optimum of its own choice.  A run
-whose upper value falls below the best value found so far cannot
-replace the first best, so it is abandoned there; the result, the
-iteration count reported with it and the number of choices tried are
-those of the full search.
+space.  The searches share one loop, ``_best_choice``, which tries
+every choice of one option per group and keeps the first best.  Each
+Blahut-Arimoto iteration yields a certificate: its upper value max_i d_i
+is at least the optimum of its own choice.  A run whose upper value
+falls below the best value found so far cannot replace the first best,
+so it is abandoned there.  Many choices are one problem with the options
+permuted and the outputs relabelled.  ``_ba`` is exactly equivariant
+under both (its sums are ``math.fsum``s, which do not depend on the
+order of their terms), so such a choice would retrace the earlier run to
+the last bit and cannot replace the first best; ``_best_choice`` keys
+each choice by colour refinement and runs one choice per key.  The
+result, the iteration count reported with it and the number of choices
+tried are those of the full search.
 
 Probabilities and counts stay exact (``Fraction``, ``int``) until an
 entropy, an orbit term, a rank-interaction term or a Blahut-Arimoto row
@@ -40,6 +45,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import fsum
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import classify as classify_mod
@@ -117,6 +124,15 @@ def _float_row(row: Dict[int, object]) -> Dict[int, float]:
 # ---------------------------------------------------------------------------
 # Generic reward-augmented Blahut-Arimoto.
 
+def _columns(rows: Iterable[Dict[int, float]]) -> Dict[int, list]:
+    """Output -> [(row index, probability)], over the rows' entries."""
+    columns: Dict[int, list] = {}
+    for i, row in enumerate(rows):
+        for w, c in row.items():
+            columns.setdefault(w, []).append((i, c))
+    return columns
+
+
 def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
         tol: float, max_iter: int, floor: float = -math.inf):
     """Maximize sum_i p(i) reward(i) + I(input; output) over input PMFs.
@@ -128,35 +144,46 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     below ``floor`` the run is abandoned: it returns unconverged, after
     the iterations run, with a value below ``floor`` (-inf if it stopped
     before computing a lower value).
+
+    The run is exactly equivariant: permuting the rows with their
+    rewards and relabelling the outputs gives a bit-identical value,
+    gap, iteration count and convergence flag, with the PMF permuted the
+    same way.  Each iteration takes one log per output, and its three
+    sums (the output mass p(w), the row score d_i, and the normaliser z)
+    are ``math.fsum``s, which round the exact sum once and so do not
+    depend on the order of their terms.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty input alphabet")
     if rewards is None:
         rewards = [0.0] * n
+    columns = _columns(rows)
+    slot = {w: k for k, w in enumerate(columns)}
+    cols = [([i for i, _ in col], [c for _, c in col])
+            for col in columns.values()]
+    terms = [([slot[w] for w in row], [-c for c in row.values()])
+             for row in rows]
+    # d_i = reward_i + sum_w c log2 c - sum_w c log2 p(w)
+    base = [r + fsum([c * LOG2(c) for c in row.values()])
+            for r, row in zip(rewards, rows)]
     alpha = [1.0 / n] * n
     prev_lower = -math.inf
     lower = upper = 0.0
     it = 0
     for it in range(1, max_iter + 1):
-        p_out: Dict[int, float] = {}
-        for a, row in zip(alpha, rows):
-            if a == 0.0:
-                continue
-            for w, c in row.items():
-                p_out[w] = p_out.get(w, 0.0) + a * c
-        d = []
-        for i, row in enumerate(rows):
-            acc = rewards[i]
-            for w, c in row.items():
-                acc += c * LOG2(c / p_out[w])
-            d.append(acc)
+        weight = alpha.__getitem__
+        logs = [LOG2(fsum(map(mul, map(weight, ix), cs))) for ix, cs in cols]
+        log_of = logs.__getitem__
+        d = [b + fsum(map(mul, map(log_of, ks), cs))
+             for b, (ks, cs) in zip(base, terms)]
         upper = max(d)
         if upper < floor:
             # the last lower value, kept below floor against rounding
             lower = min(prev_lower, upper)
             break
-        z = sum(a * 2.0 ** (di - upper) for a, di in zip(alpha, d))
+        scaled = [a * 2.0 ** (di - upper) for a, di in zip(alpha, d)]
+        z = fsum(scaled)
         lower = upper + LOG2(z)
         if not (lower >= prev_lower - 1e-9):
             raise NonMonotoneBound(
@@ -164,7 +191,7 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
         prev_lower = lower
         if upper - lower <= tol:
             return lower, alpha, upper - lower, it, True
-        alpha = [a * 2.0 ** (di - upper) / z for a, di in zip(alpha, d)]
+        alpha = [s / z for s in scaled]
     return lower, alpha, upper - lower, it, False
 
 
@@ -213,7 +240,12 @@ def _class_setup(core: TransitionCore) -> _ClassSetup:
 
 def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
     """I(X;Y) in bits for the input uniform on each row-space fiber,
-    with fiber weights alpha."""
+    with fiber weights alpha.
+
+    Public although no caller in the package needs it: the tests check
+    the class-level mutual information, and the bounds around it, at
+    arbitrary weights, while ``_capacity_and_mi`` evaluates it only at
+    the capacity achiever."""
     return _mi_alpha(_class_setup(core), alpha)
 
 
@@ -403,12 +435,64 @@ def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
     return res
 
 
+def _colour_ids(signatures: Dict[object, tuple]) -> Dict[object, int]:
+    """Each item's rank among the distinct signatures, in sorted order:
+    colour ids that do not depend on how the items are labelled."""
+    rank = {sig: k for k, sig in enumerate(sorted(set(signatures.values())))}
+    return {item: rank[sig] for item, sig in signatures.items()}
+
+
+def _choice_key(choice) -> Optional[tuple]:
+    """A key on which two choices of (row, reward) options agree only if
+    one is the other with its options permuted and its outputs
+    relabelled; None when no such key was found.
+
+    Colour refinement on the bipartite graph of options and outputs:
+    an option starts coloured by its reward and the multiset of its
+    probabilities, an output by the multiset of its probabilities, and
+    each round recolours outputs by the colours of the options that
+    reach them and options by the colours of their outputs, each with
+    the probability on the edge.  Colours are numbered in sorted
+    signature order, so they do not depend on the labels.  Once every
+    output has its own colour, the key is the sorted tuple of the
+    options with their outputs renamed to their colours: two choices
+    with equal keys are the same matrix up to the permutation and the
+    relabelling.  When a round splits no colour and outputs still
+    share one, the key is None.
+    """
+    columns = _columns(row for row, _ in choice)
+    row_colour = _colour_ids({i: (reward, tuple(sorted(row.values())))
+                              for i, (row, reward) in enumerate(choice)})
+    col_colour = _colour_ids({w: tuple(sorted(c for _, c in col))
+                              for w, col in columns.items()})
+    sizes = None
+    while True:
+        n_cols = len(set(col_colour.values()))
+        if n_cols == len(columns):
+            return tuple(sorted(
+                (tuple(sorted((col_colour[w], c) for w, c in row.items())),
+                 reward) for row, reward in choice))
+        now = (len(set(row_colour.values())), n_cols)
+        if now == sizes:
+            return None     # the last round split no colour
+        sizes = now
+        col_colour = _colour_ids({
+            w: (col_colour[w],
+                tuple(sorted((row_colour[i], c) for i, c in col)))
+            for w, col in columns.items()})
+        row_colour = _colour_ids({
+            i: (row_colour[i],
+                tuple(sorted((col_colour[w], c) for w, c in row.items())))
+            for i, (row, _) in enumerate(choice)})
+
+
 def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
                  budget: int, what: str):
-    """Blahut-Arimoto on every choice of one (row, reward) option per
-    group; returns the first best (value, pmf, gap, its, converged) and
-    the number of choices tried.  Groups are read one at a time, and the
-    search is refused at the first that lifts the choices past ``budget``.
+    """Try every choice of one (row, reward) option per group with
+    Blahut-Arimoto; returns the first best (value, pmf, gap, its,
+    converged) and the number of choices tried.  Groups are read one at a
+    time, and the search is refused at the first that lifts the choices
+    past ``budget``.
 
     A choice replaces the best only with a strictly larger value.  Every
     Blahut-Arimoto iteration's upper value bounds its choice's optimum,
@@ -419,6 +503,17 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
     upper value it passed by a rounding error, so a choice within a few
     ulps of the best is where the two searches could part, and the tests
     compare them on choice sets full of exact ties.
+
+    A search of more than one choice runs one choice per symmetry
+    class.  A choice whose ``_choice_key`` equals an earlier choice's is
+    that choice with its options permuted and its outputs relabelled.
+    ``_ba`` is exactly equivariant, so its run would retrace the earlier
+    run to the last bit, against a floor no lower: it would be abandoned
+    no later, or end with the earlier value, which did not beat the best
+    then and cannot beat it now.  Either way it cannot replace the first
+    best, nor raise a fault the earlier run did not raise, so it counts
+    as tried and is not run.  The full search gives it the earlier value
+    too, so the two searches still return the same result.
     """
     read, total = [], 1
     for group in groups:
@@ -428,8 +523,15 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
         read.append(group)
     best = None
     tried = 0
+    solved = set()
     for choice in product(*read):
         tried += 1
+        if total > 1:
+            key = _choice_key(choice)
+            if key is not None:
+                if key in solved:
+                    continue
+                solved.add(key)
         floor = -math.inf if best is None else best[0]
         res = _ba([row for row, _ in choice],
                   [reward for _, reward in choice], tol, max_iter, floor)

@@ -54,6 +54,7 @@ INPUT_ENUM_BUDGET = 2 ** 24    # the most inputs one scan of them may visit
 SUPPORT_BUDGET = 2 ** 18       # the most support matrices generate may build
 
 ZERO = Fraction(0)
+_INT_TYPE = frozenset({int})
 
 
 class ChannelSpecError(Exception):
@@ -82,10 +83,12 @@ class ChannelSpec:
             raise ChannelSpecError("empty transfer-matrix support")
         size, q = self.M * self.N, self.field.q
         for h, p in self.pmf_H.items():
+            # a bool is an int to min and max, so compare types exactly
             if (type(h) is not tuple or len(h) != size
+                    or set(map(type, h)) != _INT_TYPE
                     or min(h) < 0 or max(h) >= q):
                 raise ChannelSpecError(f"support key {h!r} is not a tuple "
-                                       f"of {size} entries in [0, {q})")
+                                       f"of {size} int entries in [0, {q})")
             if p.numerator <= 0:
                 raise ChannelSpecError("probability masses must be positive")
         total = _exact_sum(self.pmf_H.values())

@@ -334,7 +334,98 @@ def test_pruned_css_searches_match_the_unpruned_reference(monkeypatch):
     assert checked > 300
 
 
-_IID = cm.generate("iid_uniform", q=2, T=2, M=2, N=2)   # 16 H, 16 inputs
+def _relabelled(rows, rewards, rng):
+    """The problem with its rows permuted, its outputs renamed, and each
+    row's entries in a new order; returns it and the row permutation."""
+    order = rng.sample(range(len(rows)), len(rows))
+    outputs = sorted({w for row in rows for w in row})
+    rename = dict(zip(outputs, rng.sample(range(100), len(outputs))))
+    new_rows = []
+    for i in order:
+        items = [(rename[w], c) for w, c in rows[i].items()]
+        rng.shuffle(items)
+        new_rows.append(dict(items))
+    return new_rows, [rewards[i] for i in order], order
+
+
+def _random_problem(rng):
+    """1-6 rows over at most 6 outputs, with rewards."""
+    n_out = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        support = rng.sample(range(n_out), rng.randint(1, n_out))
+        weights = [rng.random() for _ in support]
+        rows.append({w: c / sum(weights) for w, c in zip(support, weights)})
+    return rows, [rng.choice([0.0, rng.random(), 2 * rng.random()])
+                  for _ in rows]
+
+
+def _bruteforce_problems(rng, count):
+    """(rows, rewards) of ``count`` Blahut-Arimoto runs with 3 or more
+    inputs, taken from ``css_bruteforce`` on random channels."""
+    problems = []
+    ba = ce._ba
+
+    def keep(rows, rewards, *args):
+        if len(rows) >= 3:
+            problems.append((rows, rewards))
+        return ba(rows, rewards, *args)
+
+    while len(problems) < count:
+        spec = cm.random_channel(rng, rng.choice([2, 3]), 2, 2,
+                                 rng.randint(1, 2), max_support=4)
+        ce._ba = keep
+        try:
+            ce.css_bruteforce(transition_core(spec), budget=64)
+        except BudgetExceeded:
+            pass
+        finally:
+            ce._ba = ba
+    return problems[:count]
+
+
+def test_ba_is_exactly_equivariant():
+    # permuting the inputs and relabelling the outputs must not move the
+    # run by one bit, or the choice search could not skip a relabelled
+    # choice; row sums in another order differ in the last bits
+    rng = random.Random(1313)
+    problems = [_random_problem(rng) for _ in range(300)]
+    problems += _bruteforce_problems(rng, 300)
+    for rows, rewards in problems:
+        tol = rng.choice([1e-6, 1e-9, 1e-12])
+        max_iter = rng.choice([5, 50, 10 ** 4])
+        new_rows, new_rewards, order = _relabelled(rows, rewards, rng)
+        want = ce._ba(rows, rewards, tol, max_iter)
+        for floor in (-math.inf, want[0] - rng.choice([0.0, 1e-3, 1.0])):
+            value, alpha, *rest = ce._ba(rows, rewards, tol, max_iter, floor)
+            got_value, got_alpha, *got_rest = ce._ba(
+                new_rows, new_rewards, tol, max_iter, floor)
+            assert (got_value, *got_rest) == (value, *rest)
+            assert got_alpha == [alpha[i] for i in order]
+
+
+def test_choice_search_solves_each_symmetry_class_once(monkeypatch):
+    # a q=2, T=2, M=2, N=1 channel: its 162 deterministic degradations
+    # fall into 27 classes of relabelled choices, and solving one choice
+    # per class must give exactly the full search's result
+    spec = cm.random_channel(random.Random(0), 2, 2, 2, 1)
+    core = transition_core(spec)
+    ba = ce._ba
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return ba(*args)
+
+    monkeypatch.setattr(ce, "_ba", counted)
+    got = ce.css_bruteforce(core)
+    assert got.assignments_tried == 162
+    assert len(runs) == 27
+    monkeypatch.setattr(ce, "_best_choice", best_choice_unpruned)
+    assert ce.css_bruteforce(core) == got
+
+
+_IID =cm.generate("iid_uniform", q=2, T=2, M=2, N=2)   # 16 H, 16 inputs
 _IID_CORE = transition_core(_IID)
 
 

@@ -326,6 +326,10 @@ def test_spec_validation():
     (1, 0, 2, 1),                    # 2 is not in F_2
     (1, 0, -1, 1),
     matrix(F2, [[1, 0], [0, 1]]),    # a matrix, not its entry tuple
+    (0.5, 1, 0, 1),                  # a float entry
+    (1.0, 0, 0, 1),                  # a float equal to an element
+    (True, False, False, True),      # bools compare as 0 and 1
+    ("1", 0, 0, 1),
 ])
 def test_spec_refuses_malformed_support_keys(key):
     with pytest.raises(ChannelSpecError, match="support key"):
