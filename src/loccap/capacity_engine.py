@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import fsum
-from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import classify as classify_mod
@@ -160,10 +159,8 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
         rewards = [0.0] * n
     columns = _columns(rows)
     slot = {w: k for k, w in enumerate(columns)}
-    cols = [([i for i, _ in col], [c for _, c in col])
-            for col in columns.values()]
-    terms = [([slot[w] for w in row], [-c for c in row.values()])
-             for row in rows]
+    cols = list(columns.values())
+    terms = [[(slot[w], -c) for w, c in row.items()] for row in rows]
     # d_i = reward_i + sum_w c log2 c - sum_w c log2 p(w)
     base = [r + fsum([c * LOG2(c) for c in row.values()])
             for r, row in zip(rewards, rows)]
@@ -172,11 +169,9 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     lower = upper = 0.0
     it = 0
     for it in range(1, max_iter + 1):
-        weight = alpha.__getitem__
-        logs = [LOG2(fsum(map(mul, map(weight, ix), cs))) for ix, cs in cols]
-        log_of = logs.__getitem__
-        d = [b + fsum(map(mul, map(log_of, ks), cs))
-             for b, (ks, cs) in zip(base, terms)]
+        logs = [LOG2(fsum([alpha[i] * c for i, c in col])) for col in cols]
+        d = [b + fsum([c * logs[k] for k, c in row])
+             for b, row in zip(base, terms)]
         upper = max(d)
         if upper < floor:
             # the last lower value, kept below floor against rounding

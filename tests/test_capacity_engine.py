@@ -405,9 +405,9 @@ def test_ba_is_exactly_equivariant():
 
 
 def test_choice_search_solves_each_symmetry_class_once(monkeypatch):
-    # a q=2, T=2, M=2, N=1 channel: its 162 deterministic degradations
-    # fall into 27 classes of relabelled choices, and solving one choice
-    # per class must give exactly the full search's result
+    # a q=2, T=2, M=2, N=1 channel whose 162 deterministic degradations
+    # are mostly relabellings of each other: the search runs 27 of them,
+    # and must give exactly the full search's result
     spec = cm.random_channel(random.Random(0), 2, 2, 2, 1)
     core = transition_core(spec)
     ba = ce._ba
@@ -425,7 +425,7 @@ def test_choice_search_solves_each_symmetry_class_once(monkeypatch):
     assert ce.css_bruteforce(core) == got
 
 
-_IID =cm.generate("iid_uniform", q=2, T=2, M=2, N=2)   # 16 H, 16 inputs
+_IID = cm.generate("iid_uniform", q=2, T=2, M=2, N=2)   # 16 H, 16 inputs
 _IID_CORE = transition_core(_IID)
 
 
