@@ -673,7 +673,6 @@ VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass
 class ChannelReport:
-    spec: ChannelSpec
     classes: classify_mod.ClassReport
     capacity: CapacityResult
     css: CssResult
@@ -692,26 +691,19 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     and compare them.
 
     The verdict only asserts equality when a theorem applies: degraded
-    channels, or row-space-symmetric channels whose capacity achiever
-    satisfies the long rank chain (checked numerically at the
-    Blahut-Arimoto output).  Strict excess is asserted only when the
-    difference clears ten times the optimization tolerance and the
-    subspace value is not merely a lower bound.  Both of these need the
-    two optimizations to have converged; otherwise only the degraded
-    case gives a verdict.  Pass ``core`` when the caller already holds
-    the transition core of ``spec``.
+    channels (the zero channel among them), or row-space-symmetric
+    channels whose capacity achiever satisfies the long rank chain
+    (checked numerically at the Blahut-Arimoto output).  Strict excess
+    is asserted only when the difference clears ten times the
+    optimization tolerance and the subspace value is not merely a lower
+    bound.  Both of these need the two optimizations to have converged;
+    otherwise only the degraded case gives a verdict.  Pass ``core``
+    when the caller already holds the transition core of ``spec``.
     """
     if core is None:
         core = transition_core(spec)
     report = classify_mod.classify(spec, core)
     cap = shannon_capacity(core, tol, max_iter)
-    if all(w.dim == 0 for fibers in core.fibers.values() for w in fibers):
-        # every class puts all its mass on Y = 0: H is always zero
-        css = CssResult(0.0, 0.0, 0, True, "degenerate",
-                        rank_pmf={0: 1.0})
-        markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
-        return ChannelReport(spec, report, cap, css, (0.0, 0.0), markov,
-                             VERDICT_EQUAL, "transfer matrix is always zero")
     css = subspace_coding_capacity(core, css_mode, tol, max_iter, budget)
     bounds = bounds_row_space(core, cap.alpha)
     markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
@@ -737,5 +729,4 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     else:
         verdict = VERDICT_INCONCLUSIVE
         reason = "no applicable equality theorem and no certified gap"
-    return ChannelReport(spec, report, cap, css, bounds, markov,
-                         verdict, reason)
+    return ChannelReport(report, cap, css, bounds, markov, verdict, reason)

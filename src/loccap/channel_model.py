@@ -46,7 +46,7 @@ from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
 from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
-                      row_lists, solve_factor, transpose)
+                      row_lists, solve_factor)
 from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20    # the most entries one class table may have
@@ -124,7 +124,6 @@ class Fiber:
     """
 
     mass: Fraction
-    count: int
     first: Tuple[int, ...]
     value: Fraction
     odd: Optional[Tuple[Tuple[int, ...], Fraction]] = None
@@ -147,16 +146,17 @@ class TransitionCore:
         default_factory=dict)
 
     def input_classes(self):
-        """Row-space classes U, in canonical order."""
-        return sorted(self.tables, key=lambda u: u.sort_key())
+        """Row-space classes U, in canonical order, as built."""
+        return list(self.tables)
 
 
 def transition_core(spec: ChannelSpec) -> TransitionCore:
     """Tabulate the exact distribution of D_U @ H for every class U.
 
     Row i of E is the unreduced int sum over k of D_U[i, k] * (packed
-    row k of H).  Table keys keep the order of the first H in pmf_H that
-    gives each E, as in ``oracle.transition_core_reference``.
+    row k of H).  Classes are tabulated in canonical order, and table
+    keys keep the order of the first H in pmf_H that gives each E, as in
+    ``oracle.transition_core_reference``.
     """
     q, N = spec.field.q, spec.N
     classes = []
@@ -166,6 +166,7 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
             raise BudgetExceeded(f"per-class table for dim {u.dim} exceeds "
                                  f"budget {CORE_TABLE_BUDGET}")
         classes.append(u)
+    classes.sort(key=Subspace.sort_key)
     b = ((q - 1) ** 2 * spec.M).bit_length()
     digit = (1 << b) - 1
     shifts = range(0, b * N, b)
@@ -217,10 +218,9 @@ def index_fibers(spec: ChannelSpec, u: Subspace,
         w = span_rows(MatrixGF(spec.field, u.dim, spec.N, e_ent))
         f = fibers.get(w)
         if f is None:
-            fibers[w] = Fiber(p, 1, e_ent, p)
+            fibers[w] = Fiber(p, e_ent, p)
             continue
         f.mass += p
-        f.count += 1
         if f.odd is None and p != f.value:
             f.odd = (e_ent, p)
     return fibers
@@ -228,9 +228,11 @@ def index_fibers(spec: ChannelSpec, u: Subspace,
 
 def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
     """The full-column-rank B with x = B @ D_U, where D_U = u.basis and u
-    is the row space of x."""
-    # x^T = D_U^T @ C, so x = B @ D_U with B = C^T.
-    return transpose(solve_factor(transpose(x), transpose(u.basis)))
+    is the row space of x.  D_U is in RREF, so its columns at the leading
+    1s of its rows form I_r, and B is the columns of x at those pivots."""
+    pivots = [u.basis.row(i).index(1) for i in range(u.dim)]
+    return MatrixGF(x.field, x.rows, u.dim,
+                    tuple(x[i, j] for i in range(x.rows) for j in pivots))
 
 
 def output_laws(core: TransitionCore):
@@ -271,7 +273,7 @@ def p_y_given_x(core: TransitionCore, x: MatrixGF, y: MatrixGF) -> Fraction:
 
     Zero whenever the column space of y is not inside the column space
     of x; otherwise with D the class representative of the row space of
-    x and B = (x^T / D^T)^T, it is Pr{D @ H = y / B}.
+    x and x = B @ D (``column_factor``), it is Pr{D @ H = y / B}.
     """
     spec = core.spec
     if x.rows != spec.T or x.cols != spec.M:

@@ -134,7 +134,8 @@ def _row_fibers(core: TransitionCore, u: Subspace):
         return None, (mat(f.first), mat(f.odd[0]), f.value, f.odd[1])
     for w in sorted(fibers, key=lambda s: s.sort_key()):
         f = fibers[w]
-        if f.count != qcomb.xi(u.dim, w.dim, spec.field.q):
+        # no entry is odd, so the fiber holds mass / value entries of W
+        if f.mass != qcomb.xi(u.dim, w.dim, spec.field.q) * f.value:
             missing = next(
                 e for c in gf_core.enumerate_full_rank(u.dim, w.dim,
                                                        spec.field)

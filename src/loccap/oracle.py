@@ -25,7 +25,7 @@ from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
                             index_fibers, output_laws)
 from .classify import PredicateResult, _lift
 from .gf_core import MatrixGF, mat_mul
-from .subspace_enum import span_columns
+from .subspace_enum import Subspace, span_columns
 
 NAIVE_TABLE_BUDGET = 2 ** 24
 
@@ -40,11 +40,13 @@ def _support(spec: ChannelSpec) -> list:
 
 def transition_core_reference(spec: ChannelSpec) -> TransitionCore:
     """``channel_model.transition_core`` by one ``mat_mul`` and one
-    ``Fraction`` addition per (class, support matrix) pair."""
+    ``Fraction`` addition per (class, support matrix) pair, with the
+    classes in canonical order."""
     core = TransitionCore(spec)
     kmax = min(spec.T, spec.M)
     support = _support(spec)
-    for u in subspace_enum.enumerate_projective(kmax, spec.M, spec.field):
+    classes = subspace_enum.enumerate_projective(kmax, spec.M, spec.field)
+    for u in sorted(classes, key=Subspace.sort_key):
         dist: dict = {}
         for h, p in support:
             e = mat_mul(u.basis, h)

@@ -371,7 +371,7 @@ def _recount_fibers(core):
             if e.entries in table:
                 by_w.setdefault(subspace_enum.span_rows(e), []).append(
                     (e.entries, table[e.entries]))
-        out[u] = {w: cm.Fiber(sum(p for _, p in es), len(es), *es[0],
+        out[u] = {w: cm.Fiber(sum(p for _, p in es), *es[0],
                               next((ep for ep in es if ep[1] != es[0][1]),
                                    None))
                   for w, es in by_w.items()}

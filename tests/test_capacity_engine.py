@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ import pytest
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
 from loccap import classify as cls
-from loccap import gf_core, oracle, qcomb, subspace_enum
+from loccap import cli, gf_core, oracle, qcomb, subspace_enum
 from loccap.channel_model import transition_core
 from loccap.gf_core import BudgetExceeded, FieldSpec
 from loccap.oracle import transition_naive
@@ -596,12 +597,39 @@ def test_report_detects_strict_gap():
     assert rep.capacity.value - rep.css.value > 0.5
 
 
-def test_report_zero_channel_short_circuit():
-    spec = cm.generate("custom_rank_dist", q=2, M=2, N=2, T=2,
-                       rank_pmf={0: 1})
-    rep = ce.capacity_report(spec, 1e-10)
-    assert rep.verdict == ce.VERDICT_EQUAL
-    assert rep.css.mode == "degenerate"
+@pytest.mark.parametrize("q, T, M, N", [(2, 2, 2, 2), (2, 1, 2, 1),
+                                        (3, 2, 1, 2), (2, 3, 2, 1)])
+def test_report_of_zero_channel_takes_the_common_path(tmp_path, capsys, q, T,
+                                                      M, N):
+    # H = 0 is degraded: report decides it by the theorem and prints the
+    # C_ss block that css prints
+    spec = cm.ChannelSpec(FieldSpec(q), T, M, N,
+                          {(0,) * (M * N): Fraction(1)})
+    path = tmp_path / "zero.json"
+    cm.save_channel(spec, path)
+    docs = {}
+    for command in ("report", "css"):
+        assert cli.main([command, str(path)]) == cli.EXIT_OK
+        docs[command] = json.loads(capsys.readouterr().out)
+    report = docs["report"]
+    assert report["C_ss"] == docs["css"]["C_ss"]
+    assert report["verdict"] == ce.VERDICT_EQUAL
+    assert report["verdict_reason"].startswith("channel is degraded")
+    assert report["C"]["value"] == report["C_ss"]["value"] == 0.0
+
+
+def test_report_without_a_theorem_or_a_gap_is_inconclusive():
+    # H = [[0, 1], [0, 0]]: no predicate holds and C_ss reaches C, so
+    # neither an equality theorem nor a certified gap applies
+    spec = cm.ChannelSpec(F2, 2, 2, 2, {(0, 1, 0, 0): Fraction(1)})
+    rep = ce.capacity_report(spec)
+    assert rep.verdict == ce.VERDICT_INCONCLUSIVE
+    assert rep.verdict_reason == ("no applicable equality theorem and no "
+                                  "certified gap")
+    assert not any(rep.classes.flags().values())
+    assert rep.css.mode == "bruteforce"
+    assert rep.capacity.value == pytest.approx(2.0, abs=1e-9)
+    assert rep.css.value == pytest.approx(2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -12,7 +12,7 @@ from loccap.channel_model import (ChannelSpec, ChannelSpecError,
 from loccap.gf_core import (BudgetExceeded, FieldSpec, MatrixGF,
                             all_matrices, mat_mul, matrix, rank)
 from loccap.oracle import transition_naive
-from loccap.subspace_enum import span_columns
+from loccap.subspace_enum import span_columns, span_rows
 
 from conftest import random_small_channel, support_matrix
 
@@ -49,6 +49,32 @@ def test_cond_rank_sums_to_one(fixtures):
             dist = cm.cond_rank_given_rowspace(core, u)
             assert sum(dist.values()) == 1
             assert all(0 <= s <= min(u.dim, spec.N) for s in dist)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_column_factor_recovers_the_input(q):
+    # x = B @ D_U for every x, rank 0 and the square shapes included
+    rng = random.Random(q)
+    field = FieldSpec(q)
+    ranks = set()
+    for _ in range(200):
+        t, m = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.randrange(q) if rng.random() < 0.6 else 0
+                 for _ in range(m)] for _ in range(t)]
+        x = matrix(field, rows)
+        u = span_rows(x)
+        b = cm.column_factor(x, u)
+        assert (b.rows, b.cols) == (t, u.dim)
+        assert mat_mul(b, u.basis) == x
+        ranks.add(u.dim)
+    assert ranks == {0, 1, 2, 3}
+
+
+def test_tables_are_built_in_canonical_class_order(fixtures):
+    for spec, core in fixtures.values():
+        classes = list(core.tables)
+        assert classes == sorted(classes, key=lambda u: u.sort_key())
+        assert core.input_classes() == classes
 
 
 def test_rank_joint_marginals(fixtures):
