@@ -7,29 +7,18 @@ per subspace of F^M (dimension at most min(T, M)).  For such inputs
 the whole mutual information collapses onto the exact per-class tables
 of D_U @ H, which keeps the alphabet tiny even when q^(T M) is not.
 
-Subspace-coding capacity has three modes (``CSS_MODES`` adds "auto":
-"unique", falling back to "bruteforce").  "alpha" searches one row-space
-class per input rank: a lower bound in general.  "unique" is that search
-on a channel with a unique subspace degradation (USD), where it has a
-single choice and its convex optimum is the capacity.  A USD means one
-exact law of rank E per class dimension: rank E = 0 iff E = 0, so one
-law gives one zero mass P_U(E = 0), which ``classify`` tests; conversely
-the zero masses fix the laws of colspace(E) (see ``classify``'s USD
-test), and so of rank E.  "bruteforce" maximizes
-over deterministic degradations, one input matrix per input column
-space.  The searches share one loop, ``_best_choice``, which tries
-every choice of one option per group and keeps the first best.  Each
-Blahut-Arimoto iteration yields a certificate: its upper value max_i d_i
-is at least the optimum of its own choice.  A run whose upper value
-falls below the best value found so far cannot replace the first best,
-so it is abandoned there.  Many choices are one problem with the options
-permuted and the outputs relabelled.  ``_ba`` is exactly equivariant
-under both (its sums are ``math.fsum``s, which do not depend on the
-order of their terms), so such a choice would retrace the earlier run to
-the last bit and cannot replace the first best; ``_best_choice`` keys
-each choice by colour refinement and runs one choice per key.  The
-result, the iteration count reported with it and the number of choices
-tried are those of the full search.
+Subspace-coding capacity has three modes.  "alpha" searches one
+row-space class per input rank: a lower bound in general.  "unique" is
+that search on a channel with a unique subspace degradation (USD), where
+it has a single choice and its convex optimum is the capacity.
+"bruteforce" maximizes over deterministic degradations, one input matrix
+per input column space.  One test decides the USD, the zero-mass test
+``classify.usd_violation``: "unique" refuses a channel it fails, and
+"auto" (``CSS_MODES``) reads it to run exactly one solver, "unique" or
+"bruteforce".  The searches share one loop, ``_best_choice``, which
+tries every choice of one option per group and keeps the first best; it
+skips or abandons the Blahut-Arimoto runs that cannot replace it, and
+returns what the full search returns.
 
 Probabilities and counts stay exact (``Fraction``, ``int``) until an
 entropy, an orbit term, a rank-interaction term or a Blahut-Arimoto row
@@ -64,8 +53,9 @@ NAIVE_ALPHABET_BUDGET = 2 ** 24    # inputs times largest class table
 
 
 class NonMonotoneBound(AssertionError):
-    """Blahut-Arimoto's running lower bound fell between two iterations:
-    a numerical fault of the optimizer, with no result to report."""
+    """Blahut-Arimoto's running lower bound fell between two iterations,
+    or an output mass underflowed to 0.0: a numerical fault of the
+    optimizer, with no result to report."""
 
 
 class NoUniqueDegradation(ValueError):
@@ -169,7 +159,12 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     lower = upper = 0.0
     it = 0
     for it in range(1, max_iter + 1):
-        logs = [LOG2(fsum([alpha[i] * c for i, c in col])) for col in cols]
+        try:
+            logs = [LOG2(fsum([alpha[i] * c for i, c in col]))
+                    for col in cols]
+        except ValueError:
+            raise NonMonotoneBound(f"an output mass underflowed to 0.0 at "
+                                   f"iteration {it}") from None
         d = [b + fsum([c * logs[k] for k, c in row])
              for b, row in zip(base, terms)]
         upper = max(d)
@@ -404,28 +399,16 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
 # ---------------------------------------------------------------------------
 # Subspace coding.
 
-def _rank_laws(core: TransitionCore) -> Dict[int, dict]:
-    """Per input rank r, the distinct exact laws of rank Y that the
-    classes of dimension r give, in class order."""
-    by_rank: Dict[int, dict] = {}
-    for u in core.input_classes():
-        law = cond_rank_given_rowspace(core, u)
-        by_rank.setdefault(u.dim, {}).setdefault(frozenset(law.items()), law)
-    return by_rank
-
-
 def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> CssResult:
     """Subspace coding capacity for channels with a unique subspace
-    degradation, via convex rank-domain optimization.  Its rank laws are
-    compared exactly, never as float rows, which can merge them."""
-    by_rank = _rank_laws(core)
-    if any(len(laws) > 1 for laws in by_rank.values()):
+    degradation, via convex rank-domain optimization: the search of
+    ``css_alpha_lower``, which has one choice on such a channel."""
+    if classify_mod.usd_violation(core) is not None:
         raise NoUniqueDegradation(
             "subspace channel depends on the input representative; "
             "the rank-domain optimization does not apply")
-    res = _rank_search(core, by_rank, tol, max_iter,
-                       DEFAULT_ASSIGNMENT_BUDGET)
+    res = css_alpha_lower(core, tol, max_iter)
     res.mode = "unique"
     return res
 
@@ -542,30 +525,25 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
 
     A maximizer exists with a single row-space class per input rank, so
     the search enumerates one class choice per rank and solves a
-    reward-augmented optimization for each combination.  The result is
-    a lower bound on the subspace coding capacity, tight for channels
-    with a representative independent subspace channel.
+    reward-augmented optimization for each combination.  The options of
+    rank r are the distinct (float row, rate) pairs of the exact laws of
+    rank Y that the classes of dimension r give, in class order.  The
+    result is a lower bound on the subspace coding capacity, tight for
+    channels with a representative independent subspace channel.
     """
-    return _rank_search(core, _rank_laws(core), tol, max_iter, budget)
-
-
-def _rank_search(core: TransitionCore, by_rank: Dict[int, dict], tol: float,
-                 max_iter: int, budget: int) -> CssResult:
-    """The search of ``css_alpha_lower`` over ``_rank_laws``: the options
-    of rank r are the distinct (float row, rate) pairs of its laws."""
     T, q = core.spec.T, core.spec.field.q
+    by_rank: Dict[int, list] = {}
+    for u in core.input_classes():
+        law = cond_rank_given_rowspace(core, u)
+        options = by_rank.setdefault(u.dim, [])
+        entry = (_float_row(law),
+                 j_rank({(u.dim, s): p for s, p in law.items()}, T, q))
+        if entry not in options:
+            options.append(entry)
     ranks = sorted(by_rank)
-    groups = []
-    for r in ranks:
-        options = []
-        for law in by_rank[r].values():
-            entry = (_float_row(law),
-                     j_rank({(r, s): p for s, p in law.items()}, T, q))
-            if entry not in options:
-                options.append(entry)
-        groups.append(options)
     (value, pmf, gap, its, ok), tried = _best_choice(
-        groups, tol, max_iter, budget, "per-rank class assignments")
+        [by_rank[r] for r in ranks], tol, max_iter, budget,
+        "per-rank class assignments")
     return CssResult(value, gap, its, ok, "alpha",
                      rank_pmf=dict(zip(ranks, pmf)), assignments_tried=tried)
 
@@ -609,17 +587,15 @@ def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
                              max_iter: int = DEFAULT_MAX_ITER,
                              budget: int = DEFAULT_ASSIGNMENT_BUDGET
                              ) -> CssResult:
-    """C_ss by one of CSS_MODES; "auto" falls back from ``css_unique``
-    to ``css_bruteforce`` on a channel without a USD."""
+    """C_ss by one of CSS_MODES; "auto" runs ``css_unique`` on a channel
+    with a USD and ``css_bruteforce`` on any other."""
     if mode not in CSS_MODES:
         raise ValueError(f"unknown css mode {mode!r}")
-    if mode in ("auto", "unique"):
-        try:
-            return css_unique(core, tol, max_iter)
-        except NoUniqueDegradation:
-            if mode == "unique":
-                raise
-    elif mode == "alpha":
+    if mode == "auto":
+        mode = "bruteforce" if classify_mod.usd_violation(core) else "unique"
+    if mode == "unique":
+        return css_unique(core, tol, max_iter)
+    if mode == "alpha":
         return css_alpha_lower(core, tol, max_iter, budget)
     return css_bruteforce(core, tol, max_iter, budget)
 

@@ -253,6 +253,20 @@ def is_rank_symmetric(core: TransitionCore):
     return PredicateResult(True), mu
 
 
+def usd_violation(core: TransitionCore):
+    """None if P_U(E = 0) depends on dim U alone (the channel has a USD),
+    else (u1, p1, u2, p2): the first two classes of one dimension, in
+    canonical order, with zero masses p1 != p2."""
+    n = core.spec.N
+    first: dict = {}   # dim r -> (first class of dim r, its zero mass)
+    for u in core.input_classes():
+        p = core.tables[u].get((0,) * (u.dim * n), ZERO)
+        u0, p0 = first.setdefault(u.dim, (u, p))
+        if p != p0:
+            return u0, p0, u, p
+    return None
+
+
 def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
     """P(column space of Y | X) must agree for all X with equal column space.
 
@@ -261,26 +275,25 @@ def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
     in each S of F^r.  colspace(E) lies in S iff D_K @ H = 0 for
     K = D_U^T(S^perp), itself a class, of dimension r - dim S.  So the law
     of every class is fixed by the zero-output masses P_K(E = 0), and the
-    test holds iff P_U(E = 0) depends on dim U alone: the law of
-    colspace(E) is then GL(r)-invariant and the same for all classes of
-    dimension r.
+    test holds iff P_U(E = 0) depends on dim U alone (``usd_violation``):
+    the law of colspace(E) is then GL(r)-invariant and the same for all
+    classes of dimension r.  Equivalently, the classes of each dimension
+    share one law of rank E, the form ``css_unique`` needs: rank E = 0 iff
+    E = 0, and the zero masses fix the law of colspace(E), so of rank E.
+    Acceptance criterion 10f cross-checks the two forms.
     """
-    spec = core.spec
-    t = spec.T
-    first: dict = {}   # dim r -> (first class of dim r, its zero mass)
-    for u in core.input_classes():
-        p = core.tables[u].get((0,) * (u.dim * spec.N), ZERO)
-        u0, p0 = first.setdefault(u.dim, (u, p))
-        if p != p0:
-            # X1, X2 share the column space span(e_1..e_r); Y = 0 is the
-            # only output with column space V = {0}.
-            v = subspace_enum.trivial_subspace(spec.field, t)
-            return PredicateResult(False, {
-                "reason": "subspace channel depends on the input "
-                          "representative",
-                "X1": _lift(u0.basis, t), "X2": _lift(u.basis, t),
-                "V": v.to_json(), "p1": str(p0), "p2": str(p)})
-    return PredicateResult(True)
+    bad = usd_violation(core)
+    if bad is None:
+        return PredicateResult(True)
+    u1, p1, u2, p2 = bad
+    t = core.spec.T
+    # X1, X2 share the column space span(e_1..e_r); Y = 0 is the only
+    # output with column space V = {0}.
+    return PredicateResult(False, {
+        "reason": "subspace channel depends on the input representative",
+        "X1": _lift(u1.basis, t), "X2": _lift(u2.basis, t),
+        "V": subspace_enum.trivial_subspace(core.spec.field, t).to_json(),
+        "p1": str(p1), "p2": str(p2)})
 
 
 def is_degraded(core: TransitionCore) -> PredicateResult:

@@ -3,7 +3,7 @@
 Subcommands: classify, capacity, css, bounds, report, gen, verify.
 Exit codes: 0 ok, 2 bad input, 3 budget exceeded, 4 optimizer did not
 converge (partial results are still printed) or failed its monotonicity
-check (nothing printed), 5 verification failure.
+check or underflowed (nothing printed), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -174,10 +174,13 @@ def _parse_rank_pmf(text: str) -> dict:
     for part in text.split(","):
         r, _, p = part.partition(":")
         try:
-            out[int(r)] = Fraction(p)
-        except ZeroDivisionError:
-            raise ValueError(f"rank PMF entry {part!r} has a zero "
-                             f"denominator") from None
+            rank, mass = int(r), Fraction(p)
+        except (ValueError, ZeroDivisionError):   # Fraction("") included
+            rank = None
+        if rank is None or rank in out:
+            raise ValueError(f"rank PMF entry {part!r} is not r:p with a "
+                             f"rank r not given before and a fraction p")
+        out[rank] = mass
     return out
 
 

@@ -78,6 +78,17 @@ def test_traced_report_records_the_report_handler(capsys):
     assert _tr.calls(tracer.spans, "cli.cmd_report") == 1
 
 
+def test_traced_report_without_a_usd_runs_only_brute_force(capsys):
+    # auto decides the USD before it calls a solver, so no css_unique
+    # span is left untagged by a refusal
+    cli.main(["report", cli.fixture_path("table1.json")])
+    with _tr.Tracer().installed() as tracer:
+        code = cli.main(["report", cli.fixture_path("example6.json")])
+    assert code == cli.EXIT_OK
+    assert [rec[_tr.TAG] for rec in tracer.spans
+            if rec[_tr.NAME] == "capacity_engine.css"] == ["bruteforce"]
+
+
 def test_uniform_given_rank_reduces_far_fewer_matrices_than_it_ranks(
         monkeypatch):
     # the rank kernel reuses the echelon basis of the rows each support

@@ -673,8 +673,8 @@ def _rebind_everywhere(monkeypatch, original, replacement):
                                         ("example6.json", "bruteforce")])
 def test_auto_report_decides_usd_once_and_ranks_each_class_once(
         monkeypatch, fixtures, name, mode):
-    # classify decides USD; the C_ss step builds each class's rank law
-    # once, whether it then runs the rank-domain search or brute force
+    # classify decides USD; the rank-domain search builds each class's
+    # rank law once, and brute force builds none
     spec, core = fixtures[name]
     usd_calls, ranked, in_css = [], [], []
     usd, rank_law = cls.has_unique_subspace_degradation, \
@@ -703,7 +703,25 @@ def test_auto_report_decides_usd_once_and_ranks_each_class_once(
     rep = ce.capacity_report(spec, core=core)
     assert rep.css.mode == mode
     assert len(usd_calls) == 1
-    assert sorted(ranked, key=lambda u: u.sort_key()) == core.input_classes()
+    want = core.input_classes() if mode == "unique" else []
+    assert sorted(ranked, key=lambda u: u.sort_key()) == want
+
+
+@pytest.mark.parametrize("name, solver", [("table1.json", "css_unique"),
+                                          ("example9.json", "css_unique"),
+                                          ("table2.json", "css_bruteforce"),
+                                          ("example6.json", "css_bruteforce")])
+def test_auto_calls_exactly_one_solver(monkeypatch, fixtures, name, solver):
+    _, core = fixtures[name]
+    calls = []
+    for attribute in ("css_unique", "css_bruteforce"):
+        def counted(*args, _attribute=attribute, _fn=getattr(ce, attribute)):
+            calls.append(_attribute)
+            return _fn(*args)
+        monkeypatch.setattr(ce, attribute, counted)
+    res = ce.subspace_coding_capacity(core, "auto")
+    assert calls == [solver]
+    assert res.mode == solver[len("css_"):]
 
 
 def test_table2_achiever(fixtures):

@@ -64,11 +64,23 @@ def test_gen_uniform_given_rank(tmp_path, capsys):
 
 
 def test_gen_rejects_bad_rank_pmf(tmp_path, capsys):
+    # a repeated rank is refused, not overwritten, and a malformed entry
+    # is named with the r:p form
     out = tmp_path / "chan.json"
-    for pmf in ("5:1", "1:1/0"):
+    form = "is not r:p with a rank r not given before and a fraction p"
+    for pmf, err in (("5:1", "rank outside [0, min(M,N)]"),
+                     ("1:1/0", f"rank PMF entry '1:1/0' {form}"),
+                     ("1:1/4,1:1/2,2:1/2", f"rank PMF entry '1:1/2' {form}"),
+                     ("1:1/2,,2:1/2", f"rank PMF entry '' {form}"),
+                     ("1", f"rank PMF entry '1' {form}"),
+                     ("1:", f"rank PMF entry '1:' {form}"),
+                     ("x:1", f"rank PMF entry 'x:1' {form}"),
+                     ("1:1/2:1", f"rank PMF entry '1:1/2:1' {form}")):
         code = cli.main(["gen", "uniform_given_rank", "--q", "2", "--M", "2",
-                         "--rank-pmf", pmf, "-o", str(out)])
+                         "--N", "2", "--rank-pmf", pmf, "-o", str(out)])
         assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("size, value", [("--M", "-1"), ("--N", "-1"),
@@ -391,3 +403,32 @@ def test_classify_exits_with_a_documented_code_on_any_document(tmp_path,
         code = cli.main(["classify", str(path)])
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_BUDGET,
                     cli.EXIT_CONVERGENCE)
+
+
+def test_css_unique_refuses_a_channel_without_a_usd(capsys):
+    code = cli.main(["css", cli.fixture_path("example6.json"),
+                     "--mode", "unique"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == (
+        "error: subspace channel depends on the input representative; the "
+        "rank-domain optimization does not apply\n")
+
+
+@pytest.mark.parametrize("command", ["report", "capacity", "css"])
+def test_blahut_arimoto_underflow_is_an_optimizer_fault(tmp_path, capsys,
+                                                         command):
+    # H in {I_2, 0} at 1/2 each, q = 5, T = 1000: the achiever's weight on
+    # the small classes underflows, and with it the mass of an output only
+    # they reach
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"q": 5, "T": 1000, "M": 2, "N": 2, "pmf": [
+        {"H": [[1, 0], [0, 1]], "p": "1/2"},
+        {"H": [[0, 0], [0, 0]], "p": "1/2"}]}))
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONVERGENCE
+    assert captured.out == ""
+    assert captured.err == ("error: optimizer failed: an output mass "
+                            "underflowed to 0.0 at iteration 2\n")
