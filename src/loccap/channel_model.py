@@ -22,31 +22,39 @@ tables with one matrix product per pair.
 Each table is indexed once, as it is built, by the row space of its
 entries (``TransitionCore.fibers``); every later consumer reads that.
 
-A channel file is read in one pass over its items (``spec_from_dict``):
-each H is checked as a whole (the types and lengths of its rows, the
-types of its entries, its least and greatest entry) and kept as its
-row-major entry tuple, the key of ``ChannelSpec.pmf_H``; each distinct
-mass string is parsed once, and ``ChannelSpec`` checks that the masses
-sum to 1 with one integer sum over the lcm of their denominators.  The
-ranks of the support come from one ``gf_core.sorted_ranks`` pass over
-the entry tuples in sorted order, which reduces only the rows below the
-prefix each matrix shares with the one before it.
+A channel file is read in bulk (``spec_from_dict``): whole-file passes
+of C-level ``set(map(type, ...))`` and ``map(len, ...)`` check the items,
+the shape of every H and the types of the masses; each H becomes its
+row-major entry tuple, the key of ``ChannelSpec.pmf_H``; and each
+distinct mass string is parsed once, its Fraction shared by every item
+that gives it.  ``ChannelSpec`` checks the entries of all keys and the
+masses the same way, and that the masses sum to 1 with one integer sum
+over the lcm of their denominators.  Only when a bulk check fails are
+the items read one at a time, to name the first item at fault.
+``save_channel`` writes the text ``json.dump(..., indent=1)`` would,
+without the Python-level encoder: each distinct row of the support
+matrices is rendered once.  The ranks of the support come from one
+``gf_core.sorted_ranks`` pass over the entry tuples in sorted order,
+which reduces only the rows below the prefix each matrix shares with the
+one before it.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, product, repeat
 from math import lcm
 from operator import add, itemgetter, lshift
 from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
 from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
-                      row_lists, solve_factor)
+                      solve_factor)
 from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20    # the most entries one class table may have
@@ -55,6 +63,7 @@ SUPPORT_BUDGET = 2 ** 18       # the most support matrices generate may build
 
 ZERO = Fraction(0)
 _INT_TYPE = frozenset({int})
+_MASS_TYPES = frozenset({Fraction, int})
 
 
 class ChannelSpecError(Exception):
@@ -62,6 +71,10 @@ class ChannelSpecError(Exception):
 
 
 def _check_sizes(T: int, M: int, N: int) -> None:
+    # a bool is an int to min, so compare types exactly
+    if {type(T), type(M), type(N)} != _INT_TYPE:
+        raise ChannelSpecError(f"T, M, N must be ints, got {T!r}, {M!r}, "
+                               f"{N!r}")
     if min(T, M, N) < 1:
         raise ChannelSpecError("T, M, N must be positive")
 
@@ -78,20 +91,31 @@ class ChannelSpec:
     pmf_H: Dict[Tuple[int, ...], Fraction]
 
     def __post_init__(self):
+        if type(self.field.q) is not int:
+            raise ChannelSpecError(f"q must be an int, got {self.field.q!r}")
         _check_sizes(self.T, self.M, self.N)
         if not self.pmf_H:
             raise ChannelSpecError("empty transfer-matrix support")
         size, q = self.M * self.N, self.field.q
-        for h, p in self.pmf_H.items():
-            # a bool is an int to min and max, so compare types exactly
-            if (type(h) is not tuple or len(h) != size
-                    or set(map(type, h)) != _INT_TYPE
-                    or min(h) < 0 or max(h) >= q):
-                raise ChannelSpecError(f"support key {h!r} is not a tuple "
-                                       f"of {size} int entries in [0, {q})")
-            if p.numerator <= 0:
-                raise ChannelSpecError("probability masses must be positive")
-        total = _exact_sum(self.pmf_H.values())
+        masses = self.pmf_H.values()
+        distinct = dict(zip(map(id, masses), masses)).values()
+        # the checks run over the whole support at once; only when one
+        # fails does the loop below look for the first item at fault
+        if not (_keys_in_range(self.pmf_H.keys(), size, q)
+                and set(map(type, distinct)) <= _MASS_TYPES
+                and min(distinct) > 0):
+            for h, p in self.pmf_H.items():
+                if not _keys_in_range((h,), size, q):
+                    raise ChannelSpecError(
+                        f"support key {h!r} is not a tuple of {size} int "
+                        f"entries in [0, {q})")
+                if type(p) not in _MASS_TYPES:
+                    raise ChannelSpecError(f"probability mass {p!r} is not "
+                                           f"a Fraction or an int")
+                if p <= 0:
+                    raise ChannelSpecError(
+                        "probability masses must be positive")
+        total = _exact_sum(masses)
         if total != 1:
             raise ChannelSpecError(f"PMF sums to {total}, not 1")
 
@@ -106,12 +130,26 @@ class ChannelSpec:
         return {r: _exact_sum(masses) for r, masses in shells.items()}
 
 
+def _keys_in_range(keys, size: int, q: int) -> bool:
+    """Whether every key is a tuple of size int entries in [0, q)."""
+    # a bool is an int to min and max, so compare types exactly
+    if not (set(map(type, keys)) == {tuple} and set(map(len, keys)) == {size}
+            and set(map(type, chain.from_iterable(keys))) == _INT_TYPE):
+        return False
+    values = set(chain.from_iterable(keys))
+    return min(values) >= 0 and max(values) < q
+
+
 def _exact_sum(masses) -> Fraction:
     """The sum of a collection of rationals, as one integer sum over the
-    lcm of their denominators."""
-    denom = lcm(*{p.denominator for p in masses})
-    return Fraction(sum(p.numerator * (denom // p.denominator)
-                        for p in masses), denom)
+    lcm of their denominators.  A generated or loaded PMF shares one
+    object per distinct mass, so each object is read once and weighted by
+    its count."""
+    count = Counter(map(id, masses))
+    distinct = dict(zip(map(id, masses), masses))
+    denom = lcm(*{p.denominator for p in distinct.values()})
+    return Fraction(sum(count[i] * p.numerator * (denom // p.denominator)
+                        for i, p in distinct.items()), denom)
 
 
 @dataclass
@@ -389,14 +427,26 @@ def _rank_shells(field: FieldSpec, M: int, N: int,
 
     Each rank-r matrix is C @ R for exactly one RREF basis R of its row
     space and one full-column-rank M x r matrix C, so the shells are
-    built without ranking the q^(M*N) matrices.
+    built without ranking the q^(M*N) matrices.  Row i of C @ R is the
+    combination of the rows of R with the coefficients of row i of C:
+    each R tabulates its q^r row combinations once, keyed by coefficient
+    tuple, and each product is M lookups.
     """
+    q = field.q
     shells = []
     for r, p in rank_pmf.items():
-        share = p / qcomb.xi2(M, N, r, field.q)
-        factors = list(gf_core.enumerate_full_rank(M, r, field))
+        share = p / qcomb.xi2(M, N, r, q)
+        factors = [[c.row(i) for i in range(M)]
+                   for c in gf_core.enumerate_full_rank(M, r, field)]
         for w in subspace_enum.enumerate_grassmannian(r, N, field):
-            shells += [(mat_mul(c, w.basis).entries, share) for c in factors]
+            combos = [(0,) * N]   # in the order of product(range(q), r)
+            for i in range(r):
+                v = w.basis.row(i)
+                combos = [tuple((a + c * b) % q for a, b in zip(u, v))
+                          for u in combos for c in range(q)]
+            row = dict(zip(product(range(q), repeat=r), combos)).__getitem__
+            shells += [(tuple(chain.from_iterable(map(row, rows))), share)
+                       for rows in factors]
     shells.sort()
     return dict(shells)
 
@@ -426,27 +476,51 @@ def random_channel(rng, q: int, T: int, M: int, N: int,
 # must be distinct.  The integers are JSON integers, never booleans, and
 # H entries lie in [0, q): the loader reduces nothing mod q.
 
-def _parse_rational(s, where: str, parsed: Dict[str, Fraction]) -> Fraction:
-    """The mass s of a pmf item; parsed maps each mass string already read
-    to its Fraction, so equal strings are parsed once and share it."""
+def _parse_rational(s, where: str) -> Fraction:
+    """The mass s of a pmf item."""
     if type(s) is int:
         return Fraction(s)
-    if type(s) is str and s in parsed:
-        return parsed[s]
     if not isinstance(s, str) or not re.fullmatch(r"\d+(/\d+)?", s.strip()):
         raise ChannelSpecError(f"{where}: probability must be a rational "
                                f"string like \"1/6\", got {s!r}")
     try:
-        p = parsed[s] = Fraction(s)
+        return Fraction(s)
     except ZeroDivisionError as exc:
         raise ChannelSpecError(f"{where}: bad rational {s!r}: {exc}") from exc
-    return p
+
+
+def _pmf_in_bulk(items, M: int, N: int):
+    """The pmf_H of the pmf items, or None when their structure or a mass
+    is at fault.  The entries are left to ChannelSpec.  Each distinct mass
+    is parsed once, and the items that give it share its Fraction."""
+    if set(map(type, items)) != {dict}:
+        return None
+    try:
+        hs = list(map(itemgetter("H"), items))
+        ps = list(map(itemgetter("p"), items))
+    except KeyError:
+        return None
+    rows = partial(chain.from_iterable, hs)
+    if not (set(map(type, hs)) == {list} and set(map(len, hs)) == {M}
+            and set(map(type, rows())) == {list}
+            and set(map(len, rows())) == {N}
+            and set(map(type, ps)) <= {str, int}):
+        return None
+    try:
+        parsed = {s: _parse_rational(s, "") for s in dict.fromkeys(ps)}
+        # an entry that is a list or an object cannot be hashed
+        pmf = dict(zip(map(tuple, map(chain.from_iterable, hs)),
+                       map(parsed.__getitem__, ps)))
+    except (ChannelSpecError, TypeError):
+        return None
+    return pmf if len(pmf) == len(hs) else None
 
 
 def spec_from_dict(doc) -> ChannelSpec:
     """The ChannelSpec of a decoded document in the schema above; any
     departure from it raises ChannelSpecError, for the first item at
-    fault."""
+    fault.  The items are checked in bulk (``_pmf_in_bulk``); only when
+    that fails are they read one at a time, to name the first fault."""
     if not isinstance(doc, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
     for key, kind in (("q", int), ("T", int), ("M", int), ("N", int),
@@ -459,9 +533,14 @@ def spec_from_dict(doc) -> ChannelSpec:
     field = _channel_field(doc["q"])
     q, M, N = doc["q"], doc["M"], doc["N"]
     _check_sizes(doc["T"], M, N)
+    pmf = _pmf_in_bulk(doc["pmf"], M, N)
+    if pmf is not None:
+        try:
+            return ChannelSpec(field, doc["T"], M, N, pmf)
+        except ChannelSpecError:
+            pass    # the loop below names the first item at fault, if any
+    pmf = {}
     shape = f"H must have shape {M}x{N}, with integer entries in [0, {q})"
-    parsed: Dict[str, Fraction] = {}
-    pmf: Dict[Tuple[int, ...], Fraction] = {}
     for i, item in enumerate(doc["pmf"]):
         where = f"pmf[{i}]"
         if not isinstance(item, dict) or "H" not in item or "p" not in item:
@@ -477,17 +556,8 @@ def spec_from_dict(doc) -> ChannelSpec:
             raise ChannelSpecError(f"{where}: {shape}")
         if ent in pmf:
             raise ChannelSpecError(f"{where}: duplicate support matrix")
-        pmf[ent] = _parse_rational(item["p"], where, parsed)
+        pmf[ent] = _parse_rational(item["p"], where)
     return ChannelSpec(field, doc["T"], M, N, pmf)
-
-
-def spec_to_dict(spec: ChannelSpec) -> dict:
-    return {
-        "q": spec.field.q, "T": spec.T, "M": spec.M, "N": spec.N,
-        "pmf": [{"H": row_lists(h, spec.N),
-                 "p": f"{p.numerator}/{p.denominator}"}
-                for h, p in sorted(spec.pmf_H.items())],
-    }
 
 
 def load_channel(path) -> ChannelSpec:
@@ -502,7 +572,31 @@ def load_channel(path) -> ChannelSpec:
         raise ChannelSpecError(f"{path}: {exc}") from exc
 
 
+class _RowText(dict):
+    """row tuple -> its indent-1 JSON text inside an H, rendered on the
+    first lookup."""
+
+    def __missing__(self, row):
+        text = self[row] = ("[\n     " + ",\n     ".join(map(str, row))
+                            + "\n    ]")
+        return text
+
+
 def save_channel(spec: ChannelSpec, path) -> None:
+    """Write spec in the schema above, items in sorted-H order, as the
+    text ``json.dump(doc, fh, indent=1)`` writes, plus a newline.
+
+    The text is rendered directly: each distinct row of the H matrices
+    once, and each item from those rows and its mass.  T, M, N, q and
+    the entries are ints, which render as JSON integers.
+    """
+    N = spec.N
+    row_text = _RowText()
+    items = ",\n".join(
+        '  {\n   "H": [\n    '
+        + ",\n    ".join(map(row_text.__getitem__, zip(*[iter(h)] * N)))
+        + f'\n   ],\n   "p": "{p.numerator}/{p.denominator}"\n  }}'
+        for h, p in sorted(spec.pmf_H.items()))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "q": {spec.field.q},\n "T": {spec.T},\n '
+                 f'"M": {spec.M},\n "N": {N},\n "pmf": [\n{items}\n ]\n}}\n')

@@ -52,6 +52,18 @@ def best_choice_unpruned(groups, tol, max_iter, budget, what):
     return best, tried
 
 
+def spec_to_dict(spec):
+    """The channel file's document of spec, items in sorted-H order: the
+    reference for ``channel_model.save_channel``, whose bytes are
+    ``json.dumps(spec_to_dict(spec), indent=1) + "\n"``."""
+    return {
+        "q": spec.field.q, "T": spec.T, "M": spec.M, "N": spec.N,
+        "pmf": [{"H": gf_core.row_lists(h, spec.N),
+                 "p": f"{p.numerator}/{p.denominator}"}
+                for h, p in sorted(spec.pmf_H.items())],
+    }
+
+
 def support_matrix(spec, h):
     """The support key h of spec.pmf_H as an M x N ``MatrixGF``."""
     return gf_core.MatrixGF(spec.field, spec.M, spec.N, h)

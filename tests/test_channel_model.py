@@ -14,7 +14,7 @@ from loccap.gf_core import (BudgetExceeded, FieldSpec, MatrixGF,
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_columns, span_rows
 
-from conftest import random_small_channel, support_matrix
+from conftest import random_small_channel, spec_to_dict, support_matrix
 
 F2 = FieldSpec(2)
 
@@ -132,6 +132,49 @@ def test_round_trip_is_bit_exact(tmp_path, fixtures):
         assert (path.read_text() == (tmp_path / "again.json").read_text())
 
 
+def _assert_writer_matches_json(tmp_path, spec):
+    path = tmp_path / "chan.json"
+    save_channel(spec, path)
+    want = json.dumps(spec_to_dict(spec), indent=1) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert load_channel(path).pmf_H == spec.pmf_H
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 211])
+def test_writer_matches_the_json_module_on_random_channels(tmp_path, q):
+    # multi-digit entries and numerators; keys given in unsorted order
+    rng = random.Random(q)
+    for _ in range(20):
+        T, M, N = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 4)
+        size, keys = rng.randint(1, min(8, q ** (M * N))), set()
+        while len(keys) < size:
+            keys.add(tuple(rng.randrange(q) for _ in range(M * N)))
+        weights = [rng.randint(1, 10 ** 6) for _ in keys]
+        pmf = {h: Fraction(w, sum(weights)) for h, w in zip(keys, weights)}
+        _assert_writer_matches_json(tmp_path,
+                                    ChannelSpec(FieldSpec(q), T, M, N, pmf))
+    _assert_writer_matches_json(tmp_path, ChannelSpec(FieldSpec(q), 1, 1, 1,
+                                                      {(q - 1,): 1}))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("iid_uniform", dict(q=3, T=2, M=2, N=3)),
+    ("full_rank_uniform", dict(q=5, T=1, M=2)),
+    ("uniform_given_rank", dict(q=2, T=1, M=4, N=4,
+                                rank_pmf={0: Fraction(1, 7),
+                                          1: Fraction(6, 7)})),
+    ("uniform_given_rank", dict(q=3, T=2, M=2, N=3,
+                                rank_pmf={1: Fraction(1, 3),
+                                          2: Fraction(2, 3)})),
+    ("custom_rank_dist", dict(q=211, T=3, M=4, N=4,
+                              rank_pmf={0: Fraction(1, 7), 2: Fraction(2, 7),
+                                        4: Fraction(4, 7)})),
+])
+def test_writer_matches_the_json_module_on_generated_channels(tmp_path, kind,
+                                                              params):
+    _assert_writer_matches_json(tmp_path, cm.generate(kind, **params))
+
+
 def _write(tmp_path, doc):
     path = tmp_path / "chan.json"
     path.write_text(json.dumps(doc))
@@ -211,6 +254,30 @@ _SHAPE = "H must have shape 2x2, with integer entries in [0, 3)"
 _RATIONAL = 'probability must be a rational string like "1/6", got '
 
 
+# ugr(2;1,4,4), 27,510 items: a fault at item 20,000 gets the message it
+# would get at item 0
+_LARGE_SPEC = cm.generate("uniform_given_rank", q=2, T=1, M=4, N=4,
+                          rank_pmf={2: Fraction(1, 2), 4: Fraction(1, 2)})
+_LARGE = spec_to_dict(_LARGE_SPEC)
+_DEEP = 20000
+_DEEP_SHAPE = ("pmf[20000]: H must have shape 4x4, with integer entries "
+               "in [0, 2)")
+
+
+def _deep(**change):
+    """The large document with item _DEEP's "H" or "p" replaced."""
+    items = list(_LARGE["pmf"])
+    items[_DEEP] = dict(items[_DEEP], **change)
+    return dict(_LARGE, pmf=items)
+
+
+def _deep_row(i, row):
+    """The large document with row i of item _DEEP's H replaced."""
+    rows = list(_LARGE["pmf"][_DEEP]["H"])
+    rows[i] = row
+    return _deep(H=rows)
+
+
 @pytest.mark.parametrize("doc, message", [
     (_doc((_A, "1/2"), ([[0, 1], [True, 0]], "1/2")), f"pmf[1]: {_SHAPE}"),
     (_doc((_A, "1/2"), ([[0, 1.0], [1, 0]], "1/2")), f"pmf[1]: {_SHAPE}"),
@@ -246,6 +313,16 @@ _RATIONAL = 'probability must be a rational string like "1/6", got '
      f"pmf[2]: {_SHAPE}"),
     (_doc((_A, "1/3"), (_B, "0"), (_C, "1/2")),
      "probability masses must be positive"),
+    # single faults at item 20,000 of the large document
+    (_deep_row(1, [True, 0, 0, 0]), _DEEP_SHAPE),
+    (_deep_row(2, [0, 2, 0, 0]), _DEEP_SHAPE),
+    (_deep_row(3, [0, 1, 0]), _DEEP_SHAPE),
+    (_deep(H=_LARGE["pmf"][5]["H"]), "pmf[20000]: duplicate support matrix"),
+    (_deep(p="0.5"), f"pmf[20000]: {_RATIONAL}'0.5'"),
+    (_deep(p="1/0"), "pmf[20000]: bad rational '1/0': Fraction(1, 0)"),
+    # a duplicate whose kept items' masses sum to 1
+    (_doc((_A, "1/2"), (_B, "1/2"), (_A, "1/2")),
+     "pmf[2]: duplicate support matrix"),
 ])
 def test_loader_error_messages(doc, message):
     with pytest.raises(ChannelSpecError) as exc:
@@ -360,6 +437,51 @@ def test_spec_validation():
 def test_spec_refuses_malformed_support_keys(key):
     with pytest.raises(ChannelSpecError, match="support key"):
         ChannelSpec(F2, 1, 2, 2, {key: Fraction(1)})
+
+
+@pytest.mark.parametrize("bad", [(1,) * 15, (2,) + (0,) * 15,
+                                 (True,) + (0,) * 15, (0.0,) * 16])
+def test_spec_names_the_first_bad_key_deep_in_a_large_support(bad):
+    keys = list(_LARGE_SPEC.pmf_H)
+    keys[_DEEP], keys[_DEEP + 5000] = bad, "a later bad key"
+    with pytest.raises(ChannelSpecError) as exc:
+        ChannelSpec(F2, 1, 4, 4, dict(zip(keys, _LARGE_SPEC.pmf_H.values())))
+    assert str(exc.value) == (f"support key {bad!r} is not a tuple of 16 int "
+                              f"entries in [0, 2)")
+
+
+@pytest.mark.parametrize("T, M, N", [(True, 1, 1), (2.0, 1, 1), (1.5, 1, 1),
+                                     (1, 1.0, 1), (1, 1, True), (1, "2", 1)])
+def test_spec_refuses_shapes_that_are_not_ints(T, M, N):
+    # the loader refuses them, so a spec that held one would write a file
+    # its own loader refuses
+    with pytest.raises(ChannelSpecError, match="^T, M, N must be ints, got "):
+        ChannelSpec(F2, T, M, N, {(1,): Fraction(1)})
+
+
+def test_spec_refuses_a_field_order_that_is_not_an_int():
+    with pytest.raises(ChannelSpecError,
+                       match=r"^q must be an int, got 2\.0$"):
+        ChannelSpec(FieldSpec(2.0), 1, 1, 1, {(1,): Fraction(1)})
+
+
+def test_generate_refuses_a_shape_that_is_not_an_int():
+    with pytest.raises(ChannelSpecError, match="^T, M, N must be ints, got "):
+        cm.generate("iid_uniform", q=2, T=2.5, M=1, N=1)
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.5, True, "1"])
+def test_spec_refuses_masses_that_are_not_fractions_or_ints(mass):
+    with pytest.raises(ChannelSpecError) as exc:
+        ChannelSpec(F2, 1, 1, 1, {(1,): mass})
+    assert str(exc.value) == (f"probability mass {mass!r} is not a Fraction "
+                              f"or an int")
+    masses = list(_LARGE_SPEC.pmf_H.values())
+    masses[_DEEP] = mass
+    with pytest.raises(ChannelSpecError) as exc:
+        ChannelSpec(F2, 1, 4, 4, dict(zip(_LARGE_SPEC.pmf_H, masses)))
+    assert str(exc.value) == (f"probability mass {mass!r} is not a Fraction "
+                              f"or an int")
 
 
 def test_load_builds_no_matrix(tmp_path, monkeypatch):
