@@ -9,18 +9,17 @@ and Y through a common full-column-rank matrix.  A direct summation
 over the support of H, ``oracle.transition_naive``, serves as the
 oracle for that fast path.
 
-The tables are built from packed integers.  Each row of each H becomes
-one int with a b-bit digit per entry, b = bit_length((q-1)^2 * M): a
-row of D_U @ H is a sum of at most M products of residues, each at most
-(q-1)^2, so summing packed rows never carries between digits and the
-sum is reduced mod q digit by digit only once per distinct table key.
-Masses become int weights over their common denominator, so each
-(class, H) pair costs a few int operations and each table entry one
-``Fraction``.  ``oracle.transition_core_reference`` builds the same
-tables with one matrix product per pair.
-
-Each table is indexed once, as it is built, by the row space of its
-entries (``TransitionCore.fibers``); every later consumer reads that.
+The tables are built from packed integers.  Each distinct row of the
+support becomes one int with a b-bit digit per entry, b =
+bit_length((q-1)^2 * M), so the sum over k of D_U[i, k] * (packed row k
+of H) never carries between digits.  Each E = D_U @ H is then one int,
+its rows b*N bits apart above the int weight of its mass over the
+masses' common denominator; one ``Counter`` per class counts these
+keys, and each distinct key is reduced mod q once.
+``oracle.transition_core_reference`` builds the same tables with one
+matrix product per (class, H) pair.  The classes of one core share one
+``subspace_enum.RowSpaces`` step table, which gives the row space of
+every entry (``TransitionCore.fibers``, read by every later consumer).
 
 A channel file is read in bulk (``spec_from_dict``): whole-file passes
 of C-level ``set(map(type, ...))`` and ``map(len, ...)`` check the items,
@@ -33,10 +32,7 @@ over the lcm of their denominators.  Only when a bulk check fails are
 the items read one at a time, to name the first item at fault.
 ``save_channel`` writes the text ``json.dump(..., indent=1)`` would,
 without the Python-level encoder: each distinct row of the support
-matrices is rendered once.  The ranks of the support come from one
-``gf_core.sorted_ranks`` pass over the entry tuples in sorted order,
-which reduces only the rows below the prefix each matrix shares with the
-one before it.
+matrices is rendered once.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, product, repeat
 from math import lcm
-from operator import add, itemgetter, lshift
+from operator import add, itemgetter, lshift, mul
 from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
@@ -122,11 +118,11 @@ class ChannelSpec:
     def rank_pmf(self) -> Dict[int, Fraction]:
         """P(rank H = r), keyed in the order the ranks first occur in
         pmf_H."""
-        keys = sorted(self.pmf_H)
-        rank = dict(zip(keys, gf_core.sorted_ranks(self.field, self.N, keys)))
+        ranks = subspace_enum.RowSpaces(self.field, self.N).ranks(
+            self.pmf_H, self.M)
         shells: Dict[int, list] = {}
-        for h, p in self.pmf_H.items():
-            shells.setdefault(rank[h], []).append(p)
+        for r, p in zip(ranks, self.pmf_H.values()):
+            shells.setdefault(r, []).append(p)
         return {r: _exact_sum(masses) for r, masses in shells.items()}
 
 
@@ -188,13 +184,25 @@ class TransitionCore:
         return list(self.tables)
 
 
+class _Memo(dict):
+    """key -> fn(key), computed on the first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def transition_core(spec: ChannelSpec) -> TransitionCore:
     """Tabulate the exact distribution of D_U @ H for every class U.
 
-    Row i of E is the unreduced int sum over k of D_U[i, k] * (packed
-    row k of H).  Classes are tabulated in canonical order, and table
-    keys keep the order of the first H in pmf_H that gives each E, as in
-    ``oracle.transition_core_reference``.
+    Classes are tabulated in canonical order, and table keys keep the
+    order of the first H in pmf_H that gives each E, as in
+    ``oracle.transition_core_reference``: the Counter of a class meets
+    its keys in pmf_H order.
     """
     q, N = spec.field.q, spec.N
     classes = []
@@ -207,53 +215,55 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     classes.sort(key=Subspace.sort_key)
     b = ((q - 1) ** 2 * spec.M).bit_length()
     digit = (1 << b) - 1
-    shifts = range(0, b * N, b)
-    denom = lcm(*(p.denominator for p in spec.pmf_H.values()))
-    weights = [p.numerator * (denom // p.denominator)
-               for p in spec.pmf_H.values()]
-    entries = list(spec.pmf_H)
-    packed = []     # packed[k][i]: row k of the i-th H
-    for k in range(0, spec.M * N, N):
-        row = [0] * len(entries)
-        for j, s in zip(range(k, k + N), shifts):
-            row = list(map(add, row, map(lshift, map(itemgetter(j), entries),
-                                         repeat(s))))
-        packed.append(row)
-
-    def row_product(v):
-        """[row of v @ H, unreduced] over the support, in pmf_H order."""
-        out = None
-        for c, rows in zip(v, packed):
-            if c:
-                term = rows if c == 1 else [c * x for x in rows]
-                out = term if out is None else list(map(add, out, term))
-        return out
-
+    masses = spec.pmf_H.values()
+    # each distinct mass object as an int weight over the masses' common
+    # denominator, kept in the low bits of each key
+    distinct = dict(zip(map(id, masses), masses))
+    denom = lcm(*{p.denominator for p in distinct.values()})
+    weight = {i: p.numerator * (denom // p.denominator)
+              for i, p in distinct.items()}
+    weights = list(map(weight.__getitem__, map(id, masses)))
+    low = max(weight.values()).bit_length()
+    low_mask = (1 << low) - 1
+    # packed[k][i]: row k of the i-th H, b bits per entry above the
+    # weight; each distinct row is packed once
+    place = range(low, low + b * N, b)
+    code = _Memo(lambda row: sum(map(lshift, row, place)))
+    packed = [list(map(code.__getitem__, map(itemgetter(slice(k, k + N)),
+                                             spec.pmf_H)))
+              for k in range(0, spec.M * N, N)]
     core = TransitionCore(spec)
+    spaces = subspace_enum.RowSpaces(spec.field, N)
     for u in classes:
-        products = [row_product(u.basis.row(i)) for i in range(u.dim)]
-        acc: Dict[Tuple[int, ...], int] = {}
-        for key, w in zip(zip(*products) if products else repeat(()),
-                          weights):
-            acc[key] = acc.get(key, 0) + w
+        keys = weights
+        for i in range(u.dim):
+            for c, row in zip(u.basis.row(i), packed):
+                if c:
+                    c <<= b * N * i
+                    keys = list(map(add, keys, row if c == 1
+                                    else map(mul, row, repeat(c))))
+        shifts = range(low, low + b * N * u.dim, b)
         merged: Dict[Tuple[int, ...], int] = {}
-        for key, w in acc.items():
-            e = tuple(((x >> s) & digit) % q for x in key for s in shifts)
-            merged[e] = merged.get(e, 0) + w
+        for key, n in Counter(keys).items():
+            e = tuple(((key >> s) & digit) % q for s in shifts)
+            merged[e] = merged.get(e, 0) + n * (key & low_mask)
         core.tables[u] = dist = {e: Fraction(w, denom)
                                  for e, w in merged.items()}
-        core.fibers[u] = index_fibers(spec, u, dist)
+        core.fibers[u] = index_fibers(spaces, u, dist)
     return core
 
 
-def index_fibers(spec: ChannelSpec, u: Subspace,
+def index_fibers(spaces: subspace_enum.RowSpaces, u: Subspace,
                  table: Dict[Tuple[int, ...], Fraction]
                  ) -> Dict[Subspace, Fiber]:
-    """The table of class u indexed by row space: one span_rows per
-    entry, visited in sorted-E order."""
-    fibers: Dict[Subspace, Fiber] = {}
-    for e_ent, p in sorted(table.items()):
-        w = span_rows(MatrixGF(spec.field, u.dim, spec.N, e_ent))
+    """The table of class u indexed by row space, visited in sorted-E
+    order.  The row space of each entry is its state in spaces, a step
+    table the classes of one core share, so each distinct row space is
+    reduced and built as a Subspace once."""
+    keys = sorted(table)
+    fibers: Dict[int, Fiber] = {}
+    for w, e_ent in zip(spaces.states(keys, u.dim), keys):
+        p = table[e_ent]
         f = fibers.get(w)
         if f is None:
             fibers[w] = Fiber(p, e_ent, p)
@@ -261,7 +271,7 @@ def index_fibers(spec: ChannelSpec, u: Subspace,
         f.mass += p
         if f.odd is None and p != f.value:
             f.odd = (e_ent, p)
-    return fibers
+    return {spaces.space(w): f for w, f in fibers.items()}
 
 
 def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
@@ -572,16 +582,6 @@ def load_channel(path) -> ChannelSpec:
         raise ChannelSpecError(f"{path}: {exc}") from exc
 
 
-class _RowText(dict):
-    """row tuple -> its indent-1 JSON text inside an H, rendered on the
-    first lookup."""
-
-    def __missing__(self, row):
-        text = self[row] = ("[\n     " + ",\n     ".join(map(str, row))
-                            + "\n    ]")
-        return text
-
-
 def save_channel(spec: ChannelSpec, path) -> None:
     """Write spec in the schema above, items in sorted-H order, as the
     text ``json.dump(doc, fh, indent=1)`` writes, plus a newline.
@@ -591,7 +591,9 @@ def save_channel(spec: ChannelSpec, path) -> None:
     the entries are ints, which render as JSON integers.
     """
     N = spec.N
-    row_text = _RowText()
+    # each distinct row of the H matrices as its indent-1 JSON text
+    row_text = _Memo(lambda row: "[\n     " + ",\n     ".join(map(str, row))
+                     + "\n    ]")
     items = ",\n".join(
         '  {\n   "H": [\n    '
         + ",\n    ".join(map(row_text.__getitem__, zip(*[iter(h)] * N)))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Optional
 
 from . import gf_core, qcomb, subspace_enum
@@ -76,23 +77,37 @@ class ClassReport:
 
 def _lift(e: MatrixGF, t: int) -> list:
     """E padded with zero rows to height t, as row lists: the input
-    [D_U; 0] for E = D_U, and its output [E; 0] for E = D_U @ H."""
-    return e.to_lists() + [[0] * e.cols for _ in range(t - e.rows)]
+    [D_U; 0] for E = D_U, and its output [E; 0] for E = D_U @ H.  The
+    padding rows are one shared list; no consumer writes to a witness."""
+    return e.to_lists() + [[0] * e.cols] * (t - e.rows)
 
 
 def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
     """True iff the transfer PMF is constant on each rank shell.
 
-    The support is ranked in sorted entry order by one
-    ``gf_core.sorted_ranks`` pass; the witness is the least rank at
-    fault, with the first two matrices of unequal mass in that order.
+    The support is ranked by one ``subspace_enum.RowSpaces`` step table,
+    and the test runs in bulk: the matrices of each rank must share one
+    mass object (a loaded or generated PMF shares one per distinct mass)
+    and cover all xi2(M, N, r) matrices of that rank.  Only when that
+    fails is the support scanned in sorted entry order, comparing masses
+    by value, to name the witness: the least rank at fault, with the
+    first two matrices of unequal mass in that order.
     """
-    items = sorted(spec.pmf_H.items())
-    ranks = gf_core.sorted_ranks(spec.field, spec.N, [h for h, _ in items])
-    by_rank: dict = {}
-    for r, hp in zip(ranks, items):
-        by_rank.setdefault(r, []).append(hp)
-    for r, shell_items in sorted(by_rank.items()):
+    masses = spec.pmf_H.values()
+    ranks = subspace_enum.RowSpaces(spec.field, spec.N).ranks(spec.pmf_H,
+                                                              spec.M)
+    shell_mass = dict(zip(ranks, masses))
+    q = spec.field.q
+    # no rank is met more often than its shell has matrices, so the
+    # shells are covered iff their sizes add up to the support size
+    if all(map(is_, masses, map(shell_mass.__getitem__, ranks))) and sum(
+            qcomb.xi2(spec.M, spec.N, r, q) for r in shell_mass) == len(ranks):
+        return PredicateResult(True)
+    rank = dict(zip(spec.pmf_H, ranks))
+    shells: dict = {}
+    for h, p in sorted(spec.pmf_H.items()):
+        shells.setdefault(rank[h], []).append((h, p))
+    for r, shell_items in sorted(shells.items()):
         first, p1 = shell_items[0]
         for h, p in shell_items:
             if p is not p1 and p != p1:
@@ -101,7 +116,7 @@ def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
                     "rank": r, "H1": row_lists(first, spec.N),
                     "H2": row_lists(h, spec.N),
                     "p1": str(p1), "p2": str(p)})
-        shell = qcomb.xi2(spec.M, spec.N, r, spec.field.q)
+        shell = qcomb.xi2(spec.M, spec.N, r, q)
         if len(shell_items) != shell:
             return PredicateResult(False, {
                 "reason": "rank shell only partially covered",

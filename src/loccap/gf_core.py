@@ -242,48 +242,6 @@ def rank(a: MatrixGF) -> int:
     return len(reduced_rows(a)[1])
 
 
-def sorted_ranks(field: FieldSpec, cols: int, keys) -> list:
-    """The rank of each matrix in keys, row-major entry tuples in [0, q)
-    of one shape, with rows of cols entries.
-
-    Each matrix reuses the echelon basis of the rows it shares, from the
-    top, with the matrix before it, and reduces only the rows below;
-    keys in sorted order share the longest row prefixes.  Any order
-    gives the same ranks.
-    """
-    q, inverses = field.q, field.inverses
-    prev = []
-    bases = [[]]    # bases[k]: (pivot, row) pairs spanning prev's top k rows
-    out = []
-    for ent in keys:
-        rows = [ent[i:i + cols] for i in range(0, len(ent), cols)]
-        k = 0
-        for a, b in zip(rows, prev):
-            if a != b:
-                break
-            k += 1
-        del bases[k + 1:]
-        basis = bases[k]
-        for v in rows[k:]:
-            # each basis row is zero at the pivots of the rows before it,
-            # so one sweep in order clears every pivot of v
-            for piv, b in basis:
-                f = v[piv]
-                if f:
-                    v = [(x - f * y) % q for x, y in zip(v, b)]
-            for piv, x in enumerate(v):
-                if x:
-                    if x != 1:
-                        x = inverses[x]
-                        v = [y * x % q for y in v]
-                    basis = basis + [(piv, v)]
-                    break
-            bases.append(basis)
-        out.append(len(basis))
-        prev = rows
-    return out
-
-
 def solve_factor(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     """The factor operator: the unique C with b @ C = a.
 

@@ -46,13 +46,14 @@ def transition_core_reference(spec: ChannelSpec) -> TransitionCore:
     kmax = min(spec.T, spec.M)
     support = _support(spec)
     classes = subspace_enum.enumerate_projective(kmax, spec.M, spec.field)
+    spaces = subspace_enum.RowSpaces(spec.field, spec.N)
     for u in sorted(classes, key=Subspace.sort_key):
         dist: dict = {}
         for h, p in support:
             e = mat_mul(u.basis, h)
             dist[e.entries] = dist.get(e.entries, ZERO) + p
         core.tables[u] = dist
-        core.fibers[u] = index_fibers(spec, u, dist)
+        core.fibers[u] = index_fibers(spaces, u, dist)
     return core
 
 

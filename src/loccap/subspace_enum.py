@@ -9,7 +9,8 @@ equality and hashing are structural on that canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
+from operator import itemgetter, sub
 from typing import Iterator
 
 from . import gf_core, qcomb
@@ -37,15 +38,69 @@ class Subspace:
 
 
 def _from_rref_rows(field, ambient, rows) -> Subspace:
-    ent = tuple(e for r in rows for e in r)
-    return Subspace(ambient, len(rows),
-                    MatrixGF(field, len(rows), ambient, ent))
+    return Subspace(ambient, len(rows), MatrixGF(
+        field, len(rows), ambient, tuple(chain.from_iterable(rows))))
 
 
 def span_rows(a: MatrixGF) -> Subspace:
     """Canonical subspace spanned by the rows of a."""
     rows, pivots = gf_core.reduced_rows(a)
     return _from_rref_rows(a.field, a.cols, rows[:len(pivots)])
+
+
+class RowSpaces(dict):
+    """(state, row) -> the state of their span: the row spaces of F_q^n
+    met reading matrices row by row, each interned by its RREF basis
+    bases[s], (pivot, row) pairs in pivot order; state 0 is {0}.  Each
+    step is reduced on its first lookup only."""
+
+    def __init__(self, field: FieldSpec, n: int):
+        super().__init__()
+        self.field, self.n, self.bases, self.ids = field, n, [()], {(): 0}
+        self.spaces = {}    # state -> its Subspace, built on first use
+
+    def __missing__(self, step):
+        state, v = step
+        q, basis = self.field.q, self.bases[state]
+        mod = q.__rmod__
+        for p, b in basis:      # b is zero at the other rows' pivots
+            if f := v[p]:
+                v = list(map(mod, map(sub, v, map(f.__mul__, b))))
+        for piv, x in enumerate(v):
+            if x:   # a new pivot: normalise v and clear its column
+                v = tuple(map(mod, map(self.field.inverses[x].__mul__, v)))
+                new = tuple(sorted([(p, tuple(map(mod, map(sub, b, map(
+                    b[piv].__mul__, v)))) if b[piv] else b) for p, b in basis]
+                    + [(piv, v)]))
+                state = self.ids.setdefault(new, len(self.bases))
+                if state == len(self.bases):
+                    self.bases.append(new)
+                break
+        self[step] = state
+        return state
+
+    def states(self, keys, rows: int) -> list:
+        """The state of each of keys, row-major entry tuples of rows
+        rows: one C-level map of steps per row."""
+        n, out = self.n, repeat(0, len(keys))
+        for i in range(0, rows * n, n):
+            out = map(self.__getitem__,
+                      zip(out, map(itemgetter(slice(i, i + n)), keys)))
+        return list(out)
+
+    def ranks(self, keys, rows: int) -> list:
+        """The rank of each of keys, as in ``states``."""
+        return list(map(len, map(self.bases.__getitem__,
+                                 self.states(keys, rows))))
+
+    def space(self, state: int) -> Subspace:
+        """The Subspace of a state, built once through ``span_rows``."""
+        out = self.spaces.get(state)
+        if out is None:
+            rows = [b for _, b in self.bases[state]]
+            out = self.spaces[state] = span_rows(MatrixGF(
+                self.field, len(rows), self.n, tuple(chain(*rows))))
+        return out
 
 
 def span_columns(a: MatrixGF) -> Subspace:

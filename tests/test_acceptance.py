@@ -401,7 +401,8 @@ def _assert_core_matches_reference(spec):
 def test_criterion_10e_packed_core_matches_reference(capsys, fixtures):
     with _Gate(capsys, "criterion 10e: the packed-integer core equals the "
                        "matrix-product reference, key order included, on "
-                       "criterion 10c's 500 channels and the fixtures"):
+                       "criterion 10c's 500 channels, the fixtures and "
+                       "channels with three or more distinct masses"):
         rng = random.Random(1011)
         for _ in range(500):
             _assert_core_matches_reference(_cross_check_channel(rng))
@@ -413,6 +414,14 @@ def test_criterion_10e_packed_core_matches_reference(capsys, fixtures):
         # q = 5, M = 3: 6-bit digits, (q-1)^2 * M = 48 at most per entry
         _assert_core_matches_reference(cm.random_channel(
             random.Random(5), 5, 2, 3, 2, max_support=40))
+        # one mass per rank shell, so each class counts keys that repeat
+        # under three or four distinct masses
+        for q, T, M, N in ((2, 2, 3, 3), (3, 2, 2, 2), (2, 3, 4, 2)):
+            r = min(M, N)
+            _assert_core_matches_reference(cm.generate(
+                "uniform_given_rank", q=q, T=T, M=M, N=N,
+                rank_pmf={s: Fraction(2 * (s + 1), (r + 1) * (r + 2))
+                          for s in range(r + 1)}))
 
 
 def test_criterion_10d_unique_degradation_css_is_one_assignment(capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from loccap import gf_core, qcomb, subspace_enum
 from loccap.gf_core import FieldSpec, MatrixGF, matrix, rank
-from loccap.subspace_enum import (contains, enumerate_grassmannian,
+from loccap.subspace_enum import (RowSpaces, contains,
+                                  enumerate_grassmannian,
                                   enumerate_projective,
                                   matrices_with_column_space, span_columns,
                                   span_rows, trivial_subspace)
@@ -39,6 +40,53 @@ def test_span_rows_is_canonical():
             seen[key] = u
     assert len(seen) == sum(qcomb.gaussian_binomial(2, r, 2)
                             for r in range(3))
+
+
+def _low_rank_batch(rng, field, m, n):
+    """Random m x n matrices C @ R over a few row spaces R, so that row
+    spaces and row prefixes repeat, plus zero and repeated rows."""
+    q = field.q
+
+    def mat(rows, cols):
+        return MatrixGF(field, rows, cols, tuple(
+            rng.randrange(q) for _ in range(rows * cols)))
+
+    pool = [mat(rng.randint(0, min(m, n)), n) for _ in range(3)]
+    out = []
+    for _ in range(rng.randint(4, 12)):
+        r = rng.choice(pool)
+        a = gf_core.mat_mul(mat(m, r.rows), r) if r.rows else \
+            gf_core.zeros(field, m, n)
+        if rng.random() < 0.3:
+            rows = list(a.to_lists())
+            rows[rng.randrange(m)] = rows[0]
+            a = matrix(field, rows)
+        out.append(a.entries)
+    return out
+
+
+def test_row_spaces_match_span_rows_and_rank():
+    # one state per row space: a state's Subspace is span_rows of every
+    # matrix that reaches it, and its dimension is gf_core.rank, with the
+    # batch read in sorted and in shuffled order
+    rng = random.Random(18)
+    seen = 0
+    for q in (2, 3, 5, 7, 211):
+        field = FieldSpec(q)
+        for _ in range(40):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            keys = _low_rank_batch(rng, field, m, n)
+            shuffled = rng.sample(keys, len(keys))
+            for batch in (sorted(keys), shuffled):
+                spaces = RowSpaces(field, n)
+                states = spaces.states(batch, m)
+                want = [span_rows(MatrixGF(field, m, n, h)) for h in batch]
+                assert [spaces.space(s) for s in states] == want
+                assert len(set(states)) == len(set(want))
+                assert RowSpaces(field, n).ranks(batch, m) == \
+                    [rank(MatrixGF(field, m, n, h)) for h in batch]
+            seen += len(keys)
+    assert seen >= 1000, seen
 
 
 def _row_span_vectors(a):
