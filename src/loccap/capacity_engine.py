@@ -35,13 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import fsum
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import classify as classify_mod
 from . import qcomb
 from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
                             cond_rank_given_rowspace, output_laws,
-                            rank_joint, transition_core)
+                            transition_core)
 from .gf_core import BudgetExceeded, MatrixGF
 from .subspace_enum import Subspace
 
@@ -191,9 +192,7 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
 @dataclass
 class _ClassSetup:
     classes: List[Subspace]
-    log_orbits: List[float]             # log2(matrices per out row space)
     mass_rows: List[Dict[int, Fraction]]  # P(out row space | class)
-    h_cond: List[float]                 # H(Y | class), in bits
     rewards: List[float]
 
 
@@ -204,10 +203,18 @@ def _class_setup(core: TransitionCore) -> _ClassSetup:
     PMF is constant on each set of outputs sharing a row space W, with
     total mass m(U, W) independent of the fiber representative.  The
     orbit has xi(T, dim W) members, so the per-matrix output
-    probability is m(W) / xi(T, dim W).  Folding the orbit sizes and
-    the in-class conditional entropy into a per-class reward turns the
-    capacity problem into a standard discrete maximization over the
-    orbit channel m.  Only the W some class table hits are outputs.
+    probability is m(W) / xi(T, dim W), and H(Y | X) is the entropy
+    H(E_U) of the class table, E_U = D_U @ H.  So at fiber weights
+    alpha, with U and W the row spaces of X and Y,
+
+        I(X;Y) = I(U;W) + sum_U alpha(U) reward(U),
+        reward(U) = sum_W m(U,W) log2(xi(T, dim W) / m(U,W)) - H(E_U),
+
+    a standard discrete maximization over the orbit channel m with one
+    reward per class.  Only the W some class table hits are outputs.
+    Each reward is one ``math.fsum`` over the class's mass row and its
+    table's values, so it depends only on the exact row and the multiset
+    of values: classes equal in both get bitwise-equal rewards.
     """
     spec = core.spec
     classes = core.input_classes()
@@ -216,16 +223,15 @@ def _class_setup(core: TransitionCore) -> _ClassSetup:
     w_index = {w: i for i, w in enumerate(out_spaces)}
     log_orbits = [_log2(qcomb.xi(spec.T, w.dim, spec.field.q))
                   for w in out_spaces]
-    mass_rows, h_conds, rewards = [], [], []
+    mass_rows, rewards = [], []
     for u in classes:
         row = {w_index[w]: f.mass for w, f in core.fibers[u].items()}
-        h_cond = -sum(float(p) * _log2(p) for p in core.tables[u].values())
-        h_row = -sum(float(p) * _log2(p) for p in row.values())
-        orbit_bits = sum(float(p) * log_orbits[wi] for wi, p in row.items())
+        terms = [float(p) * (log_orbits[wi] - _log2(p))
+                 for wi, p in row.items()]
+        terms += [float(p) * _log2(p) for p in core.tables[u].values()]
         mass_rows.append(row)
-        h_conds.append(h_cond)
-        rewards.append(h_row + orbit_bits - h_cond)
-    return _ClassSetup(classes, log_orbits, mass_rows, h_conds, rewards)
+        rewards.append(fsum(terms))
+    return _ClassSetup(classes, mass_rows, rewards)
 
 
 def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
@@ -236,38 +242,32 @@ def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
     the class-level mutual information, and the bounds around it, at
     arbitrary weights, while ``_capacity_and_mi`` evaluates it only at
     the capacity achiever."""
-    return _mi_alpha(_class_setup(core), alpha)
+    return _mi_alpha(core, _class_setup(core), alpha)
 
 
-def _mi_alpha(setup: _ClassSetup, alpha: Dict[Subspace, object]) -> float:
-    idx = {u: i for i, u in enumerate(setup.classes)}
-    weights = [0.0] * len(setup.classes)
-    for u, a in alpha.items():
-        weights[idx[u]] = float(a)
+def _mi_alpha(core: TransitionCore, setup: _ClassSetup,
+              alpha: Dict[Subspace, object]) -> float:
+    """I(X;Y) = I(U;W) + sum_U alpha(U) reward(U), the identity of
+    ``_class_setup``: the mutual information of the (class, W) joint
+    plus the alpha-weighted mean reward."""
+    weights = [float(alpha.get(u, 0)) for u in setup.classes]
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("alpha does not sum to 1")
-    mass: Dict[int, float] = {}
-    for a, row in zip(weights, setup.mass_rows):
-        if a == 0.0:
-            continue
-        for wi, p in _float_row(row).items():
-            mass[wi] = mass.get(wi, 0.0) + a * p
-    h_y = -sum(m * (LOG2(m) - setup.log_orbits[wi])
-               for wi, m in mass.items() if m > 0.0)
-    return h_y - sum(a * h for a, h in zip(weights, setup.h_cond))
+    return (_mi(_row_space_joint(core, alpha))
+            + fsum(map(mul, weights, setup.rewards)))
 
 
 def shannon_capacity(core: TransitionCore, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> CapacityResult:
     """Shannon capacity in bits per channel use.
 
-    Classes that induce identical output laws (same orbit row and same
-    conditional value multiset) are interchangeable; they are merged
-    before the optimization and the reported achiever concentrates the
-    merged weight on the canonically first class, which makes the
-    output deterministic even when the optimum is not unique.
+    Classes with the same exact mass row and the same reward are the
+    same Blahut-Arimoto input, so they are interchangeable; they are
+    merged before the optimization and the reported achiever
+    concentrates the merged weight on the canonically first class, which
+    makes the output deterministic even when the optimum is not unique.
     """
-    return _shannon_capacity(core, _class_setup(core), tol, max_iter)
+    return _shannon_capacity(_class_setup(core), tol, max_iter)
 
 
 def _capacity_and_mi(core: TransitionCore, tol: float,
@@ -275,20 +275,16 @@ def _capacity_and_mi(core: TransitionCore, tol: float,
     """shannon_capacity and mi_alpha at its achiever, from one class
     setup."""
     setup = _class_setup(core)
-    cap = _shannon_capacity(core, setup, tol, max_iter)
-    return cap, _mi_alpha(setup, cap.alpha)
+    cap = _shannon_capacity(setup, tol, max_iter)
+    return cap, _mi_alpha(core, setup, cap.alpha)
 
 
-def _shannon_capacity(core: TransitionCore, setup: _ClassSetup, tol: float,
+def _shannon_capacity(setup: _ClassSetup, tol: float,
                       max_iter: int) -> CapacityResult:
-    merged: Dict[tuple, int] = {}
-    reps: List[int] = []
-    for i, (u, row) in enumerate(zip(setup.classes, setup.mass_rows)):
-        values = tuple(sorted(core.tables[u].values()))
-        sig = (tuple(sorted(row.items())), values)
-        if sig not in merged:
-            merged[sig] = len(reps)
-            reps.append(i)
+    first: Dict[tuple, int] = {}
+    for i, (row, reward) in enumerate(zip(setup.mass_rows, setup.rewards)):
+        first.setdefault((tuple(sorted(row.items())), reward), i)
+    reps = list(first.values())
     rows = [_float_row(setup.mass_rows[i]) for i in reps]
     rewards = [setup.rewards[i] for i in reps]
     value, alpha, gap, its, ok = _ba(rows, rewards, tol, max_iter)
@@ -363,21 +359,26 @@ def _row_space_joint(core: TransitionCore, alpha: Dict[Subspace, object]):
     return joint
 
 
-def _mi(joint) -> float:
-    px: Dict[object, float] = {}
-    py: Dict[object, float] = {}
-    for (x, y), p in joint.items():
-        p = float(p)
-        px[x] = px.get(x, 0.0) + p
-        py[y] = py.get(y, 0.0) + p
-    out = 0.0
-    for (x, y), p in joint.items():
-        p = float(p)
-        if p > 0.0:
-            # Logs of the marginals separately: their product can
-            # underflow to 0.0 when an achiever weight is subnormal.
-            out += p * (LOG2(p) - LOG2(px[x]) - LOG2(py[y]))
+def _marginal(joint: Dict[tuple, float], key) -> Dict[object, float]:
+    """The law of key(outcome) under a joint PMF."""
+    out: Dict[object, float] = {}
+    for k, p in joint.items():
+        k = key(k)
+        out[k] = out.get(k, 0.0) + p
     return out
+
+
+def _dims(uv) -> Tuple[int, int]:
+    return uv[0].dim, uv[1].dim
+
+
+def _mi(joint) -> float:
+    px = _marginal(joint, itemgetter(0))
+    py = _marginal(joint, itemgetter(1))
+    # Logs of the marginals separately: their product can underflow to
+    # 0.0 when an achiever weight is subnormal.
+    return sum(p * (LOG2(p) - LOG2(px[x]) - LOG2(py[y]))
+               for (x, y), p in joint.items() if p > 0.0)
 
 
 def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
@@ -389,8 +390,9 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
     """
     spec = core.spec
     q = spec.field.q
-    ranks = rank_joint(core, alpha)
-    lower = j_rank(ranks, spec.T, q) + _mi(_row_space_joint(core, alpha))
+    joint = _row_space_joint(core, alpha)
+    ranks = _marginal(joint, _dims)
+    lower = j_rank(ranks, spec.T, q) + _mi(joint)
     slack = sum(p * _log2(qcomb.xi(r, s, q))
                 for (r, s), p in ranks.items() if p > 0 and s > 0)
     return lower, lower + slack
@@ -609,23 +611,17 @@ def markov_check(core: TransitionCore, alpha: Dict[Subspace, object],
 
     long: row space X -> rank X -> rank Y -> row space Y;
     short: row space X -> rank Y -> row space Y.
-    Exact when alpha is exact; max absolute violations are reported.
+    The joint is in floats, so a chain that holds exactly still shows
+    rounding-size violations; the max absolute violations are reported,
+    and a chain holds when its violation is at most tol.
     """
     joint = _row_space_joint(core, alpha)
-    p_u: Dict[Subspace, float] = {}
-    p_v: Dict[Subspace, float] = {}
-    p_rs: Dict[Tuple[int, int], float] = {}
-    p_us: Dict[Tuple[Subspace, int], float] = {}
-    for (u, v), p in joint.items():
-        p_u[u] = p_u.get(u, 0.0) + p
-        p_v[v] = p_v.get(v, 0.0) + p
-        p_rs[(u.dim, v.dim)] = p_rs.get((u.dim, v.dim), 0.0) + p
-        p_us[(u, v.dim)] = p_us.get((u, v.dim), 0.0) + p
-    p_r = {}
-    p_s = {}
-    for (r, s), p in p_rs.items():
-        p_r[r] = p_r.get(r, 0.0) + p
-        p_s[s] = p_s.get(s, 0.0) + p
+    p_u = _marginal(joint, itemgetter(0))
+    p_v = _marginal(joint, itemgetter(1))
+    p_r = _marginal(joint, lambda uv: uv[0].dim)
+    p_s = _marginal(joint, lambda uv: uv[1].dim)
+    p_rs = _marginal(joint, _dims)
+    p_us = _marginal(joint, lambda uv: (uv[0], uv[1].dim))
     viol_long = viol_short = 0.0
     for (u, v), p in joint.items():
         r, s = u.dim, v.dim

@@ -54,6 +54,7 @@ from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
 from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20    # the most entries one class table may have
+T_BUDGET = 2 ** 20             # the most rows an input X may have
 INPUT_ENUM_BUDGET = 2 ** 24    # the most inputs one scan of them may visit
 SUPPORT_BUDGET = 2 ** 18       # the most support matrices generate may build
 
@@ -73,6 +74,8 @@ def _check_sizes(T: int, M: int, N: int) -> None:
                                f"{N!r}")
     if min(T, M, N) < 1:
         raise ChannelSpecError("T, M, N must be positive")
+    if T > T_BUDGET:
+        raise ChannelSpecError(f"T must be at most {T_BUDGET}, got {T}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,7 @@ class ChannelSpec:
             raise ChannelSpecError(f"PMF sums to {total}, not 1")
 
     def rank_pmf(self) -> Dict[int, Fraction]:
-        """P(rank H = r), keyed in the order the ranks first occur in
-        pmf_H."""
+        """P(rank H = r), keyed in the order ranks first occur in pmf_H."""
         ranks = subspace_enum.RowSpaces(self.field, self.N).ranks(
             self.pmf_H, self.M)
         shells: Dict[int, list] = {}
@@ -136,16 +138,21 @@ def _keys_in_range(keys, size: int, q: int) -> bool:
     return min(values) >= 0 and max(values) < q
 
 
-def _exact_sum(masses) -> Fraction:
-    """The sum of a collection of rationals, as one integer sum over the
-    lcm of their denominators.  A generated or loaded PMF shares one
-    object per distinct mass, so each object is read once and weighted by
-    its count."""
-    count = Counter(map(id, masses))
+def _int_weights(masses):
+    """The int weights of rationals over the lcm of their denominators,
+    aligned with masses, and that lcm.  Each distinct mass object (a
+    generated or loaded PMF shares them) is converted once."""
     distinct = dict(zip(map(id, masses), masses))
     denom = lcm(*{p.denominator for p in distinct.values()})
-    return Fraction(sum(count[i] * p.numerator * (denom // p.denominator)
-                        for i, p in distinct.items()), denom)
+    weight = {i: p.numerator * (denom // p.denominator)
+              for i, p in distinct.items()}
+    return list(map(weight.__getitem__, map(id, masses))), denom
+
+
+def _exact_sum(masses) -> Fraction:
+    """The sum of a collection of rationals, as one integer sum."""
+    weights, denom = _int_weights(masses)
+    return Fraction(sum(weights), denom)
 
 
 @dataclass
@@ -215,18 +222,11 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     classes.sort(key=Subspace.sort_key)
     b = ((q - 1) ** 2 * spec.M).bit_length()
     digit = (1 << b) - 1
-    masses = spec.pmf_H.values()
-    # each distinct mass object as an int weight over the masses' common
-    # denominator, kept in the low bits of each key
-    distinct = dict(zip(map(id, masses), masses))
-    denom = lcm(*{p.denominator for p in distinct.values()})
-    weight = {i: p.numerator * (denom // p.denominator)
-              for i, p in distinct.items()}
-    weights = list(map(weight.__getitem__, map(id, masses)))
-    low = max(weight.values()).bit_length()
+    weights, denom = _int_weights(spec.pmf_H.values())
+    low = max(weights).bit_length()
     low_mask = (1 << low) - 1
-    # packed[k][i]: row k of the i-th H, b bits per entry above the
-    # weight; each distinct row is packed once
+    # packed[k][i]: row k of the i-th H, b bits per entry above the int
+    # weight of its mass; each distinct row is packed once
     place = range(low, low + b * N, b)
     code = _Memo(lambda row: sum(map(lshift, row, place)))
     packed = [list(map(code.__getitem__, map(itemgetter(slice(k, k + N)),

@@ -101,3 +101,39 @@ def rank_pmf_reference(spec):
         r = gf_core.rank(support_matrix(spec, h))
         out[r] = out.get(r, 0) + p
     return out
+
+
+def mi_alpha_reference(core, alpha):
+    """I(X;Y) = H(Y) - H(Y|X) at the input uniform on each row-space
+    fiber with weights alpha: the output matrix mass m(W) spread over
+    the xi(T, dim W) matrices of each row space W, and the entropy of
+    each class table.  The reference for ``capacity_engine.mi_alpha``,
+    which takes it as I(U;W) plus the alpha-weighted mean reward."""
+    spec = core.spec
+    mass, h_cond = {}, 0.0
+    for u, a in alpha.items():
+        a = float(a)
+        if a == 0.0:
+            continue
+        for w, f in core.fibers[u].items():
+            mass[w] = mass.get(w, 0.0) + a * float(f.mass)
+        h_cond += a * -sum(float(p) * ce._log2(p)
+                           for p in core.tables[u].values())
+    h_y = -sum(m * (math.log2(m)
+                    - ce._log2(qcomb.xi(spec.T, w.dim, spec.field.q)))
+               for w, m in mass.items() if m > 0.0)
+    return h_y - h_cond
+
+
+def merged_classes_reference(core):
+    """The first class of each (mass row, sorted table values)
+    signature, in class order: the classes the Shannon solver keeps when
+    it merges classes with one output law.  The reference for
+    ``capacity_engine._shannon_capacity``, which merges on (mass row,
+    reward)."""
+    setup = ce._class_setup(core)
+    first = {}
+    for u, row in zip(setup.classes, setup.mass_rows):
+        values = tuple(sorted(core.tables[u].values()))
+        first.setdefault((tuple(sorted(row.items())), values), u)
+    return list(first.values())

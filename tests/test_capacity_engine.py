@@ -15,7 +15,8 @@ from loccap.gf_core import BudgetExceeded, FieldSpec
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_rows
 
-from conftest import best_choice_unpruned, random_small_channel
+from conftest import (best_choice_unpruned, merged_classes_reference,
+                      mi_alpha_reference, random_small_channel)
 
 F2 = FieldSpec(2)
 
@@ -72,6 +73,70 @@ def test_mi_alpha_matches_naive_joint_random():
         alpha = _random_alpha(rng, core)
         assert ce.mi_alpha(core, alpha) == pytest.approx(
             _mi_naive(spec, alpha), abs=1e-9)
+
+
+def _class_layer_channels():
+    """500 random channels (q in {2, 3}; T, M, N at most 3) and every
+    generator family at small shapes."""
+    rng = random.Random(19)
+    for _ in range(500):
+        yield cm.random_channel(rng, rng.choice([2, 3]), rng.randint(1, 3),
+                                rng.randint(1, 3), rng.randint(1, 3))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    yield cm.generate("iid_uniform", q=2, T=2, M=2, N=2)
+    yield cm.generate("iid_uniform", q=3, T=1, M=2, N=2)
+    yield cm.generate("full_rank_uniform", q=3, T=2, M=2)
+    yield cm.generate("uniform_given_rank", q=2, T=3, M=3, N=2,
+                      rank_pmf={1: half, 2: half})
+    yield cm.generate("uniform_given_rank", q=3, T=2, M=2, N=2,
+                      rank_pmf={0: third, 2: 2 * third})
+    yield cm.generate("custom_rank_dist", q=2, T=3, M=3, N=3,
+                      rank_pmf={1: third, 2: third, 3: third})
+
+
+def test_mi_alpha_matches_the_h_y_minus_h_y_given_x_reference():
+    rng = random.Random(20)
+    for spec in _class_layer_channels():
+        core = transition_core(spec)
+        alpha = _random_alpha(rng, core)
+        assert ce.mi_alpha(core, alpha) == pytest.approx(
+            mi_alpha_reference(core, alpha), abs=1e-9)
+        cap, mi = ce._capacity_and_mi(core, ce.DEFAULT_TOL,
+                                      ce.DEFAULT_MAX_ITER)
+        assert mi == pytest.approx(mi_alpha_reference(core, cap.alpha),
+                                   abs=1e-9)
+
+
+def test_shannon_capacity_keeps_the_classes_of_the_value_signature(
+        monkeypatch):
+    # a stub solver gives every row it is passed weight, so the achiever's
+    # support is the set of classes kept after merging
+    def uniform(rows, rewards, tol, max_iter):
+        return 0.0, [1 / len(rows)] * len(rows), 0.0, 1, True
+
+    monkeypatch.setattr(ce, "_ba", uniform)
+    for spec in _class_layer_channels():
+        core = transition_core(spec)
+        alpha = ce.shannon_capacity(core).alpha
+        assert [u for u, a in alpha.items() if a > 0] \
+            == merged_classes_reference(core)
+
+
+def test_rewards_depend_only_on_the_mass_row_and_the_value_multiset():
+    for spec in _class_layer_channels():
+        core = transition_core(spec)
+        setup = ce._class_setup(core)
+        by_law = {}
+        for u, row, reward in zip(setup.classes, setup.mass_rows,
+                                  setup.rewards):
+            law = (tuple(sorted(row.items())),
+                   tuple(sorted(core.tables[u].values())))
+            assert by_law.setdefault(law, reward) == reward
+        # the same tables read in reverse order give bitwise-equal rewards
+        backwards = cm.TransitionCore(
+            spec, {u: dict(reversed(t.items()))
+                   for u, t in core.tables.items()}, core.fibers)
+        assert ce._class_setup(backwards).rewards == setup.rewards
 
 
 # ---------------------------------------------------------------------------

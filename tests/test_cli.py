@@ -106,6 +106,38 @@ def test_gen_refuses_a_support_over_budget_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["report", "classify", "capacity", "css",
+                                     "bounds", "gen"])
+def test_a_tall_channel_exits_2_at_once(tmp_path, capsys, command):
+    # q^T-sized counts at T = 10^20 would not fit in memory: the loader
+    # and generate refuse T above T_BUDGET before any is built
+    path = tmp_path / "tall.json"
+    T = 10 ** 20
+    path.write_text(json.dumps({"q": 2, "T": T, "M": 2, "N": 2, "pmf": [
+        {"H": [[1, 0], [0, 1]], "p": "1/2"},
+        {"H": [[0, 0], [0, 0]], "p": "1/2"}]}))
+    argv = ([command, str(path)] if command != "gen" else
+            ["gen", "iid_uniform", "--q", "2", "--M", "2", "--N", "2",
+             "--T", str(T), "-o", str(tmp_path / "out.json")])
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "" if command == "gen" else f"{path}: "
+    assert captured.err == (f"error: {where}T must be at most "
+                            f"{cm.T_BUDGET}, got {T}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_tallest_channel_allowed_still_loads(tmp_path):
+    path = tmp_path / "chan.json"
+    cm.save_channel(cm.generate("iid_uniform", q=2, M=1, N=1,
+                                T=cm.T_BUDGET), path)
+    assert cm.load_channel(path).T == cm.T_BUDGET == 2 ** 20
+
+
 @pytest.mark.parametrize("argv, count", [
     (["iid_uniform", "--q", "2", "--M", "120", "--N", "120"], "2^14400"),
     (["iid_uniform", "--q", "2", "--M", "5", "--N", "5"], "2^25"),
