@@ -22,8 +22,10 @@ its output is Y = B @ E with E = D_U @ H; inputs with a common column
 space differ only by B -> B @ G for G in GL(r).  So a question about
 all inputs of one column space is a question about GL(r)-invariance of
 the tables, and GL(r) acting on E from the left has the row-space
-fibers of E as its orbits.  The scans that decide the same predicates
-by brute force live in ``oracle``.
+fibers of E as its orbits.  Three tests rest on whether each table is
+constant on, and covers, the fibers it hits, which ``_fiber_scan``
+decides for all three from one read of each class's index.  The scans
+that decide the same predicates by brute force live in ``oracle``.
 
 Every failed test carries a concrete witness: the first violation met
 in canonical class order, turned into input and output matrices through
@@ -124,60 +126,83 @@ def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
     return PredicateResult(True)
 
 
-def _row_fibers(core: TransitionCore, u: Subspace):
-    """Row-space fibers of the table of class u: (values, violation).
+@dataclass(frozen=True)
+class FiberScan:
+    """The fiber test of every class of core, from ``_fiber_scan``.
 
-    The fiber of a row space R is every dim(U) x N matrix E with row
-    space R; there are xi(dim U, dim R) of them.  values maps each R the
-    table hits to its per-matrix probability and violation is None when
-    the table is constant on, and covers, every fiber it hits.
-    Otherwise values is None and violation is (E1, E2, p1, p2) with
-    equal row spaces and p1 != p2, the first found in canonical order:
-    the least E2 whose value differs from the first entry E1 of its
-    fiber, else E1 and a matrix E2 missing from the first fiber not
-    covered.
+    A class passes when its table is constant on, and covers, every
+    fiber it hits: the xi(dim U, dim R) matrices E of row space R.
+    fiber_fault is (u, E1, E2, p1, p2) for the first class u that fails,
+    with E1, E2 in one fiber and P_u(E1) = p1 != p2 = P_u(E2): the least
+    E2 whose value differs from the first entry E1 of its fiber, else E1
+    and a matrix missing from the least fiber not covered.  fault is the
+    first failure met, that or two classes u1, u2 of one dimension with
+    different fiber values, as (u1, E1, u2, E2, p1, p2) in that form.
+    g maps each dimension r to the values {R: g_r(R)} its classes share
+    and first_u maps r to its first class, in full when fault is None.
     """
+
+    core: TransitionCore
+    fiber_fault: Optional[tuple]
+    fault: Optional[tuple]
+    g: dict
+    first_u: dict
+
+
+def _fiber_scan(core: TransitionCore) -> FiberScan:
+    """Read each ``core.fibers[u]`` once, in canonical class order; the
+    scan stops at the first class that fails the fiber test."""
     spec = core.spec
-    fibers = core.fibers[u]
+    g: dict = {}
+    first_u: dict = {}
+    fault = None
+    for u in core.input_classes():
+        fibers = core.fibers[u]
+        f = min((f for f in fibers.values() if f.odd), default=None,
+                key=lambda f: f.odd[0])
+        if f:
+            e2, p2 = MatrixGF(spec.field, u.dim, spec.N, f.odd[0]), f.odd[1]
+        elif short := [w for w, fw in fibers.items() if fw.mass != qcomb.xi(
+                u.dim, w.dim, spec.field.q) * fw.value]:
+            # no entry is odd, so fiber W holds mass / value entries
+            w = min(short, key=Subspace.sort_key)
+            f, p2 = fibers[w], ZERO
+            e2 = next(e for c in gf_core.enumerate_full_rank(
+                u.dim, w.dim, spec.field) if (e := mat_mul(
+                    c, w.basis)).entries not in core.tables[u])
+        if f:
+            e1 = MatrixGF(spec.field, u.dim, spec.N, f.first)
+            return FiberScan(core, (u, e1, e2, f.value, p2),
+                             fault or (u, e1, u, e2, f.value, p2), g, first_u)
+        if fault:
+            continue
+        values = {w: f.value for w, f in fibers.items()}
+        u0, g0 = first_u.setdefault(u.dim, u), g.setdefault(u.dim, values)
+        if values != g0:
+            w = next(w for w in sorted(set(values) | set(g0),
+                                       key=Subspace.sort_key)
+                     if values.get(w, ZERO) != g0.get(w, ZERO))
+            fault = (u0, w.basis, u, w.basis, g0.get(w, ZERO),
+                     values.get(w, ZERO))
+    return FiberScan(core, None, fault, g, first_u)
 
-    def mat(e_ent):
-        return MatrixGF(spec.field, u.dim, spec.N, e_ent)
 
-    f = min((f for f in fibers.values() if f.odd), default=None,
-            key=lambda f: f.odd[0])
-    if f:
-        return None, (mat(f.first), mat(f.odd[0]), f.value, f.odd[1])
-    for w in sorted(fibers, key=lambda s: s.sort_key()):
-        f = fibers[w]
-        # no entry is odd, so the fiber holds mass / value entries of W
-        if f.mass != qcomb.xi(u.dim, w.dim, spec.field.q) * f.value:
-            missing = next(
-                e for c in gf_core.enumerate_full_rank(u.dim, w.dim,
-                                                       spec.field)
-                if (e := mat_mul(c, w.basis)).entries not in core.tables[u])
-            return None, (mat(f.first), missing, f.value, ZERO)
-    return {w: f.value for w, f in fibers.items()}, None
-
-
-def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
+def is_row_space_symmetric(scan: FiberScan) -> PredicateResult:
     """P(Y|X) on the reachable cone is a function of the two row spaces.
 
     Reachable outputs of any X with row space U are in bijection with
     the cube of dim(U) x N matrices E, and the probability is the class
     value of E while the output row space equals the row space of E.
-    So it suffices to check, class by class, that the table is constant
-    on row-space fibers of E.
+    So it suffices that every class passes the fiber test.
     """
-    t = core.spec.T
-    for u in core.input_classes():
-        _, bad = _row_fibers(core, u)
-        if bad:
-            e1, e2, p1, p2 = bad
-            return PredicateResult(False, {
-                "reason": "probability varies within a row-space fiber",
-                "X": _lift(u.basis, t), "Y1": _lift(e1, t),
-                "Y2": _lift(e2, t), "p1": str(p1), "p2": str(p2)})
-    return PredicateResult(True)
+    if scan.fiber_fault is None:
+        return PredicateResult(True)
+    u, e1, e2, p1, p2 = scan.fiber_fault
+    t = scan.core.spec.T
+    return PredicateResult(False, {
+        "reason": "probability varies within a row-space fiber",
+        "X": _lift(u.basis, t), "Y1": _lift(e1, t),
+        "Y2": _lift(e2, t), "p1": str(p1), "p2": str(p2)})
 
 
 def _gl_map(e_from: MatrixGF, e_to: MatrixGF) -> MatrixGF:
@@ -199,38 +224,12 @@ def _gl_map(e_from: MatrixGF, e_to: MatrixGF) -> MatrixGF:
     return solve_factor(reducer(e_from), reducer(e_to))
 
 
-def _dimension_values(core: TransitionCore):
-    """The fiber values g_r that every class of dimension r shares.
-
-    Returns (g, first_u, None), with g mapping r to {R: g_r(R)} and
-    first_u mapping r to the first class of dimension r, when every
-    table is constant on, and covers, its row-space fibers and classes
-    of equal dimension share one table.  Otherwise returns
-    (None, None, (u1, E1, u2, E2, p1, p2)) with P_u1(E1) = p1 != p2 =
-    P_u2(E2), dim u1 = dim u2 and E1, E2 of equal row space.
-    """
-    g: dict = {}
-    first_u: dict = {}
-    for u in core.input_classes():
-        values, bad = _row_fibers(core, u)
-        if bad:
-            e1, e2, p1, p2 = bad
-            return None, None, (u, e1, u, e2, p1, p2)
-        u0, g0 = first_u.setdefault(u.dim, u), g.setdefault(u.dim, values)
-        if values != g0:
-            w = next(w for w in sorted(set(values) | set(g0),
-                                       key=lambda v: v.sort_key())
-                     if values.get(w, ZERO) != g0.get(w, ZERO))
-            return None, None, (u0, w.basis, u, w.basis, g0.get(w, ZERO),
-                                values.get(w, ZERO))
-    return g, first_u, None
-
-
-def is_rank_symmetric(core: TransitionCore):
+def is_rank_symmetric(scan: FiberScan):
     """P(Y|X) on the reachable cone is a function of (rank X, rank Y).
 
-    Returns (PredicateResult, mu) where mu maps (rank X, rank Y) to the
-    common probability when the test passes.
+    Takes the core's ``_fiber_scan`` and returns (PredicateResult, mu)
+    where mu maps (rank X, rank Y) to the common probability when the
+    test passes.
 
     The outputs of [D_U; 0] carry the values of the table of U on the
     dim(U) x N cube, so the test holds iff all classes of dimension r
@@ -238,11 +237,11 @@ def is_rank_symmetric(core: TransitionCore):
     value on all of Gr(s, N) for each s; a W the table does not hit
     counts as 0, and a W it hits as a positive value.
     """
-    spec = core.spec
+    spec = scan.core.spec
     t = spec.T
-    g, first_u, bad = _dimension_values(core)
+    g, first_u, bad = scan.g, scan.first_u, scan.fault
     mu: dict = {}
-    for r, values in sorted((g or {}).items()):
+    for r, values in sorted(() if bad else g.items()):
         u = first_u[r]
         for s in range(min(r, spec.N) + 1):
             cells = [(w.basis, p) for w, p in values.items() if w.dim == s]
@@ -311,7 +310,7 @@ def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
         "p1": str(p1), "p2": str(p2)})
 
 
-def is_degraded(core: TransitionCore) -> PredicateResult:
+def is_degraded(scan: FiberScan) -> PredicateResult:
     """Exact test of the two degradedness conditions.
 
     (a) P(Y|X) is a function of the column space of X;
@@ -321,17 +320,17 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
         P(Y|X)/p(Y) to be constant on output column-space fibers for
         all input laws.
 
-    (a) holds iff every class table is constant on, and covers, the
-    row-space fibers it hits and classes of equal dimension r share one
+    (a) holds iff the core's ``_fiber_scan`` finds no fault: every class
+    passes the fiber test and classes of equal dimension r share one
     table.  Then P(Y|X) = g_r(R) for R the row space of Y when the
     column space of Y lies in that of X (dimension r), and 0 otherwise,
     so (b) holds iff for each s the vectors (g_r(R)) over r = s..min(T,M)
     are proportional, zero patterns included, for all reachable R of
     dimension s.
     """
-    spec = core.spec
+    spec = scan.core.spec
     t = spec.T
-    g, first_u, bad = _dimension_values(core)
+    g, first_u, bad = scan.g, scan.first_u, scan.fault
     if bad:
         u1, e1, u2, e2, p1, p2 = bad
         x2 = _lift(u2.basis, t)
@@ -376,13 +375,14 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
 def classify(spec: ChannelSpec, core: TransitionCore = None) -> ClassReport:
     if core is None:
         core = transition_core(spec)
-    rs, mu = is_rank_symmetric(core)
+    scan = _fiber_scan(core)
+    rs, mu = is_rank_symmetric(scan)
     return ClassReport(
         uniform_given_rank=is_uniform_given_rank(spec),
         rank_symmetric=rs,
-        degraded=is_degraded(core),
+        degraded=is_degraded(scan),
         unique_subspace_degradation=has_unique_subspace_degradation(core),
-        row_space_symmetric=is_row_space_symmetric(core),
+        row_space_symmetric=is_row_space_symmetric(scan),
         mu={f"{k[0]},{k[1]}": str(v) for k, v in mu.items()} if mu else None)
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__, capacity_engine as ce, channel_model as cm
@@ -67,21 +68,20 @@ def _css_json(res: ce.CssResult) -> dict:
 
 
 def _emit(doc: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        lines = ["quantity,value,mode,gap"]
-        for quantity, entry in doc.items():
-            if isinstance(entry, dict) and "value" in entry:
-                lines.append("{},{},{},{}".format(
-                    quantity, entry["value"], entry.get("mode", ""),
-                    entry.get("gap", "")))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else nullcontext(sys.stdout)) as fh:
+        if getattr(args, "format", "json") == "csv":
+            fh.write("quantity,value,mode,gap\n")
+            for quantity, entry in doc.items():
+                if isinstance(entry, dict) and "value" in entry:
+                    fh.write("{},{},{},{}\n".format(
+                        quantity, entry["value"], entry.get("mode", ""),
+                        entry.get("gap", "")))
+        else:
+            # streamed, so the text of a document with tall witnesses is
+            # never held whole
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
 
 
 def _base_doc(args) -> dict:
@@ -250,7 +250,9 @@ def _check_channel(spec, label: str) -> list:
                         lambda c: oracle.is_rank_symmetric(c)[0]),
                        ("degraded", oracle.is_degraded),
                        ("unique_subspace_degradation",
-                        oracle.has_unique_subspace_degradation)):
+                        oracle.has_unique_subspace_degradation),
+                       ("row_space_symmetric",
+                        oracle.is_row_space_symmetric)):
         fast, slow = getattr(report, name), scan(core)
         got = (fast.holds, sorted(fast.witness or ()))
         want = (slow.holds, sorted(slow.witness or ()))

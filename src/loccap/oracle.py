@@ -1,6 +1,6 @@
 """Brute-force oracles: the class tables and the transition table by
-direct summation, and the rank-symmetric, degraded and
-unique-subspace-degradation predicates.
+direct summation, and the rank-symmetric, degraded,
+unique-subspace-degradation and row-space-symmetric predicates.
 
 ``transition_core_reference`` builds the class tables with one matrix
 product per (class, support matrix) pair, where
@@ -9,11 +9,13 @@ product per (class, support matrix) pair, where
 ``channel_model.p_y_given_x`` reads the same values from the class
 tables.  The degraded and unique-subspace-degradation scans visit
 every one of the q^(T*M) input matrices, grouped by column space, and
-compare the output laws inside each group; the rank-symmetric scan
-visits the whole q^(r*N) cube of every class table.  They are exact but
-exponential; ``classify`` decides the same predicates from the
-row-space index of the class tables, and ``verify`` and the tests
-cross-check it against these scans on small channels.
+compare the output laws inside each group; the rank-symmetric and
+row-space-symmetric scans visit the whole q^(r*N) cube of every class
+table, keying each E by (rank U, rank E) or by (U, row space of E).
+They are exact but exponential; ``classify`` decides the same
+predicates from the row-space index of the class tables, and ``verify``
+and the tests cross-check it against these scans on small channels,
+by outcome and witness keys.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
                             index_fibers, output_laws)
 from .classify import PredicateResult, _lift
 from .gf_core import MatrixGF, mat_mul
-from .subspace_enum import Subspace, span_columns
+from .subspace_enum import Subspace, span_columns, span_rows
 
 NAIVE_TABLE_BUDGET = 2 ** 24
 
@@ -100,6 +102,29 @@ def is_rank_symmetric(core: TransitionCore):
                     "X2": _lift(u.basis, t), "Y2": _lift(e, t),
                     "p1": str(mu[key]), "p2": str(p)}), None
     return PredicateResult(True), {k: v for k, v in sorted(mu.items())}
+
+
+def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
+    """P(Y|X) on the reachable cone is a function of the two row spaces,
+    by keying every E of the full q^(dim U * N) cube of every class by
+    (U, row space of E).
+
+    The witness has the keys of ``classify.is_row_space_symmetric``'s.
+    """
+    spec = core.spec
+    t = spec.T
+    first_at: dict = {}
+    for u in core.input_classes():
+        table = core.tables[u]
+        for e in gf_core.all_matrices(spec.field, u.dim, spec.N):
+            p = table.get(e.entries, ZERO)
+            e0, p0 = first_at.setdefault((u, span_rows(e)), (e, p))
+            if p != p0:
+                return PredicateResult(False, {
+                    "reason": "probability varies within a row-space fiber",
+                    "X": _lift(u.basis, t), "Y1": _lift(e0, t),
+                    "Y2": _lift(e, t), "p1": str(p0), "p2": str(p)})
+    return PredicateResult(True)
 
 
 def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:

@@ -189,7 +189,7 @@ def test_criterion_08_sandwich_and_tightness(capsys, fixtures):
             mi = ce.mi_alpha(core, alpha)
             assert lower - 1e-9 <= mi <= upper + 1e-9
         for name, (spec, core) in fixtures.items():
-            if not cls.is_row_space_symmetric(core).holds:
+            if not cls.classify(spec, core).row_space_symmetric:
                 continue
             for _ in range(3):
                 alpha = rand_alpha(core)
@@ -304,6 +304,16 @@ def _assert_real_violation(core, name, w):
         got = [p_yx(core, x1, y1), p_yx(core, x2, y2)]
         assert got == [Fraction(w["p1"]), Fraction(w["p2"])]
         assert got[0] != got[1]
+    elif name == "row_space_symmetric":
+        x = matrix(field, w["X"])
+        y1, y2 = matrix(field, w["Y1"]), matrix(field, w["Y2"])
+        assert subspace_enum.span_rows(y1) == subspace_enum.span_rows(y2)
+        # both outputs lie in the reachable cone of X
+        assert all(subspace_enum.contains(span_cols(x), span_cols(y))
+                   for y in (y1, y2))
+        got = [p_yx(core, x, y1), p_yx(core, x, y2)]
+        assert got == [Fraction(w["p1"]), Fraction(w["p2"])]
+        assert got[0] != got[1]
     elif name == "unique_subspace_degradation":
         x1, x2 = matrix(field, w["X1"]), matrix(field, w["X2"])
         v = subspace_enum.span_rows(
@@ -333,25 +343,29 @@ def _assert_real_violation(core, name, w):
 
 
 def test_criterion_10b_class_predicates_match_oracle(capsys):
-    with _Gate(capsys, "criterion 10b: table-based rank-symmetric, degraded "
-                       "and unique subspace degradation tests match the "
-                       "brute-force scans on 1000 channels, with verified "
-                       "witnesses"):
+    with _Gate(capsys, "criterion 10b: table-based rank-symmetric, "
+                       "degraded, unique subspace degradation and row-space "
+                       "symmetric tests match the brute-force scans on 1000 "
+                       "channels, with verified witnesses"):
         rng = random.Random(1010)
         positives = {"rank_symmetric": 0, "degraded": 0,
-                     "unique_subspace_degradation": 0}
+                     "unique_subspace_degradation": 0,
+                     "row_space_symmetric": 0}
         for _ in range(1000):
             core = transition_core(_cross_check_channel(rng))
-            rank_sym, mu = cls.is_rank_symmetric(core)
+            scan = cls._fiber_scan(core)
+            rank_sym, mu = cls.is_rank_symmetric(scan)
             rank_sym_scan, mu_scan = oracle.is_rank_symmetric(core)
             assert mu == mu_scan, core.spec
             for name, got, want in (
                     ("rank_symmetric", rank_sym, rank_sym_scan),
-                    ("degraded", cls.is_degraded(core),
+                    ("degraded", cls.is_degraded(scan),
                      oracle.is_degraded(core)),
                     ("unique_subspace_degradation",
                      cls.has_unique_subspace_degradation(core),
-                     oracle.has_unique_subspace_degradation(core))):
+                     oracle.has_unique_subspace_degradation(core)),
+                    ("row_space_symmetric", cls.is_row_space_symmetric(scan),
+                     oracle.is_row_space_symmetric(core))):
                 assert got.holds == want.holds, (name, core.spec)
                 positives[name] += got.holds
                 if not got.holds:

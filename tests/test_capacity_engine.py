@@ -208,7 +208,7 @@ def test_bounds_sandwich_random_pairs():
 def test_bounds_tight_for_row_space_symmetric_fixtures(fixtures):
     rng = random.Random(18)
     for name, (spec, core) in fixtures.items():
-        if not cls.is_row_space_symmetric(core).holds:
+        if not cls.classify(spec, core).row_space_symmetric:
             continue
         for _ in range(3):
             alpha = _random_alpha(rng, core)

@@ -33,7 +33,7 @@ def test_fixture_flags(fixtures):
 
 def test_example9_mu_table(fixtures):
     spec, core = fixtures["example9.json"]
-    holds, mu = cls.is_rank_symmetric(core)
+    holds, mu = cls.is_rank_symmetric(cls._fiber_scan(core))
     assert holds
     # 1 x 2 inputs over F_2: rank-1 input, every rank-1 output has the
     # same conditional probability and rank 0 picks up the rest
@@ -73,7 +73,7 @@ def test_every_t1_channel_is_row_space_symmetric():
     for _ in range(20):
         spec = cm.random_channel(rng, 2, 1, 2, 2)
         core = transition_core(spec)
-        assert cls.is_row_space_symmetric(core).holds
+        assert cls.is_row_space_symmetric(cls._fiber_scan(core)).holds
 
 
 def test_implication_audit_random_channels():
@@ -95,9 +95,9 @@ def test_witness_shapes(fixtures):
 
 def test_witness_is_a_concrete_counterexample(fixtures):
     spec, core = fixtures["table1.json"]
-    holds, _ = cls.is_rank_symmetric(core)
-    assert not holds
-    witness = cls.is_rank_symmetric(core)[0].witness
+    result, _ = cls.is_rank_symmetric(cls._fiber_scan(core))
+    assert not result
+    witness = result.witness
     x1 = matrix(spec.field, witness["X1"])
     x2 = matrix(spec.field, witness["X2"])
     y1 = matrix(spec.field, witness["Y1"])
@@ -190,3 +190,29 @@ def test_uniform_given_rank_equals_the_reference_on_rank_families():
             assert got == is_uniform_given_rank_reference(s)
             outcomes[got.witness["reason"] if got.witness else "holds"] += 1
     assert len(outcomes) == 3
+
+
+class _CountedReads(dict):
+    """A dict that counts the reads of each key through []."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+
+def test_classify_reads_each_class_index_once():
+    # one channel where every fiber predicate holds, one where all fail
+    holds = cm.generate("uniform_given_rank", q=2, T=2, M=3, N=2,
+                        rank_pmf={0: Fraction(1, 3), 2: Fraction(2, 3)})
+    fails = cm.random_channel(random.Random(0), 2, 2, 2, 2)
+    names = ("rank_symmetric", "degraded", "row_space_symmetric")
+    for spec, expected in ((holds, True), (fails, False)):
+        core = transition_core(spec)
+        core.fibers = counted = _CountedReads(core.fibers)
+        flags = cls.classify(spec, core).flags()
+        assert [flags[n] for n in names] == [expected] * 3
+        assert counted.reads and max(counted.reads.values()) == 1

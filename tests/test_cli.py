@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
+from loccap import classify as cls
 from loccap import cli
+from loccap.gf_core import FieldSpec
 
 
 def _run(capsys, argv):
@@ -257,6 +260,36 @@ def test_non_monotone_optimizer_exits_4_without_traceback(monkeypatch,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "lower bound decreased" in captured.err
+
+
+def test_verify_exits_5_on_a_wrong_row_space_symmetric_test(monkeypatch,
+                                                            capsys):
+    original = cls.is_row_space_symmetric
+
+    def flipped(scan):
+        return cls.PredicateResult(not original(scan).holds)
+
+    monkeypatch.setattr(cls, "is_row_space_symmetric", flipped)
+    code, doc = _run_json(capsys, ["verify", "--trials", "0"])
+    assert code == cli.EXIT_VERIFY
+    assert any("row_space_symmetric (holds, witness keys)" in fail
+               for fail in doc["failures"])
+
+
+def test_json_output_is_streamed(tmp_path):
+    # H in {I_2, 0} at 1/2 each: classify prints witnesses T rows tall
+    path, out = tmp_path / "tall.json", tmp_path / "out.json"
+    cm.save_channel(cm.ChannelSpec(FieldSpec(2), 2 ** 12, 2, 2, {
+        (1, 0, 0, 1): Fraction(1, 2), (0, 0, 0, 0): Fraction(1, 2)}),
+        str(path))
+    tracemalloc.start()
+    try:
+        code = cli.main(["classify", str(path), "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)
 
 
 def test_verify_small_run_ok_and_deterministic(tmp_path, capsys):
