@@ -68,23 +68,18 @@ class NoUniqueDegradation(ValueError):
 
 @dataclass
 class CapacityResult:
+    """A capacity certified to lie in [value, upper], with upper = inf
+    when no upper end is certified; ``gap`` is the reported
+    Blahut-Arimoto run's own."""
     value: float
     gap: float
     iterations: int
     converged: bool
     mode: str
     alpha: Optional[Dict[Subspace, float]] = None
-
-
-@dataclass
-class CssResult:
-    value: float
-    gap: float
-    iterations: int
-    converged: bool
-    mode: str
     rank_pmf: Optional[Dict[int, float]] = None
     assignments_tried: int = 1
+    upper: float = math.inf
 
 
 @dataclass
@@ -133,7 +128,9 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     upper value max_i d_i bounds the optimum from above, so once it is
     below ``floor`` the run is abandoned: it returns unconverged, after
     the iterations run, with a value below ``floor`` (-inf if it stopped
-    before computing a lower value).
+    before computing a lower value).  value + gap is the last upper
+    value, so [value, value + gap] holds the optimum at every exit but
+    an abandonment at the first iteration, where it is NaN.
 
     The run is exactly equivariant: permuting the rows with their
     rewards and relabelling the outputs gives a bit-identical value,
@@ -291,7 +288,8 @@ def _shannon_capacity(setup: _ClassSetup, tol: float,
     full_alpha = {u: 0.0 for u in setup.classes}
     for i, a in zip(reps, alpha):
         full_alpha[setup.classes[i]] = a
-    return CapacityResult(value, gap, its, ok, "class", full_alpha)
+    return CapacityResult(value, gap, its, ok, "class", full_alpha,
+                          upper=value + gap)
 
 
 def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -308,7 +306,7 @@ def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
                         for y, p in law.items()})
             for _, laws in output_laws(core) for _, law in laws]
     value, alpha, gap, its, ok = _ba(rows, None, tol, max_iter)
-    return CapacityResult(value, gap, its, ok, "naive")
+    return CapacityResult(value, gap, its, ok, "naive", upper=value + gap)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +400,18 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
 # Subspace coding.
 
 def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER) -> CssResult:
+               max_iter: int = DEFAULT_MAX_ITER) -> CapacityResult:
     """Subspace coding capacity for channels with a unique subspace
     degradation, via convex rank-domain optimization: the search of
-    ``css_alpha_lower``, which has one choice on such a channel."""
+    ``css_alpha_lower``, which has one choice on such a channel, so its
+    one run's value + gap is an upper end."""
     if classify_mod.usd_violation(core) is not None:
         raise NoUniqueDegradation(
             "subspace channel depends on the input representative; "
             "the rank-domain optimization does not apply")
     res = css_alpha_lower(core, tol, max_iter)
     res.mode = "unique"
+    res.upper = res.value + res.gap
     return res
 
 
@@ -470,15 +470,17 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
                  budget: int, what: str):
     """Try every choice of one (row, reward) option per group with
     Blahut-Arimoto; returns the first best (value, pmf, gap, its,
-    converged) and the number of choices tried.  Groups are read one at a
-    time, and the search is refused at the first that lifts the choices
-    past ``budget``.
+    converged), the number of choices tried, and an upper end on the
+    best choice's optimum: the largest value + gap of the runs made and
+    not abandoned.  Groups are read one at a time, and the search is
+    refused at the first that lifts the choices past ``budget``.
 
     A choice replaces the best only with a strictly larger value.  Every
     Blahut-Arimoto iteration's upper value bounds its choice's optimum,
     and so the value the run would end with; once it is below the best
     value so far, the choice cannot replace the best, and its run is
-    abandoned.  Abandoned choices still count as tried.  The bound is
+    abandoned.  Abandoned choices still count as tried; their optimum
+    is below the best value, so the upper end skips them.  The bound is
     exact in real arithmetic; in floats a run could only end above an
     upper value it passed by a rounding error, so a choice within a few
     ulps of the best is where the two searches could part, and the tests
@@ -503,6 +505,7 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
         read.append(group)
     best = None
     tried = 0
+    upper = -math.inf
     solved = set()
     for choice in product(*read):
         tried += 1
@@ -515,14 +518,16 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
         floor = -math.inf if best is None else best[0]
         res = _ba([row for row, _ in choice],
                   [reward for _, reward in choice], tol, max_iter, floor)
+        if res[0] + res[2] >= floor:    # not abandoned
+            upper = max(upper, res[0] + res[2])
         if best is None or res[0] > best[0]:
             best = res
-    return best, tried
+    return best, tried, upper
 
 
 def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER,
-                    budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CssResult:
+                    budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CapacityResult:
     """Best subspace-coding rate over fiber-uniform inputs.
 
     A maximizer exists with a single row-space class per input rank, so
@@ -531,7 +536,8 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
     rank r are the distinct (float row, rate) pairs of the exact laws of
     rank Y that the classes of dimension r give, in class order.  The
     result is a lower bound on the subspace coding capacity, tight for
-    channels with a representative independent subspace channel.
+    channels with a representative independent subspace channel; it
+    certifies no upper end.
     """
     T, q = core.spec.T, core.spec.field.q
     by_rank: Dict[int, list] = {}
@@ -543,16 +549,17 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
         if entry not in options:
             options.append(entry)
     ranks = sorted(by_rank)
-    (value, pmf, gap, its, ok), tried = _best_choice(
+    (value, pmf, gap, its, ok), tried, _ = _best_choice(
         [by_rank[r] for r in ranks], tol, max_iter, budget,
         "per-rank class assignments")
-    return CssResult(value, gap, its, ok, "alpha",
-                     rank_pmf=dict(zip(ranks, pmf)), assignments_tried=tried)
+    return CapacityResult(value, gap, its, ok, "alpha",
+                          rank_pmf=dict(zip(ranks, pmf)),
+                          assignments_tried=tried)
 
 
 def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
-                   budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CssResult:
+                   budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CapacityResult:
     """Exact subspace coding capacity by exhausting deterministic
     degradations (one input matrix per input column space).
 
@@ -572,13 +579,14 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
                 rows.setdefault(frozenset(row.items()), row)
             dims.append(w.dim)
             yield [(_float_row(row), 0.0) for row in rows.values()]
-    (value, pmf, gap, its, ok), tried = _best_choice(
+    (value, pmf, gap, its, ok), tried, upper = _best_choice(
         groups(), tol, max_iter, budget, "deterministic degradations")
     rank_pmf: Dict[int, float] = {}
     for r, p in zip(dims, pmf):
         rank_pmf[r] = rank_pmf.get(r, 0.0) + p
-    return CssResult(value, gap, its, ok, "bruteforce", rank_pmf=rank_pmf,
-                     assignments_tried=tried)
+    return CapacityResult(value, gap, its, ok, "bruteforce",
+                          rank_pmf=rank_pmf, assignments_tried=tried,
+                          upper=upper)
 
 
 CSS_MODES = ("auto", "unique", "alpha", "bruteforce")
@@ -588,7 +596,7 @@ def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
                              tol: float = DEFAULT_TOL,
                              max_iter: int = DEFAULT_MAX_ITER,
                              budget: int = DEFAULT_ASSIGNMENT_BUDGET
-                             ) -> CssResult:
+                             ) -> CapacityResult:
     """C_ss by one of CSS_MODES; "auto" runs ``css_unique`` on a channel
     with a USD and ``css_bruteforce`` on any other."""
     if mode not in CSS_MODES:
@@ -647,7 +655,7 @@ VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 class ChannelReport:
     classes: classify_mod.ClassReport
     capacity: CapacityResult
-    css: CssResult
+    css: CapacityResult
     bounds: Tuple[float, float]
     markov: MarkovVerdict
     verdict: str
@@ -662,15 +670,15 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     """Classify the channel, compute C and the subspace coding capacity,
     and compare them.
 
-    The verdict only asserts equality when a theorem applies: degraded
-    channels (the zero channel among them), or row-space-symmetric
-    channels whose capacity achiever satisfies the long rank chain
-    (checked numerically at the Blahut-Arimoto output).  Strict excess
-    is asserted only when the difference clears ten times the
-    optimization tolerance and the subspace value is not merely a lower
-    bound.  Both of these need the two optimizations to have converged;
-    otherwise only the degraded case gives a verdict.  Pass ``core``
-    when the caller already holds the transition core of ``spec``.
+    The verdict is the first rule that applies: (1) C = C_ss on a
+    degraded channel (the zero channel among them); (2) C > C_ss when
+    C's lower end exceeds C_ss's upper end (inf if uncertified) by more
+    than ten times the tolerance; (3) nothing more when the optimization
+    of C did not converge; (4) C = C_ss on a row-space-symmetric channel
+    whose capacity achiever satisfies the long rank chain (checked
+    numerically at the Blahut-Arimoto output); (5) inconclusive.  Pass
+    ``core`` when the caller already holds the transition core of
+    ``spec``.
     """
     if core is None:
         core = transition_core(spec)
@@ -679,21 +687,19 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     css = subspace_coding_capacity(core, css_mode, tol, max_iter, budget)
     bounds = bounds_row_space(core, cap.alpha)
     markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
-    css_exact = css.mode in ("unique", "bruteforce")
-    unconverged = [name for name, res in (("C", cap), ("C_ss", css))
-                   if not res.converged]
+    margin = cap.value - css.upper
     if report.degraded.holds:
         verdict = VERDICT_EQUAL
         reason = ("channel is degraded; subspace coding achieves the "
                   "Shannon capacity")
-    elif unconverged:
-        verdict = VERDICT_INCONCLUSIVE
-        reason = (f"optimization of {' and '.join(unconverged)} did not "
-                  f"converge; only the degraded-channel theorem applies")
-    elif css_exact and cap.value - css.value > 10 * tol:
+    elif margin > 10 * tol:
         verdict = VERDICT_EXCEEDS
-        reason = (f"C - C_ss = {cap.value - css.value:.6g} exceeds the "
-                  f"comparison threshold")
+        reason = (f"C - C_ss >= {margin:.6g}, the lower end of C less the "
+                  f"upper end of C_ss, exceeds the comparison threshold")
+    elif not cap.converged:
+        verdict = VERDICT_INCONCLUSIVE
+        reason = ("optimization of C did not converge; no certified gap "
+                  "and no equality theorem applies")
     elif report.row_space_symmetric.holds and markov.long_chain:
         verdict = VERDICT_EQUAL
         reason = ("row-space-symmetric channel whose capacity achiever "

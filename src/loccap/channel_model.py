@@ -344,18 +344,6 @@ def cond_rank_given_rowspace(core: TransitionCore,
     return out
 
 
-def rank_joint(core: TransitionCore, alpha) -> Dict[Tuple[int, int], object]:
-    """Joint PMF of (rank X, rank Y) induced by a row-space input PMF."""
-    out: Dict[Tuple[int, int], object] = {}
-    for u, pu in alpha.items():
-        if pu == 0:
-            continue
-        for s, ps in cond_rank_given_rowspace(core, u).items():
-            key = (u.dim, s)
-            out[key] = out.get(key, 0) + pu * ps
-    return out
-
-
 def _channel_field(q: int) -> FieldSpec:
     """F_q for a channel.  A q above CORE_TABLE_BUDGET is refused before
     the primality test, whose trial division is unbounded: the table of
@@ -574,7 +562,7 @@ def load_channel(path) -> ChannelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ChannelSpecError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return spec_from_dict(doc)

@@ -58,7 +58,7 @@ def _cap_json(res: ce.CapacityResult, with_alpha: bool = True) -> dict:
     return doc
 
 
-def _css_json(res: ce.CssResult) -> dict:
+def _css_json(res: ce.CapacityResult) -> dict:
     doc = _cap_json(res, with_alpha=False)
     doc["assignments_tried"] = res.assignments_tried
     if res.rank_pmf is not None:

@@ -34,22 +34,38 @@ def random_small_channel(rng: random.Random, q: int = 2, t_max: int = 2):
 
 def best_choice_unpruned(groups, tol, max_iter, budget, what):
     """The choice search before pruning: Blahut-Arimoto to the end on
-    every choice.  The reference for ``capacity_engine._best_choice``; it
-    calls ``_ba`` through the module, so a patched or traced ``_ba``
-    sees its runs."""
+    every choice, with the largest value + gap of its runs as the upper
+    end.  The reference for ``capacity_engine._best_choice``; it calls
+    ``_ba`` through the module, so a patched or traced ``_ba`` sees its
+    runs."""
     groups = list(groups)
     total = math.prod(len(g) for g in groups)
     if total > budget:
         raise BudgetExceeded(f"{total} {what} exceed budget {budget}")
     best = None
     tried = 0
+    upper = -math.inf
     for choice in product(*groups):
         tried += 1
         res = ce._ba([row for row, _ in choice],
                      [reward for _, reward in choice], tol, max_iter)
+        upper = max(upper, res[0] + res[2])
         if best is None or res[0] > best[0]:
             best = res
-    return best, tried
+    return best, tried, upper
+
+
+def rank_joint(core, alpha):
+    """Joint PMF of (rank X, rank Y) induced by a row-space input PMF,
+    exact when alpha is."""
+    out = {}
+    for u, pu in alpha.items():
+        if pu == 0:
+            continue
+        for s, ps in cm.cond_rank_given_rowspace(core, u).items():
+            key = (u.dim, s)
+            out[key] = out.get(key, 0) + pu * ps
+    return out
 
 
 def spec_to_dict(spec):

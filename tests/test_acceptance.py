@@ -17,10 +17,11 @@ from loccap import classify as cls
 from loccap import cli
 from loccap import oracle, qcomb, subspace_enum
 from loccap.channel_model import transition_core
-from loccap.gf_core import FieldSpec, all_matrices, matrix, rank, zeros
+from loccap.gf_core import (BudgetExceeded, FieldSpec, all_matrices, matrix,
+                            rank, zeros)
 from loccap.oracle import transition_naive
 
-from conftest import random_small_channel
+from conftest import random_small_channel, rank_joint
 
 
 class _Gate:
@@ -139,7 +140,7 @@ def test_criterion_06_single_packet_rank_term(capsys):
             total = sum(weights)
             alpha = {u: Fraction(w, total)
                      for u, w in zip(classes, weights)}
-            joint = cm.rank_joint(core, alpha)
+            joint = rank_joint(core, alpha)
             assert ce.j_rank(joint, 1, 2) == 0.0
             lower, _ = ce.bounds_row_space(core, alpha)
             assert ce.mi_alpha(core, alpha) == pytest.approx(
@@ -457,6 +458,40 @@ def test_criterion_10d_unique_degradation_css_is_one_assignment(capsys):
         assert usd >= 100, usd
 
 
+def test_criterion_10g_certified_intervals_contain_the_capacities(capsys):
+    with _Gate(capsys, "criterion 10g: the certified intervals of C and of "
+                       "the exhaustive C_ss contain tight values at 3, 10 "
+                       "and the default iterations, on 300 channels"):
+        rng = random.Random(1014)
+        checked = usd = 0
+        while checked < 300:
+            core = transition_core(cm.random_channel(
+                rng, rng.choice([2, 3]), rng.randint(1, 2),
+                rng.randint(1, 2), rng.randint(1, 2), max_support=4))
+            try:
+                css_ref = ce.css_bruteforce(core, 1e-13, budget=64)
+            except BudgetExceeded:
+                continue
+            checked += 1
+            cap_ref = ce.shannon_capacity(core, 1e-13)
+            has_usd = cls.usd_violation(core) is None
+            usd += has_usd
+            for max_iter in (3, 10, ce.DEFAULT_MAX_ITER):
+                for res, ref in (
+                        (ce.shannon_capacity(core, max_iter=max_iter),
+                         cap_ref),
+                        (ce.css_bruteforce(core, max_iter=max_iter),
+                         css_ref)):
+                    assert (res.value - 1e-12 <= ref.value
+                            <= res.upper + 1e-12), (core.spec, max_iter)
+                alpha = ce.css_alpha_lower(core, max_iter=max_iter)
+                assert alpha.upper == math.inf
+                if has_usd:
+                    unique = ce.css_unique(core, max_iter=max_iter)
+                    assert unique.upper == unique.value + unique.gap
+        assert usd >= 100, usd
+
+
 def _rank_law_channel(rng):
     # rank families (half of them with a USD) where their support is small
     q = rng.choice([2, 3])
@@ -479,7 +514,8 @@ def test_criterion_10f_usd_iff_one_rank_law_per_rank(capsys, monkeypatch):
         # only the dispatch is checked here: brute force is stubbed, and
         # the rank-domain run need not be tight
         monkeypatch.setattr(ce, "css_bruteforce", lambda core, *args:
-                            ce.CssResult(0.0, 0.0, 0, True, "bruteforce"))
+                            ce.CapacityResult(0.0, 0.0, 0, True,
+                                              "bruteforce"))
         rng = random.Random(1013)
         usd = 0
         for _ in range(1000):

@@ -16,7 +16,7 @@ from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_rows
 
 from conftest import (best_choice_unpruned, merged_classes_reference,
-                      mi_alpha_reference, random_small_channel)
+                      mi_alpha_reference, random_small_channel, rank_joint)
 
 F2 = FieldSpec(2)
 
@@ -149,7 +149,7 @@ def test_j_rank_vanishes_for_single_packet_inputs():
         spec = cm.random_channel(rng, 2, 1, 2, 2)
         core = transition_core(spec)
         alpha = _random_alpha(rng, core)
-        joint = cm.rank_joint(core, alpha)
+        joint = rank_joint(core, alpha)
         assert ce.j_rank(joint, 1, 2) == 0.0
 
 
@@ -329,11 +329,24 @@ def test_best_choice_keeps_the_first_of_tied_choices():
     groups = [[({0: 1.0}, 1.0), ({1: 1.0}, 0.0)],
               [({1: 1.0}, 0.0), ({0: 1.0}, 1.0)]]
     last = ce._ba([{1: 1.0}, {0: 1.0}], [0.0, 1.0], 1e-12, 10 ** 5)
-    (value, pmf, *_), tried = ce._best_choice(groups, 1e-12, 10 ** 5, 4,
-                                              "choices")
+    (value, pmf, *_), tried, _ = ce._best_choice(groups, 1e-12, 10 ** 5,
+                                                 4, "choices")
     assert tried == 4
     assert value == last[0] == pytest.approx(math.log2(3))
     assert pmf == pytest.approx([2 / 3, 1 / 3])
+
+
+def test_best_choice_upper_end_covers_every_choice():
+    # after two iterations the first choice leads with its exact value 1,
+    # while the second, whose optimum is about 1.047, still reads below 1
+    second = [({0: 1.0}, 1.0), ({0: 0.6, 1: 0.4}, 0.0)]
+    groups = [[second[0]], second]
+    (value, _, gap, *_), tried, upper = ce._best_choice(groups, 1e-9, 2, 2,
+                                                        "choices")
+    optimum = ce._ba([row for row, _ in second],
+                     [reward for _, reward in second], 1e-13, 10 ** 5)[0]
+    assert (value, gap, tried) == (1.0, 0.0, 2)
+    assert value + gap < optimum <= upper
 
 
 def _random_groups(rng):
@@ -372,11 +385,14 @@ def test_pruned_choice_search_matches_the_unpruned_reference(monkeypatch):
         groups = _random_groups(rng)
         tol = rng.choice([1e-6, 1e-9])
         max_iter = rng.choice([20, 100])
-        want = best_choice_unpruned(groups, tol, max_iter, 256, "choices")
+        best, tried, _ = best_choice_unpruned(groups, tol, max_iter, 256,
+                                              "choices")
         with monkeypatch.context() as m:
             m.setattr(ce, "_ba", spy)
-            got = ce._best_choice(groups, tol, max_iter, 256, "choices")
-        assert got == want
+            got_best, got_tried, upper = ce._best_choice(
+                groups, tol, max_iter, 256, "choices")
+        assert (got_best, got_tried) == (best, tried)
+        assert upper >= best[0] + best[2]
     assert sum(abandoned) > 1000
 
 
@@ -629,7 +645,7 @@ def test_capacity_grows_by_expected_rank_per_row(T):
 def test_j_rank_zero_for_trivial_input(fixtures):
     spec, core = fixtures["table1.json"]
     trivial = next(u for u in core.input_classes() if u.dim == 0)
-    joint = cm.rank_joint(core, {trivial: 1})
+    joint = rank_joint(core, {trivial: 1})
     assert ce.j_rank(joint, spec.T, spec.field.q) == 0.0
 
 

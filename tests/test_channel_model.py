@@ -14,7 +14,8 @@ from loccap.gf_core import (BudgetExceeded, FieldSpec, MatrixGF,
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_columns, span_rows
 
-from conftest import random_small_channel, spec_to_dict, support_matrix
+from conftest import (random_small_channel, rank_joint, spec_to_dict,
+                      support_matrix)
 
 F2 = FieldSpec(2)
 
@@ -81,7 +82,7 @@ def test_rank_joint_marginals(fixtures):
     spec, core = fixtures["table1.json"]
     classes = core.input_classes()
     alpha = {u: Fraction(1, len(classes)) for u in classes}
-    joint = cm.rank_joint(core, alpha)
+    joint = rank_joint(core, alpha)
     assert sum(joint.values()) == 1
     # input-rank marginal equals the mass placed on each dimension
     by_r = {}

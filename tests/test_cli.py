@@ -33,11 +33,16 @@ def test_missing_file_exits_2(capsys):
     assert code == cli.EXIT_INPUT
 
 
-def test_bad_json_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "{broken",
+    "[" * 10 ** 5 + "]" * 10 ** 5,   # json.load raises RecursionError
+], ids=["broken", "nested"])
+def test_bad_json_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text("{broken")
-    code = cli.main(["classify", str(path)])
-    assert code == cli.EXIT_INPUT
+    path.write_text(text)
+    for command in ("classify", "report"):
+        assert cli.main([command, str(path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_version_flag(capsys):
@@ -416,6 +421,25 @@ def test_report_without_convergence_gives_no_verdict(capsys):
     assert not doc["flags"]["degraded"] and not doc["C"]["converged"]
     assert doc["verdict"] == "INCONCLUSIVE"
     assert "optimization of C did not converge" in doc["verdict_reason"]
+
+
+def test_report_without_convergence_certifies_a_gap(tmp_path, capsys):
+    # three iterations leave both runs unconverged, but C's lower end
+    # already clears the exhaustive C_ss's upper end by about 0.67 bits;
+    # the per-rank search's value is only a lower end, so it certifies
+    # no gap
+    path = tmp_path / "crd.json"
+    cm.save_channel(cm.generate("custom_rank_dist", q=2, T=2, M=2, N=2,
+                                rank_pmf={1: Fraction(1, 2),
+                                          2: Fraction(1, 2)}), path)
+    for mode, verdict in (("auto", "C_EXCEEDS_CSS"),
+                          ("alpha", "INCONCLUSIVE")):
+        code, doc = _run_json(capsys, ["report", str(path), "--max-iter",
+                                       "3", "--mode", mode])
+        assert code == cli.EXIT_CONVERGENCE
+        assert not doc["C"]["converged"] and not doc["C_ss"]["converged"]
+        assert doc["verdict"] == verdict
+        assert "upper" not in doc["C"] and "upper" not in doc["C_ss"]
 
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7),
