@@ -6,6 +6,9 @@ on each row-space fiber, so the optimization variables are one weight
 per subspace of F^M (dimension at most min(T, M)).  For such inputs
 the whole mutual information collapses onto the exact per-class tables
 of D_U @ H, which keeps the alphabet tiny even when q^(T M) is not.
+Every optimization is one ``_ba`` run, which certifies an interval
+around the optimum; on two inputs it bisects the one free weight
+instead of taking Blahut-Arimoto steps.
 
 Subspace-coding capacity has three modes.  "alpha" searches one
 row-space class per input rank: a lower bound in general.  "unique" is
@@ -123,14 +126,28 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     """Maximize sum_i p(i) reward(i) + I(input; output) over input PMFs.
 
     rows[i] maps output index to probability; rewards defaults to 0.
-    Returns (value, input PMF list, gap, iterations, converged).  The
-    running lower bound is checked to be monotone.  Each iteration's
-    upper value max_i d_i bounds the optimum from above, so once it is
-    below ``floor`` the run is abandoned: it returns unconverged, after
-    the iterations run, with a value below ``floor`` (-inf if it stopped
-    before computing a lower value).  value + gap is the last upper
-    value, so [value, value + gap] holds the optimum at every exit but
-    an abandonment at the first iteration, where it is NaN.
+    Returns (value, input PMF list, gap, iterations, converged).  Each
+    iteration scores the inputs at one PMF p, d_i = reward_i +
+    D(row_i || output law of p), and certifies that point on its own:
+    the optimum lies in [Arimoto's lower value log2 sum_i p(i) 2^d_i,
+    the upper value max_i d_i], and the run converges once that
+    interval is at most tol wide, returning that point.  Once an upper
+    value is below ``floor`` the run is abandoned: it returns
+    unconverged, after the iterations run, with a value below ``floor``
+    (-inf if it stopped before computing a lower value).  value + gap is
+    the last upper value, so [value, value + gap] holds the optimum at
+    every exit but an abandonment at the first iteration, where it is
+    NaN.
+
+    Except on two inputs, each iteration is a Blahut-Arimoto step,
+    p(i) <- p(i) 2^d_i normalised, whose lower values are checked to be
+    monotone.  Two inputs take a bisection on t = p(0) - p(1) in
+    (-1, 1), started at t = 0: the objective is concave in t with slope
+    (d_0 - d_1) / 2, so each step moves t toward the input with the
+    larger score, and ``iterations`` counts these steps.  It stops
+    unconverged when the bracket has no float between its ends.  A
+    weight is never below 2^-54, so an output mass underflows only
+    where every row entry reaching it is below 2^-1020.
 
     The run is exactly equivariant: permuting the rows with their
     rewards and relabelling the outputs gives a bit-identical value,
@@ -138,7 +155,9 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     same way.  Each iteration takes one log per output, and its three
     sums (the output mass p(w), the row score d_i, and the normaliser z)
     are ``math.fsum``s, which round the exact sum once and so do not
-    depend on the order of their terms.
+    depend on the order of their terms.  Swapping two inputs maps the
+    bisection's t to -t, its bracket to the negated bracket and its
+    PMF to the swapped PMF, each exactly.
     """
     n = len(rows)
     if n == 0:
@@ -153,10 +172,13 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     base = [r + fsum([c * LOG2(c) for c in row.values()])
             for r, row in zip(rewards, rows)]
     alpha = [1.0 / n] * n
+    lo, t, hi = -1.0, 0.0, 1.0      # the two-input bisection's bracket
     prev_lower = -math.inf
     lower = upper = 0.0
     it = 0
     for it in range(1, max_iter + 1):
+        if n == 2:
+            alpha = [(1.0 + t) / 2, (1.0 - t) / 2]
         try:
             logs = [LOG2(fsum([alpha[i] * c for i, c in col]))
                     for col in cols]
@@ -173,13 +195,23 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
         scaled = [a * 2.0 ** (di - upper) for a, di in zip(alpha, d)]
         z = fsum(scaled)
         lower = upper + LOG2(z)
-        if not (lower >= prev_lower - 1e-9):
+        if n != 2 and not (lower >= prev_lower - 1e-9):
             raise NonMonotoneBound(
                 f"lower bound decreased: {prev_lower} -> {lower}")
         prev_lower = lower
         if upper - lower <= tol:
             return lower, alpha, upper - lower, it, True
-        alpha = [s / z for s in scaled]
+        if n != 2:
+            alpha = [s / z for s in scaled]
+            continue
+        # tied scores converged above: the two weights fsum to 1.0
+        if d[0] > d[1]:
+            lo = t
+        else:
+            hi = t
+        t = (lo + hi) / 2
+        if t == lo or t == hi:
+            break
     return lower, alpha, upper - lower, it, False
 
 
@@ -476,7 +508,7 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
     refused at the first that lifts the choices past ``budget``.
 
     A choice replaces the best only with a strictly larger value.  Every
-    Blahut-Arimoto iteration's upper value bounds its choice's optimum,
+    ``_ba`` iteration's upper value bounds its choice's optimum,
     and so the value the run would end with; once it is below the best
     value so far, the choice cannot replace the best, and its run is
     abandoned.  Abandoned choices still count as tried; their optimum

@@ -337,11 +337,12 @@ def test_best_choice_keeps_the_first_of_tied_choices():
 
 
 def test_best_choice_upper_end_covers_every_choice():
-    # after two iterations the first choice leads with its exact value 1,
-    # while the second, whose optimum is about 1.047, still reads below 1
+    # after one step the first choice leads with its exact value 1, while
+    # the second, whose optimum is about 1.047, reads 0.852 at its first
+    # point, the uniform input
     second = [({0: 1.0}, 1.0), ({0: 0.6, 1: 0.4}, 0.0)]
     groups = [[second[0]], second]
-    (value, _, gap, *_), tried, upper = ce._best_choice(groups, 1e-9, 2, 2,
+    (value, _, gap, *_), tried, upper = ce._best_choice(groups, 1e-9, 1, 2,
                                                         "choices")
     optimum = ce._ba([row for row, _ in second],
                      [reward for _, reward in second], 1e-13, 10 ** 5)[0]
@@ -484,6 +485,117 @@ def test_ba_is_exactly_equivariant():
                 new_rows, new_rewards, tol, max_iter, floor)
             assert (got_value, *got_rest) == (value, *rest)
             assert got_alpha == [alpha[i] for i in order]
+
+
+def _random_pair(rng):
+    """A two-input problem: two rows over at most 6 outputs, with
+    rewards."""
+    n_out = rng.randint(1, 6)
+    rows = []
+    for _ in range(2):
+        support = rng.sample(range(n_out), rng.randint(1, n_out))
+        weights = [rng.random() for _ in support]
+        rows.append({w: c / sum(weights) for w, c in zip(support, weights)})
+    return rows, [rng.choice([0.0, rng.random(), 2 * rng.random()])
+                  for _ in rows]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_two_input_bisection_agrees_with_blahut_arimoto(tol):
+    # a copy of the first row leaves the optimum where it is and takes the
+    # problem to the Blahut-Arimoto iteration
+    rng = random.Random(2222)
+    for _ in range(1000):
+        rows, rewards = _random_pair(rng)
+        value, _, gap, _, ok = ce._ba(rows, rewards, tol, 10 ** 5)
+        ba_value, _, ba_gap, _, ba_ok = ce._ba(
+            rows + rows[:1], rewards + rewards[:1], tol, 10 ** 6)
+        assert ok and ba_ok
+        # the intervals overlap, up to rounding
+        assert value <= ba_value + ba_gap + 1e-15
+        assert ba_value <= value + gap + 1e-15
+        assert abs(value - ba_value) <= 2 * tol
+
+
+def test_two_input_bisection_edge_cases():
+    # disjoint rows: the optimum log2(2^r0 + 2^r1), at weights
+    # proportional to 2^reward
+    value, pmf, gap, _, ok = ce._ba([{0: 1.0}, {1: 1.0}], [2.0, 0.0],
+                                    1e-12, 10 ** 5)
+    assert ok and value <= math.log2(5) <= value + gap
+    assert pmf == pytest.approx([0.8, 0.2], abs=1e-9)
+    # identical rows and rewards: the scores tie at the first point
+    row = {0: 0.3, 1: 0.7}
+    assert ce._ba([row, dict(row)], [0.5, 0.5], 1e-12, 10 ** 5) == (
+        0.5, [0.5, 0.5], 0.0, 1, True)
+    # optima on the boundary: the first input alone
+    for rows, rewards, optimum in (
+            ([row, dict(row)], [1.0, 0.0], 1.0),
+            ([{0: 0.5, 1: 0.5}, {0: 1.0}], [5.0, 0.0], 5.0),
+            ([{0: 1.0}, {0: 1.0}], [0.0, 1e8], 1e8)):
+        value, pmf, gap, _, ok = ce._ba(rows, rewards, 1e-9, 10 ** 5)
+        big = rewards.index(max(rewards))
+        assert ok and value <= optimum <= value + gap
+        assert pmf[1 - big] < 1e-8
+    # an unconverged run returns the weights of the point it certified:
+    # t = 0, then t = +-1/2
+    rows, rewards = [{0: 1.0}, {0: 0.6, 1: 0.4}], [1.0, 0.0]
+    assert ce._ba(rows, rewards, 1e-9, 1)[1] == [0.5, 0.5]
+    assert ce._ba(rows, rewards, 1e-9, 2)[1] == [0.75, 0.25]
+    # at tol 0 a run ends at a gap of exactly 0, or unconverged once its
+    # bracket closes on two adjacent floats
+    rng = random.Random(2525)
+    stalled = 0
+    for _ in range(1000):
+        rows, rewards = _random_pair(rng)
+        value, _, gap, its, ok = ce._ba(rows, rewards, 0.0, 10 ** 5)
+        want, _, want_gap, *_ = ce._ba(rows, rewards, 1e-12, 10 ** 5)
+        assert its < 1100
+        assert value <= want + want_gap + 1e-15
+        assert want <= value + gap + 1e-15
+        stalled += not ok
+    assert stalled > 5
+
+
+def test_two_input_bisection_is_exactly_equivariant():
+    # swapping the inputs maps t to -t: not one bit of the run may move,
+    # with or without a floor, abandoned or not
+    rng = random.Random(2323)
+    for _ in range(1000):
+        rows, rewards = _random_pair(rng)
+        tol = rng.choice([1e-6, 1e-9, 1e-12])
+        max_iter = rng.choice([3, 20, 10 ** 5])
+        new_rows, new_rewards, order = _relabelled(rows, rewards, rng)
+        if order == [0, 1]:
+            new_rows, new_rewards = new_rows[::-1], new_rewards[::-1]
+            order = [1, 0]
+        want = ce._ba(rows, rewards, tol, max_iter)
+        for floor in (-math.inf, want[0] - rng.choice([0.0, 1e-3, 1.0]),
+                      want[0] + want[2] + rng.choice([1e-7, 1e-3, 1.0])):
+            value, alpha, *rest = ce._ba(rows, rewards, tol, max_iter, floor)
+            got_value, got_alpha, *got_rest = ce._ba(
+                new_rows, new_rewards, tol, max_iter, floor)
+            assert (got_value, *got_rest) == (value, *rest)
+            assert got_alpha == [alpha[i] for i in order]
+
+
+def test_two_input_bisection_abandons_below_its_floor():
+    rng = random.Random(2424)
+    first = later = 0
+    for _ in range(500):
+        rows, rewards = _random_pair(rng)
+        value, _, gap, _, _ = ce._ba(rows, rewards, 1e-9, 10 ** 5)
+        floor = value + gap + rng.choice([1e-6, 1e-3, 1.0, 100.0])
+        got, _, got_gap, its, ok = ce._ba(rows, rewards, 1e-9, 10 ** 5,
+                                          floor)
+        assert not ok and got < floor
+        if its == 1:
+            assert math.isnan(got + got_gap)
+            first += 1
+        else:
+            assert got + got_gap < floor
+            later += 1
+    assert first > 50 and later > 50
 
 
 def test_choice_search_solves_each_symmetry_class_once(monkeypatch):

@@ -506,6 +506,29 @@ def test_css_unique_refuses_a_channel_without_a_usd(capsys):
 
 
 @pytest.mark.parametrize("command", ["report", "capacity", "css"])
+@pytest.mark.parametrize("q, T, c, css, verdict", [
+    (2, 2000, 2000.0, 2000.0, "C_EQUALS_CSS"),
+    (5, 1000, 1000 * math.log2(5), math.log2(1 + (5 ** 1000 - 1) // 4),
+     "C_EXCEEDS_CSS")])
+def test_two_input_channels_do_not_underflow(tmp_path, capsys, command, q, T,
+                                             c, css, verdict):
+    # H = [[1]]: two input classes, the zero space and F^1, whose rewards
+    # differ by about T log2 q bits; Blahut-Arimoto's weight on the zero
+    # space once underflowed at q = 2 from T = 1100 on
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"q": q, "T": T, "M": 1, "N": 1,
+                                "pmf": [{"H": [[1]], "p": "1"}]}))
+    code, doc = _run_json(capsys, [command, str(path)])
+    assert code == cli.EXIT_OK
+    if command != "css":
+        assert doc["C"]["value"] == pytest.approx(c, abs=1e-8)
+    if command != "capacity":
+        assert doc["C_ss"]["value"] == pytest.approx(css, abs=1e-8)
+    if command == "report":
+        assert doc["verdict"] == verdict
+
+
+@pytest.mark.parametrize("command", ["report", "capacity", "css"])
 def test_blahut_arimoto_underflow_is_an_optimizer_fault(tmp_path, capsys,
                                                          command):
     # H in {I_2, 0} at 1/2 each, q = 5, T = 1000: the achiever's weight on
