@@ -7,8 +7,9 @@ per subspace of F^M (dimension at most min(T, M)).  For such inputs
 the whole mutual information collapses onto the exact per-class tables
 of D_U @ H, which keeps the alphabet tiny even when q^(T M) is not.
 Every optimization is one ``_ba`` run, which certifies an interval
-around the optimum; on two inputs it bisects the one free weight
-instead of taking Blahut-Arimoto steps.
+around the optimum; on two inputs it bisects the one free weight, and
+on three or more it takes over-relaxed Blahut-Arimoto steps whose size
+adapts to the run.
 
 Subspace-coding capacity has three modes.  "alpha" searches one
 row-space class per input rank: a lower bound in general.  "unique" is
@@ -54,12 +55,14 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10 ** 5
 DEFAULT_ASSIGNMENT_BUDGET = 10 ** 5
 NAIVE_ALPHABET_BUDGET = 2 ** 24    # inputs times largest class table
+_MAX_STEP = 64      # the cap on _ba's over-relaxation factor mu
 
 
 class NonMonotoneBound(AssertionError):
-    """Blahut-Arimoto's running lower bound fell between two iterations,
-    or an output mass underflowed to 0.0: a numerical fault of the
-    optimizer, with no result to report."""
+    """Blahut-Arimoto's lower value fell after a plain step, or an output
+    mass underflowed to 0.0 there: a numerical fault of the optimizer,
+    with no result to report.  An over-relaxed trial point that does
+    either is rejected instead (see ``_ba``)."""
 
 
 class NoUniqueDegradation(ValueError):
@@ -139,25 +142,47 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     every exit but an abandonment at the first iteration, where it is
     NaN.
 
-    Except on two inputs, each iteration is a Blahut-Arimoto step,
-    p(i) <- p(i) 2^d_i normalised, whose lower values are checked to be
-    monotone.  Two inputs take a bisection on t = p(0) - p(1) in
-    (-1, 1), started at t = 0: the objective is concave in t with slope
-    (d_0 - d_1) / 2, so each step moves t toward the input with the
-    larger score, and ``iterations`` counts these steps.  It stops
-    unconverged when the bracket has no float between its ends.  A
-    weight is never below 2^-54, so an output mass underflows only
-    where every row entry reaching it is below 2^-1020.
+    Three or more inputs take over-relaxed Blahut-Arimoto steps,
+    p(i) <- p(i) 2^(mu (d_i - max_j d_j)) normalised, where mu = 1 is
+    the plain Blahut-Arimoto step.  Each accepted point is left by a
+    step with the current mu, starting at 1, after which mu doubles, up
+    to ``_MAX_STEP``.  A point reached with mu > 1 is a trial, accepted
+    only when its lower value is at least the last accepted one and its
+    interval is no wider.  A trial that fails either test, or one of
+    whose output masses underflows to 0.0, is rejected: the run goes
+    back to the last accepted point, takes the plain step from it, and
+    resets mu to 1; so does a trial step that would round every weight
+    to 0.0.  The width test matters near the optimum, where the lower
+    value is flat to rounding while an overshooting step still widens
+    the interval.  A trial may round some weights to 0.0, which no
+    later step raises again; the tests cross-check the runs with plain
+    Blahut-Arimoto.  Plain points are accepted at any width, but plain
+    steps never lower the lower value in exact arithmetic, so a fall
+    past rounding, or an underflow, after a plain step raises
+    ``NonMonotoneBound``.  ``iterations`` counts the points scored,
+    rejected trials included.  The value is the last accepted point's
+    lower value, and an unconverged run returns the plain step from
+    that point.
+
+    Two inputs take a bisection on t = p(0) - p(1) in (-1, 1), started
+    at t = 0: the objective is concave in t with slope (d_0 - d_1) / 2,
+    so each step moves t toward the input with the larger score, and
+    ``iterations`` counts these steps.  It stops unconverged when the
+    bracket has no float between its ends.  A weight is never below
+    2^-54, so an output mass underflows only where every row entry
+    reaching it is below 2^-1020.
 
     The run is exactly equivariant: permuting the rows with their
     rewards and relabelling the outputs gives a bit-identical value,
     gap, iteration count and convergence flag, with the PMF permuted the
-    same way.  Each iteration takes one log per output, and its three
-    sums (the output mass p(w), the row score d_i, and the normaliser z)
-    are ``math.fsum``s, which round the exact sum once and so do not
-    depend on the order of their terms.  Swapping two inputs maps the
-    bisection's t to -t, its bracket to the negated bracket and its
-    PMF to the swapped PMF, each exactly.
+    same way.  Each iteration takes one log per output, and its sums
+    (the output mass p(w), the row score d_i, and the normalisers) are
+    ``math.fsum``s, which round the exact sum once and so do not depend
+    on the order of their terms; the step's other operations are
+    elementwise, or a ``max``, and mu follows from the lower values
+    alone.  Swapping two inputs maps the bisection's t to -t, its
+    bracket to the negated bracket and its PMF to the swapped PMF, each
+    exactly.
     """
     n = len(rows)
     if n == 0:
@@ -173,8 +198,8 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
             for r, row in zip(rewards, rows)]
     alpha = [1.0 / n] * n
     lo, t, hi = -1.0, 0.0, 1.0      # the two-input bisection's bracket
-    prev_lower = -math.inf
-    lower = upper = 0.0
+    mu, trial, plain = 1, False, None   # the over-relaxed steps' state
+    lower, upper, width = -math.inf, 0.0, math.inf
     it = 0
     for it in range(1, max_iter + 1):
         if n == 2:
@@ -183,6 +208,9 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
             logs = [LOG2(fsum([alpha[i] * c for i, c in col]))
                     for col in cols]
         except ValueError:
+            if trial:
+                alpha, mu, trial = plain, 1, False
+                continue
             raise NonMonotoneBound(f"an output mass underflowed to 0.0 at "
                                    f"iteration {it}") from None
         d = [b + fsum([c * logs[k] for k, c in row])
@@ -190,29 +218,42 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
         upper = max(d)
         if upper < floor:
             # the last lower value, kept below floor against rounding
-            lower = min(prev_lower, upper)
+            lower = min(lower, upper)
             break
         scaled = [a * 2.0 ** (di - upper) for a, di in zip(alpha, d)]
         z = fsum(scaled)
-        lower = upper + LOG2(z)
-        if n != 2 and not (lower >= prev_lower - 1e-9):
-            raise NonMonotoneBound(
-                f"lower bound decreased: {prev_lower} -> {lower}")
-        prev_lower = lower
-        if upper - lower <= tol:
-            return lower, alpha, upper - lower, it, True
-        if n != 2:
-            alpha = [s / z for s in scaled]
+        value = upper + LOG2(z)
+        if trial and not (value >= lower and upper - value <= width):
+            alpha, mu, trial = plain, 1, False
             continue
-        # tied scores converged above: the two weights fsum to 1.0
-        if d[0] > d[1]:
-            lo = t
-        else:
-            hi = t
-        t = (lo + hi) / 2
-        if t == lo or t == hi:
-            break
-    return lower, alpha, upper - lower, it, False
+        if n != 2 and not (value >= lower - 1e-9):
+            raise NonMonotoneBound(
+                f"lower bound decreased: {lower} -> {value}")
+        lower, width = value, upper - value
+        if width <= tol:
+            return lower, alpha, width, it, True
+        if n == 2:
+            # tied scores converged above: the two weights fsum to 1.0
+            if d[0] > d[1]:
+                lo = t
+            else:
+                hi = t
+            t = (lo + hi) / 2
+            if t == lo or t == hi:
+                break
+            continue
+        plain = [s / z for s in scaled]
+        if mu == 1:
+            alpha, mu, trial = plain, 2, False
+            continue
+        scaled = [a * 2.0 ** (mu * (di - upper)) for a, di in zip(alpha, d)]
+        z = fsum(scaled)
+        if z == 0.0:    # the top input had weight 0.0, and the rest underflow
+            alpha, mu, trial = plain, 1, False
+            continue
+        alpha = [s / z for s in scaled]
+        mu, trial = min(2 * mu, _MAX_STEP), True
+    return lower, alpha if plain is None else plain, upper - lower, it, False
 
 
 # ---------------------------------------------------------------------------

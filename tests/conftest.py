@@ -55,6 +55,42 @@ def best_choice_unpruned(groups, tol, max_iter, budget, what):
     return best, tried, upper
 
 
+def blahut_arimoto_reference(rows, rewards, tol, max_iter):
+    """Plain Blahut-Arimoto, p(i) <- p(i) 2^d_i normalised, from the
+    uniform PMF: the reference for ``capacity_engine._ba`` on three or
+    more inputs.  Returns (value, PMF, gap, iterations, converged), each
+    iteration certifying its point by [Arimoto's lower value, max_i
+    d_i]; raises ``NonMonotoneBound`` where an output mass underflows
+    or the lower value falls by more than 1e-9."""
+    n = len(rows)
+    columns = ce._columns(rows)
+    base = [r + math.fsum([c * math.log2(c) for c in row.values()])
+            for r, row in zip(rewards, rows)]
+    alpha = [1.0 / n] * n
+    lower = -math.inf
+    for it in range(1, max_iter + 1):
+        try:
+            logs = {w: math.log2(math.fsum([alpha[i] * c for i, c in col]))
+                    for w, col in columns.items()}
+        except ValueError:
+            raise ce.NonMonotoneBound(f"an output mass underflowed to 0.0 "
+                                      f"at iteration {it}") from None
+        d = [b - math.fsum([c * logs[w] for w, c in row.items()])
+             for b, row in zip(base, rows)]
+        upper = max(d)
+        scaled = [a * 2.0 ** (di - upper) for a, di in zip(alpha, d)]
+        z = math.fsum(scaled)
+        value = upper + math.log2(z)
+        if not value >= lower - 1e-9:
+            raise ce.NonMonotoneBound(
+                f"lower bound decreased: {lower} -> {value}")
+        lower = value
+        if upper - lower <= tol:
+            return lower, alpha, upper - lower, it, True
+        alpha = [s / z for s in scaled]
+    return lower, alpha, upper - lower, max_iter, False
+
+
 def rank_joint(core, alpha):
     """Joint PMF of (rank X, rank Y) induced by a row-space input PMF,
     exact when alpha is."""

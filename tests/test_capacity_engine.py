@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -15,8 +16,9 @@ from loccap.gf_core import BudgetExceeded, FieldSpec
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_rows
 
-from conftest import (best_choice_unpruned, merged_classes_reference,
-                      mi_alpha_reference, random_small_channel, rank_joint)
+from conftest import (best_choice_unpruned, blahut_arimoto_reference,
+                      merged_classes_reference, mi_alpha_reference,
+                      random_small_channel, rank_joint)
 
 F2 = FieldSpec(2)
 
@@ -485,6 +487,108 @@ def test_ba_is_exactly_equivariant():
                 new_rows, new_rewards, tol, max_iter, floor)
             assert (got_value, *got_rest) == (value, *rest)
             assert got_alpha == [alpha[i] for i in order]
+
+
+def _rejects_a_trial(rows, rewards, tol, its):
+    """Whether one of the first 12 of a run's ``its`` points is a trial
+    point that the run rejected.  Cut at a rejected point, the run
+    returns unconverged with the last accepted point's lower value and
+    plain step, which is what the run cut one point earlier returns."""
+    cut = []
+    for k in range(1, min(its, 12) + 1):
+        value, pmf, _, _, ok = ce._ba(rows, rewards, tol, k)
+        cut.append((value, pmf, ok))
+    return any(a == b for a, b in zip(cut, cut[1:]))
+
+
+@pytest.fixture(scope="module")
+def many_input_problems():
+    """1,000 random problems with 3 to 6 inputs, and 100 taken from
+    ``css_bruteforce``."""
+    rng = random.Random(2626)
+    problems = []
+    while len(problems) < 1000:
+        rows, rewards = _random_problem(rng)
+        if len(rows) >= 3:
+            problems.append((rows, rewards))
+    return problems + _bruteforce_problems(rng, 100)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_over_relaxed_steps_agree_with_blahut_arimoto(many_input_problems,
+                                                      tol):
+    went_back = 0
+    for rows, rewards in many_input_problems:
+        value, _, gap, its, ok = ce._ba(rows, rewards, tol, 10 ** 6)
+        ref_value, _, ref_gap, _, ref_ok = blahut_arimoto_reference(
+            rows, rewards, tol, 10 ** 6)
+        assert ok and ref_ok
+        # the intervals overlap, up to rounding
+        assert value <= ref_value + ref_gap + 1e-15
+        assert ref_value <= value + gap + 1e-15
+        assert abs(value - ref_value) <= 2 * tol
+        went_back += _rejects_a_trial(rows, rewards, tol, its)
+    # the cross-check covers the step back to the last accepted point
+    assert went_back >= len(many_input_problems) // 4
+
+
+def test_over_relaxed_steps_finish_the_slow_tail():
+    # five inputs whose optimum puts weight 0 on the second, which plain
+    # Blahut-Arimoto approaches slowly: 18,536 iterations at tol 1e-9
+    # (the longest run of a seed-0 random_sparse report pass)
+    rows = [{0: 1.0}, {0: .65, 1: .35}, {0: .65, 2: .35}, {0: .3, 3: .7},
+            {0: .25, 1: .4, 2: .3, 3: .05}]
+    rewards = [0.0] * 5
+    want = ce._ba(rows, rewards, 1e-9, 10 ** 5)
+    value, alpha, gap, its, ok = want
+    assert ok and its < 6000
+    # a tighter run of the reference lies in the certified interval
+    ref_value = blahut_arimoto_reference(rows, rewards, 1e-10, 10 ** 5)[0]
+    assert value <= ref_value <= value + gap
+    rng = random.Random(2727)
+    for order in permutations(range(5)):
+        rename = dict(zip(range(4), rng.sample(range(100), 4)))
+        new_rows = [{rename[w]: c for w, c in rows[i].items()}
+                    for i in order]
+        got = ce._ba(new_rows, rewards, 1e-9, 10 ** 5)
+        assert got[1] == [alpha[i] for i in order]
+        assert got[:1] + got[2:] == want[:1] + want[2:]
+
+
+def test_over_relaxed_steps_stop_widening_near_the_optimum():
+    # the second per-rank choice of css_alpha_lower on crd(2;5,2,2), ranks
+    # {1, 2} at 1/3 and 2/3: near the optimum the lower value is flat to
+    # rounding while large steps overshoot and widen the interval, which
+    # took 544 points against plain Blahut-Arimoto's 73 at tol 1e-12
+    rows = [{0: 1.0}, {1: 1.0}, {1: 1 / 3, 2: 2 / 3}]
+    rewards = [0.0, 4.954196310386875, 5.973827540071397]
+    for tol in (1e-9, 1e-12):
+        value, _, gap, its, ok = ce._ba(rows, rewards, tol, 10 ** 5)
+        ref_value, _, ref_gap, ref_its, _ = blahut_arimoto_reference(
+            rows, rewards, tol, 10 ** 5)
+        assert ok and its < ref_its
+        assert value <= ref_value + ref_gap and ref_value <= value + gap
+
+
+def test_over_relaxed_trial_whose_output_mass_underflows_is_rejected():
+    # rewards near 100 bits: a trial step takes a reward-0 input's weight
+    # so low that the mass of an output only it reaches (4 or 6)
+    # underflows to 0.0; that rejects the trial, where after a plain step
+    # it would be a fault
+    rows = [{0: 0.2901063705417379, 3: 0.008430205678814948,
+             5: 0.37574797284055306, 1: 0.3257154509388941},
+            {0: 1.0},
+            {4: 0.006197521266240493, 5: 3.99132042845857e-06,
+             0: 0.5522469008723142, 3: 0.4415515865410168},
+            {1: 1.3300747691743066e-16, 3: 0.9999999999999999},
+            {1: 0.988109880043725, 5: 0.005313126490220868,
+             6: 0.004124814420860629, 3: 0.0024521790451935256}]
+    rewards = [98.46580984868282, 110.19778134340261, 0.0, 0.0, 0.0]
+    value, _, gap, _, ok = ce._ba(rows, rewards, 1e-9, 10 ** 5)
+    ref_value, _, ref_gap, _, ref_ok = blahut_arimoto_reference(
+        rows, rewards, 1e-9, 10 ** 5)
+    assert ok and ref_ok
+    assert value <= ref_value + ref_gap and ref_value <= value + gap
 
 
 def _random_pair(rng):

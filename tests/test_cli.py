@@ -413,10 +413,10 @@ def test_out_of_range_numeric_option_exits_2(capsys, command, option, value):
 
 
 def test_report_without_convergence_gives_no_verdict(capsys):
-    # table2 is not degraded, so at 20 iterations nothing certifies the
-    # row-space-symmetric equality
+    # table2 is not degraded, so at 3 iterations (C converges at 6)
+    # nothing certifies the row-space-symmetric equality
     code, doc = _run_json(capsys, ["report", cli.fixture_path("table2.json"),
-                                   "--max-iter", "20"])
+                                   "--max-iter", "3"])
     assert code == cli.EXIT_CONVERGENCE
     assert not doc["flags"]["degraded"] and not doc["C"]["converged"]
     assert doc["verdict"] == "INCONCLUSIVE"
