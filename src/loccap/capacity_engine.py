@@ -19,10 +19,12 @@ it has a single choice and its convex optimum is the capacity.
 per input column space.  One test decides the USD, the zero-mass test
 ``classify.usd_violation``: "unique" refuses a channel it fails, and
 "auto" (``CSS_MODES``) reads it to run exactly one solver, "unique" or
-"bruteforce".  The searches share one loop, ``_best_choice``, which
-tries every choice of one option per group and keeps the first best; it
-skips or abandons the Blahut-Arimoto runs that cannot replace it, and
-returns what the full search returns.
+"bruteforce".  The searches share one branch and bound over the
+choices of one option per group, ``_best_choice``: a single
+Blahut-Arimoto run over every option of the undecided groups at once
+bounds every choice below a node, so most choices are settled without
+a run of their own.  It returns a choice within tol of the best, and an
+upper end on every choice.
 
 Probabilities and counts stay exact (``Fraction``, ``int``) until an
 entropy, an orbit term, a rank-interaction term or a Blahut-Arimoto row
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import fsum
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -182,7 +183,10 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     elementwise, or a ``max``, and mu follows from the lower values
     alone.  Swapping two inputs maps the bisection's t to -t, its
     bracket to the negated bracket and its PMF to the swapped PMF, each
-    exactly.
+    exactly.  No caller needs more than an interval that holds the
+    optimum, but equivariance makes a relabelled channel print the same
+    values, and a choice search's relaxation the same bound whatever the
+    order of its options.
     """
     n = len(rows)
     if n == 0:
@@ -488,87 +492,39 @@ def css_unique(core: TransitionCore, tol: float = DEFAULT_TOL,
     return res
 
 
-def _colour_ids(signatures: Dict[object, tuple]) -> Dict[object, int]:
-    """Each item's rank among the distinct signatures, in sorted order:
-    colour ids that do not depend on how the items are labelled."""
-    rank = {sig: k for k, sig in enumerate(sorted(set(signatures.values())))}
-    return {item: rank[sig] for item, sig in signatures.items()}
-
-
-def _choice_key(choice) -> Optional[tuple]:
-    """A key on which two choices of (row, reward) options agree only if
-    one is the other with its options permuted and its outputs
-    relabelled; None when no such key was found.
-
-    Colour refinement on the bipartite graph of options and outputs:
-    an option starts coloured by its reward and the multiset of its
-    probabilities, an output by the multiset of its probabilities, and
-    each round recolours outputs by the colours of the options that
-    reach them and options by the colours of their outputs, each with
-    the probability on the edge.  Colours are numbered in sorted
-    signature order, so they do not depend on the labels.  Once every
-    output has its own colour, the key is the sorted tuple of the
-    options with their outputs renamed to their colours: two choices
-    with equal keys are the same matrix up to the permutation and the
-    relabelling.  When a round splits no colour and outputs still
-    share one, the key is None.
-    """
-    columns = _columns(row for row, _ in choice)
-    row_colour = _colour_ids({i: (reward, tuple(sorted(row.values())))
-                              for i, (row, reward) in enumerate(choice)})
-    col_colour = _colour_ids({w: tuple(sorted(c for _, c in col))
-                              for w, col in columns.items()})
-    sizes = None
-    while True:
-        n_cols = len(set(col_colour.values()))
-        if n_cols == len(columns):
-            return tuple(sorted(
-                (tuple(sorted((col_colour[w], c) for w, c in row.items())),
-                 reward) for row, reward in choice))
-        now = (len(set(row_colour.values())), n_cols)
-        if now == sizes:
-            return None     # the last round split no colour
-        sizes = now
-        col_colour = _colour_ids({
-            w: (col_colour[w],
-                tuple(sorted((row_colour[i], c) for i, c in col)))
-            for w, col in columns.items()})
-        row_colour = _colour_ids({
-            i: (row_colour[i],
-                tuple(sorted((col_colour[w], c) for w, c in row.items())))
-            for i, (row, _) in enumerate(choice)})
-
-
 def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
                  budget: int, what: str):
-    """Try every choice of one (row, reward) option per group with
-    Blahut-Arimoto; returns the first best (value, pmf, gap, its,
-    converged), the number of choices tried, and an upper end on the
-    best choice's optimum: the largest value + gap of the runs made and
-    not abandoned.  Groups are read one at a time, and the search is
+    """The best choice of one (row, reward) option per group, by branch
+    and bound; returns its Blahut-Arimoto run (value, pmf, gap, its,
+    converged), the number of choices settled, and an upper end on every
+    choice's optimum.  Groups are read one at a time, and the search is
     refused at the first that lifts the choices past ``budget``.
 
-    A choice replaces the best only with a strictly larger value.  Every
-    ``_ba`` iteration's upper value bounds its choice's optimum,
-    and so the value the run would end with; once it is below the best
-    value so far, the choice cannot replace the best, and its run is
-    abandoned.  Abandoned choices still count as tried; their optimum
-    is below the best value, so the upper end skips them.  The bound is
-    exact in real arithmetic; in floats a run could only end above an
-    upper value it passed by a rounding error, so a choice within a few
-    ulps of the best is where the two searches could part, and the tests
-    compare them on choice sets full of exact ties.
+    A node fixes one option in some of the groups with more than one,
+    and relaxes the rest: one ``_ba`` run over the distinct options of
+    its fixed groups and every option of its free groups.  That input
+    set holds every completion's inputs, so each upper value of the run,
+    max_i d_i at any scored point, bounds every completion's optimum,
+    converged or not.  With eps = tol, a node is pruned when its run is
+    abandoned below best value + eps, or when it ends with value + gap at
+    most that; it branches on its first free group otherwise, option by
+    option.  Before it branches, the root dives to one leaf, which takes
+    in each free group, in turn, the option its relaxed optimum weights
+    most, preferring options no earlier pick holds (a repeated option
+    adds no input); the root then tests its own upper value against that
+    leaf.  A leaf is one
+    choice, run on its options in group order against the best value as
+    ``floor``; it replaces the best only with a strictly larger value.
+    A search of one choice is therefore that one run.
 
-    A search of more than one choice runs one choice per symmetry
-    class.  A choice whose ``_choice_key`` equals an earlier choice's is
-    that choice with its options permuted and its outputs relabelled.
-    ``_ba`` is exactly equivariant, so its run would retrace the earlier
-    run to the last bit, against a floor no lower: it would be abandoned
-    no later, or end with the earlier value, which did not beat the best
-    then and cannot beat it now.  Either way it cannot replace the first
-    best, nor raise a fault the earlier run did not raise, so it counts
-    as tried and is not run.  The full search gives it the earlier value
-    too, so the two searches still return the same result.
+    Every choice is a leaf or lies below a pruned node, so the upper end
+    is the largest of the leaves' value + gap and the pruned nodes'
+    upper values (a node abandoned at its first point, whose value + gap
+    is NaN, counts its floor), and no choice below a pruned node has an
+    optimum above best value + eps.  Abandoned leaves are left out: their
+    optimum is below the best value.  The first best leaf wins, so among
+    choices that tie exactly the search may return another than the
+    first in product order.
     """
     read, total = [], 1
     for group in groups:
@@ -576,26 +532,54 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
         if total > budget:
             raise BudgetExceeded(f"more than {budget} {what}")
         read.append(group)
-    best = None
-    tried = 0
-    upper = -math.inf
-    solved = set()
-    for choice in product(*read):
-        tried += 1
-        if total > 1:
-            key = _choice_key(choice)
-            if key is not None:
-                if key in solved:
-                    continue
-                solved.add(key)
+    keys = [[(frozenset(row.items()), reward) for row, reward in group]
+            for group in read]
+    free = [g for g, group in enumerate(read) if len(group) > 1]
+    best, upper = None, -math.inf
+
+    def run(options, floor):
+        return _ba([row for row, _ in options],
+                   [reward for _, reward in options], tol, max_iter, floor)
+
+    def leaf(picks):
+        nonlocal best, upper
         floor = -math.inf if best is None else best[0]
-        res = _ba([row for row, _ in choice],
-                  [reward for _, reward in choice], tol, max_iter, floor)
+        res = run([group[k] for group, k in zip(read, picks)], floor)
         if res[0] + res[2] >= floor:    # not abandoned
             upper = max(upper, res[0] + res[2])
         if best is None or res[0] > best[0]:
             best = res
-    return best, tried, upper
+
+    def node(picks, depth):
+        nonlocal upper
+        if depth == len(free):
+            return leaf(picks)
+        slot, options = {}, []
+        for g, group in enumerate(read):
+            for k in range(len(group)) if picks[g] is None else (picks[g],):
+                if keys[g][k] not in slot:
+                    slot[keys[g][k]] = len(options)
+                    options.append(group[k])
+        floor = (-math.inf if best is None else best[0]) + tol
+        value, pmf, gap, _, _ = run(options, floor)
+        bound = floor if math.isnan(value + gap) else value + gap
+        if depth == 0:      # the dive
+            dive = list(picks)
+            taken = {keys[g][k] for g, k in enumerate(picks) if k is not None}
+            for g in free:
+                dive[g] = max(range(len(read[g])), key=lambda j, g=g: (
+                    keys[g][j] not in taken, pmf[slot[keys[g][j]]]))
+                taken.add(keys[g][dive[g]])
+            leaf(dive)
+        if bound <= best[0] + tol:
+            upper = max(upper, bound)
+            return
+        g = free[depth]
+        for k in range(len(read[g])):
+            node(picks[:g] + [k] + picks[g + 1:], depth + 1)
+
+    node([0 if len(group) == 1 else None for group in read], 0)
+    return best, total, upper
 
 
 def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -630,30 +614,33 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
                           assignments_tried=tried)
 
 
+def _degradation_groups(core: TransitionCore, dims: list):
+    """The groups of ``css_bruteforce``'s search, one per input column
+    space in ``output_laws`` order: the distinct column-space laws of Y
+    that its inputs give, as (row, 0.0) options, with the output
+    subspaces numbered as they are met.  Appends each column space's
+    dimension to ``dims`` as its group is read."""
+    v_index: Dict[Subspace, int] = {}
+    for w, laws in output_laws(core):
+        rows = {}
+        for _, law in laws:
+            row = {v_index.setdefault(v, len(v_index)): p
+                   for v, p in column_space_law(law).items()}
+            rows.setdefault(frozenset(row.items()), row)
+        dims.append(w.dim)
+        yield [(_float_row(row), 0.0) for row in rows.values()]
+
+
 def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
                    budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CapacityResult:
-    """Exact subspace coding capacity by exhausting deterministic
-    degradations (one input matrix per input column space).
-
-    Deterministic degradations suffice for the maximum.  Identical
-    subspace-channel rows are deduplicated before taking the product;
-    output subspaces are numbered as they are met.
-    """
-    v_index: Dict[Subspace, int] = {}
-    dims = []   # the dimension of each input column space read
-
-    def groups():
-        for w, laws in output_laws(core):
-            rows = {}
-            for _, law in laws:
-                row = {v_index.setdefault(v, len(v_index)): p
-                       for v, p in column_space_law(law).items()}
-                rows.setdefault(frozenset(row.items()), row)
-            dims.append(w.dim)
-            yield [(_float_row(row), 0.0) for row in rows.values()]
+    """Exact subspace coding capacity over deterministic degradations
+    (one input matrix per input column space), which suffice for the
+    maximum, by the choice search over ``_degradation_groups``."""
+    dims = []
     (value, pmf, gap, its, ok), tried, upper = _best_choice(
-        groups(), tol, max_iter, budget, "deterministic degradations")
+        _degradation_groups(core, dims), tol, max_iter, budget,
+        "deterministic degradations")
     rank_pmf: Dict[int, float] = {}
     for r, p in zip(dims, pmf):
         rank_pmf[r] = rank_pmf.get(r, 0.0) + p

@@ -265,6 +265,12 @@ def _check_channel(spec, label: str) -> list:
     if abs(fast.value - slow.value) > 1e-6:
         fails.append(f"{label}: capacity mismatch "
                      f"{fast.value} vs {slow.value}")
+    css = ce.css_bruteforce(core)
+    best = oracle.css_bruteforce_exhaustive(core)[0][0]
+    if not css.value - ce.DEFAULT_TOL <= best <= css.upper:
+        fails.append(f"{label}: exhaustive C_ss {best} outside "
+                     f"[{css.value} - tol, {css.upper}] from the choice "
+                     f"search")
     return fails
 
 

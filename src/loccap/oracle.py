@@ -16,12 +16,20 @@ They are exact but exponential; ``classify`` decides the same
 predicates from the row-space index of the class tables, and ``verify``
 and the tests cross-check it against these scans on small channels,
 by outcome and witness keys.
+
+``best_choice_unpruned`` runs Blahut-Arimoto to the end on every choice
+of one option per group, the reference for the branch and bound of
+``capacity_engine._best_choice``; ``css_bruteforce_exhaustive`` runs it
+on ``css_bruteforce``'s groups.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
+from . import capacity_engine as ce
 from . import gf_core, subspace_enum
 from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
                             index_fibers, output_laws)
@@ -210,3 +218,33 @@ def _ratio_witness(spec, y1_ent, y2_ent, col1, col2, reason):
         "Y1": MatrixGF(spec.field, spec.T, spec.N, y1_ent).to_lists(),
         "Y2": MatrixGF(spec.field, spec.T, spec.N, y2_ent).to_lists(),
         "X": MatrixGF(spec.field, spec.T, spec.M, x_bad).to_lists()})
+
+
+def best_choice_unpruned(groups, tol, max_iter, budget, what):
+    """Every choice of one (row, reward) option per group, each run by
+    Blahut-Arimoto to the end; returns ``capacity_engine._best_choice``'s
+    triple: the first best run in product order, the number of choices,
+    and the largest value + gap of the runs.  It calls ``_ba`` through
+    the module, so a patched or traced ``_ba`` sees its runs."""
+    groups = list(groups)
+    total = math.prod(len(g) for g in groups)
+    if total > budget:
+        raise gf_core.BudgetExceeded(f"{total} {what} exceed budget {budget}")
+    best = None
+    upper = -math.inf
+    for choice in product(*groups):
+        res = ce._ba([row for row, _ in choice],
+                     [reward for _, reward in choice], tol, max_iter)
+        upper = max(upper, res[0] + res[2])
+        if best is None or res[0] > best[0]:
+            best = res
+    return best, total, upper
+
+
+def css_bruteforce_exhaustive(core: TransitionCore, tol=ce.DEFAULT_TOL,
+                              max_iter=ce.DEFAULT_MAX_ITER,
+                              budget=ce.DEFAULT_ASSIGNMENT_BUDGET):
+    """``best_choice_unpruned`` on ``css_bruteforce``'s groups: every
+    deterministic degradation run to the end."""
+    return best_choice_unpruned(ce._degradation_groups(core, []), tol,
+                                max_iter, budget, "deterministic degradations")

@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import product
 
 import pytest
 
@@ -9,7 +8,7 @@ from loccap import channel_model as cm
 from loccap import gf_core, qcomb
 from loccap.cli import fixture_path
 from loccap.classify import PredicateResult
-from loccap.gf_core import BudgetExceeded
+from loccap.oracle import best_choice_unpruned  # noqa: F401 (tests import it)
 
 FIXTURE_NAMES = ["table1.json", "table2.json", "example9.json",
                  "example6.json"]
@@ -30,29 +29,6 @@ def random_small_channel(rng: random.Random, q: int = 2, t_max: int = 2):
     M = rng.randint(1, 2)
     N = rng.randint(1, 2)
     return cm.random_channel(rng, q, T, M, N)
-
-
-def best_choice_unpruned(groups, tol, max_iter, budget, what):
-    """The choice search before pruning: Blahut-Arimoto to the end on
-    every choice, with the largest value + gap of its runs as the upper
-    end.  The reference for ``capacity_engine._best_choice``; it calls
-    ``_ba`` through the module, so a patched or traced ``_ba`` sees its
-    runs."""
-    groups = list(groups)
-    total = math.prod(len(g) for g in groups)
-    if total > budget:
-        raise BudgetExceeded(f"{total} {what} exceed budget {budget}")
-    best = None
-    tried = 0
-    upper = -math.inf
-    for choice in product(*groups):
-        tried += 1
-        res = ce._ba([row for row, _ in choice],
-                     [reward for _, reward in choice], tol, max_iter)
-        upper = max(upper, res[0] + res[2])
-        if best is None or res[0] > best[0]:
-            best = res
-    return best, tried, upper
 
 
 def blahut_arimoto_reference(rows, rewards, tol, max_iter):

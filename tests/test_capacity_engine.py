@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -373,34 +373,56 @@ def _random_groups(rng):
             for _ in range(rng.randint(2, 4))]
 
 
-def test_pruned_choice_search_matches_the_unpruned_reference(monkeypatch):
-    # an abandoned run must never change the first best, to the last bit
-    rng = random.Random(808)
+def _assert_settles_like_the_reference(groups, result, tol, max_iter):
+    """The branch and bound's (best run, choices, upper) against the
+    unpruned reference on the same groups: every choice counted, the
+    run bit-identical to some choice's unpruned run, the value within
+    tol of the best, and upper at least every choice's optimum.  Returns
+    how many choices needed a tight reference run for that last check."""
+    best, tried, upper = result
     ba = ce._ba
-    abandoned = []
+    runs = []
 
-    def spy(rows, rewards, tol, max_iter, floor=-math.inf):
-        res = ba(rows, rewards, tol, max_iter, floor)
-        abandoned.append(res[3] < max_iter and not res[4])
-        return res
+    def keep(*args):
+        runs.append(ba(*args))
+        return runs[-1]
 
+    ce._ba = keep
+    try:
+        want, want_tried, _ = best_choice_unpruned(groups, tol, max_iter,
+                                                   10 ** 6, "choices")
+    finally:
+        ce._ba = ba
+    assert tried == want_tried == len(runs)
+    assert best in runs
+    assert best[0] >= want[0] - tol
+    tight = 0
+    for choice, run in zip(product(*groups), runs):
+        if upper < run[0] + run[2]:     # not covered by the run's own end
+            optimum = ba([row for row, _ in choice],
+                         [reward for _, reward in choice], 1e-13, 10 ** 5)[0]
+            assert upper >= optimum - 1e-12
+            tight += 1
+    return tight
+
+
+def test_pruned_choice_search_matches_the_unpruned_reference():
+    # the choices a pruned node settles need the tight reference run
+    rng = random.Random(808)
+    tight = 0
     for _ in range(1000):
         groups = _random_groups(rng)
         tol = rng.choice([1e-6, 1e-9])
         max_iter = rng.choice([20, 100])
-        best, tried, _ = best_choice_unpruned(groups, tol, max_iter, 256,
-                                              "choices")
-        with monkeypatch.context() as m:
-            m.setattr(ce, "_ba", spy)
-            got_best, got_tried, upper = ce._best_choice(
-                groups, tol, max_iter, 256, "choices")
-        assert (got_best, got_tried) == (best, tried)
-        assert upper >= best[0] + best[2]
-    assert sum(abandoned) > 1000
+        tight += _assert_settles_like_the_reference(
+            groups, ce._best_choice(groups, tol, max_iter, 256, "choices"),
+            tol, max_iter)
+    assert tight > 300
 
 
 def test_pruned_css_searches_match_the_unpruned_reference(monkeypatch):
     rng = random.Random(809)
+    search_choices = ce._best_choice
     checked = 0
     for _ in range(200):
         spec = cm.random_channel(rng, rng.choice([2, 3]), rng.randint(1, 2),
@@ -408,15 +430,98 @@ def test_pruned_css_searches_match_the_unpruned_reference(monkeypatch):
                                  max_support=4)
         core = transition_core(spec)
         for search in (ce.css_bruteforce, ce.css_alpha_lower):
-            try:
-                got = search(core, budget=16)
-            except BudgetExceeded:
-                continue
+            calls = []
+
+            def capture(groups, *args):
+                groups = list(groups)
+                calls.append((groups, search_choices(groups, *args)))
+                return calls[-1][1]
+
             with monkeypatch.context() as m:
-                m.setattr(ce, "_best_choice", best_choice_unpruned)
-                assert got == search(core, budget=16)
+                m.setattr(ce, "_best_choice", capture)
+                try:
+                    got = search(core, budget=16)
+                except BudgetExceeded:
+                    continue
+            [(groups, result)] = calls
+            best, tried, upper = result
+            assert (got.value, got.gap, got.assignments_tried) == \
+                (best[0], best[2], tried)
+            _assert_settles_like_the_reference(
+                groups, result, ce.DEFAULT_TOL, ce.DEFAULT_MAX_ITER)
             checked += 1
     assert checked > 300
+
+
+def _counting_ba(monkeypatch):
+    """Patch ``ce._ba`` to record its calls; returns the list."""
+    ba = ce._ba
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ba(*args)
+
+    monkeypatch.setattr(ce, "_ba", counted)
+    return calls
+
+
+def test_choice_search_branches_when_the_relaxation_is_loose(monkeypatch):
+    # offering both outputs at once is worth 1 bit, but each choice sends
+    # its one input to one output and is worth 0: the root cannot prune
+    # after its dive, so it branches and runs both leaves
+    calls = _counting_ba(monkeypatch)
+    groups = [[({0: 1.0}, 0.0), ({1: 1.0}, 0.0)]]
+    (value, _, gap, *_), tried, upper = ce._best_choice(groups, 1e-9, 10 ** 5,
+                                                        2, "choices")
+    assert (value, tried) == (0.0, 2)
+    assert len(calls) > 2
+    assert upper <= 1e-9 + gap
+
+
+def test_choice_search_recovers_from_a_misleading_dive(monkeypatch):
+    # the relaxed optimum weights ({0: 1}, 1) most, so the dive takes it
+    # and sends both inputs to output 0, worth 1 bit; the best choice,
+    # worth log2(1 + 2^0.5), leaves it for ({1: 1}, 0)
+    dive = ce._ba([{0: 1.0}, {0: 1.0}], [1.0, 0.5], 1e-12, 10 ** 5)
+    calls = _counting_ba(monkeypatch)
+    groups = [[({0: 1.0}, 1.0), ({1: 1.0}, 0.0)],
+              [({0: 1.0}, 0.5), ({0: 1.0}, 0.4)]]
+    (value, pmf, *_), tried, upper = ce._best_choice(groups, 1e-12, 10 ** 5,
+                                                     4, "choices")
+    assert calls[1][:2] == ([{0: 1.0}, {0: 1.0}], [1.0, 0.5])
+    assert dive[0] == pytest.approx(1.0)
+    assert tried == 4
+    assert value == pytest.approx(math.log2(1 + 2 ** 0.5), abs=1e-12)
+    assert value <= upper <= value + 2e-12
+
+
+def test_relaxation_abandoned_at_its_first_point_counts_its_floor(
+        monkeypatch):
+    # four outputs with no reward: the root relaxation is worth 2 bits
+    # and every choice 1.  At tol = 0.7 the root must branch, and each
+    # child's three-row relaxation reads log2 3 < 1 + tol at its first
+    # point, the uniform one, so it is abandoned there with value + gap
+    # NaN; its floor, 1.7, is the certified upper end
+    calls = _counting_ba(monkeypatch)
+    groups = [[({0: 1.0}, 0.0), ({1: 1.0}, 0.0)],
+              [({2: 1.0}, 0.0), ({3: 1.0}, 0.0)]]
+    (value, *_), tried, upper = ce._best_choice(groups, 0.7, 10 ** 5, 4,
+                                                "choices")
+    assert (value, tried, len(calls)) == (1.0, 4, 4)
+    assert upper == 1.0 + 0.7
+
+
+def test_one_choice_search_is_one_direct_run(monkeypatch):
+    rows = [{0: 0.5, 1: 0.5}, {1: 1.0}, {0: 0.2, 2: 0.8}]
+    rewards = [0.0, 0.3, 0.1]
+    direct = ce._ba(rows, rewards, 1e-9, 10 ** 5)
+    calls = _counting_ba(monkeypatch)
+    groups = [[(row, reward)] for row, reward in zip(rows, rewards)]
+    best, tried, upper = ce._best_choice(groups, 1e-9, 10 ** 5, 1, "choices")
+    assert (len(calls), tried) == (1, 1)
+    assert best == direct
+    assert upper == direct[0] + direct[2]
 
 
 def _relabelled(rows, rewards, rng):
@@ -702,25 +807,19 @@ def test_two_input_bisection_abandons_below_its_floor():
     assert first > 50 and later > 50
 
 
-def test_choice_search_solves_each_symmetry_class_once(monkeypatch):
-    # a q=2, T=2, M=2, N=1 channel whose 162 deterministic degradations
-    # are mostly relabellings of each other: the search runs 27 of them,
-    # and must give exactly the full search's result
+def test_choice_search_settles_162_choices_in_at_most_three_runs(
+        monkeypatch):
+    # a q=2, T=2, M=2, N=1 channel with 162 deterministic degradations:
+    # the root relaxation and its dive leaf settle them all, at the
+    # value of the search that runs every choice to the end
     spec = cm.random_channel(random.Random(0), 2, 2, 2, 1)
     core = transition_core(spec)
-    ba = ce._ba
-    runs = []
-
-    def counted(*args):
-        runs.append(args)
-        return ba(*args)
-
-    monkeypatch.setattr(ce, "_ba", counted)
+    calls = _counting_ba(monkeypatch)
     got = ce.css_bruteforce(core)
     assert got.assignments_tried == 162
-    assert len(runs) == 27
+    assert len(calls) <= 3
     monkeypatch.setattr(ce, "_best_choice", best_choice_unpruned)
-    assert ce.css_bruteforce(core) == got
+    assert got.value == ce.css_bruteforce(core).value
 
 
 _IID = cm.generate("iid_uniform", q=2, T=2, M=2, N=2)   # 16 H, 16 inputs

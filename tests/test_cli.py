@@ -281,6 +281,24 @@ def test_verify_exits_5_on_a_wrong_row_space_symmetric_test(monkeypatch,
                for fail in doc["failures"])
 
 
+def test_verify_exits_5_when_the_choice_search_misses_the_exhaustive_best(
+        monkeypatch, capsys):
+    # a search whose certified interval lies 1 bit below the truth
+    search = ce.css_bruteforce
+
+    def low(core, *args):
+        res = search(core, *args)
+        res.value -= 1.0
+        res.upper -= 1.0
+        return res
+
+    monkeypatch.setattr(ce, "css_bruteforce", low)
+    code, doc = _run_json(capsys, ["verify", "--trials", "0"])
+    assert code == cli.EXIT_VERIFY
+    assert [fail.split(":")[0] for fail in doc["failures"]
+            if "exhaustive C_ss" in fail] == list(cli.FIXTURES)
+
+
 def test_json_output_is_streamed(tmp_path):
     # H in {I_2, 0} at 1/2 each: classify prints witnesses T rows tall
     path, out = tmp_path / "tall.json", tmp_path / "out.json"
