@@ -16,7 +16,9 @@ row-space class per input rank: a lower bound in general.  "unique" is
 that search on a channel with a unique subspace degradation (USD), where
 it has a single choice and its convex optimum is the capacity.
 "bruteforce" maximizes over deterministic degradations, one input matrix
-per input column space.  One test decides the USD, the zero-mass test
+per input column space, with the options of each column space built from
+the class tables (``_degradation_groups``), not from the q^(T M) inputs.
+One test decides the USD, the zero-mass test
 ``classify.usd_violation``: "unique" refuses a channel it fails, and
 "auto" (``CSS_MODES``) reads it to run exactly one solver, "unique" or
 "bruteforce".  The searches share one branch and bound over the
@@ -44,18 +46,17 @@ from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import classify as classify_mod
-from . import qcomb
-from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
-                            cond_rank_given_rowspace, output_laws,
-                            transition_core)
-from .gf_core import BudgetExceeded, MatrixGF
-from .subspace_enum import Subspace
+from . import qcomb, subspace_enum
+from .channel_model import (ChannelSpec, TransitionCore, column_factor,
+                            cond_rank_given_rowspace, transition_core)
+from .gf_core import BudgetExceeded, MatrixGF, identity, mat_mul, transpose
+from .subspace_enum import Subspace, span_columns, span_rows
 
 LOG2 = math.log2
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10 ** 5
 DEFAULT_ASSIGNMENT_BUDGET = 10 ** 5
-NAIVE_ALPHABET_BUDGET = 2 ** 24    # inputs times largest class table
+INPUT_ENUM_BUDGET = 2 ** 24    # the most inputs whose options are built
 _MAX_STEP = 64      # the cap on _ba's over-relaxation factor mu
 
 
@@ -371,17 +372,13 @@ def _shannon_capacity(setup: _ClassSetup, tol: float,
 
 def shannon_capacity_naive(core: TransitionCore, tol: float = DEFAULT_TOL,
                            max_iter: int = DEFAULT_MAX_ITER) -> CapacityResult:
-    """Blahut-Arimoto over the full matrix alphabet; the oracle for
-    shannon_capacity."""
-    spec = core.spec
-    q = spec.field.q
-    if q ** (spec.T * spec.M) * max(len(t) for t in core.tables.values()) \
-            > NAIVE_ALPHABET_BUDGET:
-        raise BudgetExceeded("full-alphabet optimization exceeds budget")
-    y_index: Dict[MatrixGF, int] = {}
+    """Blahut-Arimoto over the full matrix alphabet, one row per input of
+    ``oracle.transition_naive``; the oracle for shannon_capacity."""
+    from . import oracle   # brute force, which report never loads
+    y_index: Dict[tuple, int] = {}
     rows = [_float_row({y_index.setdefault(y, len(y_index)): p
                         for y, p in law.items()})
-            for _, laws in output_laws(core) for _, law in laws]
+            for law in oracle.input_laws(core.spec).values()]
     value, alpha, gap, its, ok = _ba(rows, None, tol, max_iter)
     return CapacityResult(value, gap, its, ok, "naive", upper=value + gap)
 
@@ -512,7 +509,7 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
     in each free group, in turn, the option its relaxed optimum weights
     most, preferring options no earlier pick holds (a repeated option
     adds no input); the root then tests its own upper value against that
-    leaf.  A leaf is one
+    leaf, and its branch does not run that leaf again.  A leaf is one
     choice, run on its options in group order against the best value as
     ``floor``; it replaces the best only with a strictly larger value.
     A search of one choice is therefore that one run.
@@ -535,7 +532,7 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
     keys = [[(frozenset(row.items()), reward) for row, reward in group]
             for group in read]
     free = [g for g, group in enumerate(read) if len(group) > 1]
-    best, upper = None, -math.inf
+    best, upper, dive = None, -math.inf, None
 
     def run(options, floor):
         return _ba([row for row, _ in options],
@@ -551,9 +548,11 @@ def _best_choice(groups: Iterable[list], tol: float, max_iter: int,
             best = res
 
     def node(picks, depth):
-        nonlocal upper
+        nonlocal upper, dive
         if depth == len(free):
-            return leaf(picks)
+            if picks != dive:
+                leaf(picks)
+            return
         slot, options = {}, []
         for g, group in enumerate(read):
             for k in range(len(group)) if picks[g] is None else (picks[g],):
@@ -616,19 +615,46 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
 
 def _degradation_groups(core: TransitionCore, dims: list):
     """The groups of ``css_bruteforce``'s search, one per input column
-    space in ``output_laws`` order: the distinct column-space laws of Y
-    that its inputs give, as (row, 0.0) options, with the output
+    space W in ``enumerate_projective`` order: the distinct column-space
+    laws of Y that W's inputs give, as (row, 0.0) options in the order of
+    their first input in ``matrices_with_column_space``, with the output
     subspaces numbered as they are met.  Appends each column space's
-    dimension to ``dims`` as its group is read."""
+    dimension to ``dims`` as its group is read.
+
+    The inputs of every W of dimension r are X = W.basis^T @ A, for the
+    full-row-rank r x M matrices A in one order, and A = G @ D_U
+    (``column_factor``) with U its row space; so colspace(Y) is
+    W.basis^T @ G @ colspace(E) for E in U's table.  The laws of the A
+    are built once per dimension, from one law of colspace(E) per class,
+    and pushed to each W.  Both pushes are injective, so they keep the
+    laws distinct, and each law's subspaces in order.
+    """
+    spec = core.spec
+    field = spec.field
+    if field.q ** (spec.T * spec.M) > INPUT_ENUM_BUDGET:
+        raise BudgetExceeded("input enumeration exceeds budget")
     v_index: Dict[Subspace, int] = {}
-    for w, laws in output_laws(core):
-        rows = {}
-        for _, law in laws:
-            row = {v_index.setdefault(v, len(v_index)): p
-                   for v, p in column_space_law(law).items()}
-            rows.setdefault(frozenset(row.items()), row)
-        dims.append(w.dim)
-        yield [(_float_row(row), 0.0) for row in rows.values()]
+    for r in range(min(spec.T, spec.M) + 1):
+        class_laws: Dict[Subspace, dict] = {}
+        for u, table in core.tables.items():
+            if u.dim == r:
+                law = class_laws[u] = {}
+                for e, p in table.items():
+                    v = span_columns(MatrixGF(field, r, spec.N, e))
+                    law[v] = law.get(v, 0) + p
+        laws: Dict[frozenset, dict] = {}
+        for a in subspace_enum.matrices_with_column_space(
+                span_rows(identity(field, r)), spec.M):
+            u = span_rows(a)
+            g = transpose(column_factor(a, u))
+            law = {span_rows(mat_mul(v.basis, g)): p
+                   for v, p in class_laws[u].items()}
+            laws.setdefault(frozenset(law.items()), law)
+        for w in subspace_enum.enumerate_grassmannian(r, spec.T, field):
+            dims.append(r)
+            yield [(_float_row({v_index.setdefault(
+                span_rows(mat_mul(v.basis, w.basis)), len(v_index)): p
+                for v, p in law.items()}), 0.0) for law in laws.values()]
 
 
 def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,

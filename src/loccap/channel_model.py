@@ -7,7 +7,8 @@ D_U (the RREF basis of U) and tabulate the exact distribution of
 D_U @ H.  Every P(Y|X) is then a single table lookup after factoring X
 and Y through a common full-column-rank matrix.  A direct summation
 over the support of H, ``oracle.transition_naive``, serves as the
-oracle for that fast path.
+oracle for that fast path, and is the one scan of all q^(T*M) inputs:
+nothing here visits them.
 
 The tables are built from packed integers.  Each distinct row of the
 support becomes one int with a b-bit digit per entry, b =
@@ -49,13 +50,11 @@ from operator import add, itemgetter, lshift, mul
 from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
-from .gf_core import (BudgetExceeded, FieldSpec, MatrixGF, mat_mul,
-                      solve_factor)
+from .gf_core import BudgetExceeded, FieldSpec, MatrixGF, solve_factor
 from .subspace_enum import Subspace, span_columns, span_rows
 
 CORE_TABLE_BUDGET = 2 ** 20    # the most entries one class table may have
 T_BUDGET = 2 ** 20             # the most rows an input X may have
-INPUT_ENUM_BUDGET = 2 ** 24    # the most inputs one scan of them may visit
 SUPPORT_BUDGET = 2 ** 18       # the most support matrices generate may build
 
 ZERO = Fraction(0)
@@ -281,39 +280,6 @@ def column_factor(x: MatrixGF, u: Subspace) -> MatrixGF:
     pivots = [u.basis.row(i).index(1) for i in range(u.dim)]
     return MatrixGF(x.field, x.rows, u.dim,
                     tuple(x[i, j] for i in range(x.rows) for j in pivots))
-
-
-def output_laws(core: TransitionCore):
-    """Yield (W, [(X, {Y: P(Y|X)}), ...]) for every input column space W.
-
-    Every one of the q^(T*M) input matrices X appears once, with the
-    support of its output law.  With U the row space of X and
-    X = B @ D_U, Y = B @ E for each entry E of the table of U; B has full
-    column rank, so distinct E give distinct Y.
-    """
-    spec = core.spec
-    if spec.field.q ** (spec.T * spec.M) > INPUT_ENUM_BUDGET:
-        raise BudgetExceeded("input enumeration exceeds budget")
-    entries = {u: [(MatrixGF(spec.field, u.dim, spec.N, e), p)
-                   for e, p in table.items()]
-               for u, table in core.tables.items()}
-    kmax = min(spec.T, spec.M)
-    for w in subspace_enum.enumerate_projective(kmax, spec.T, spec.field):
-        group = []
-        for x in subspace_enum.matrices_with_column_space(w, spec.M):
-            u = span_rows(x)
-            b = column_factor(x, u)
-            group.append((x, {mat_mul(b, e): p for e, p in entries[u]}))
-        yield w, group
-
-
-def column_space_law(law) -> Dict[Subspace, Fraction]:
-    """The law of the column space of Y, from a law {Y: P(Y|X)}."""
-    out: Dict[Subspace, Fraction] = {}
-    for y, p in law.items():
-        v = span_columns(y)
-        out[v] = out.get(v, ZERO) + p
-    return out
 
 
 def p_y_given_x(core: TransitionCore, x: MatrixGF, y: MatrixGF) -> Fraction:

@@ -224,7 +224,13 @@ def _check_counting() -> list:
         for t in range(4):
             for s in range(t + 1):
                 for r in range(s, t + 1):
-                    qcomb.count_superspaces(t, s, r, q)  # self-checked
+                    # [t-s, r-s]_q = [t, r]_q xi(r, s) / xi(t, s)
+                    if (qcomb.gaussian_binomial(t - s, r - s, q)
+                            * qcomb.xi(t, s, q)
+                            != qcomb.gaussian_binomial(t, r, q)
+                            * qcomb.xi(r, s, q)):
+                        fails.append(f"superspace count q={q} t={t} s={s} "
+                                     f"r={r}")
     return fails
 
 

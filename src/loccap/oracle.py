@@ -5,11 +5,12 @@ unique-subspace-degradation and row-space-symmetric predicates.
 ``transition_core_reference`` builds the class tables with one matrix
 product per (class, support matrix) pair, where
 ``channel_model.transition_core`` adds packed integer rows.
-``transition_naive`` sums over the support of H for every input matrix;
-``channel_model.p_y_given_x`` reads the same values from the class
-tables.  The degraded and unique-subspace-degradation scans visit
-every one of the q^(T*M) input matrices, grouped by column space, and
-compare the output laws inside each group; the rank-symmetric and
+``transition_naive`` sums over the support of H for every input matrix,
+the one scan of all q^(T*M) of them; ``channel_model.p_y_given_x``
+reads the same values from the class tables.  ``input_laws`` groups its
+table by input, and ``inputs_by_column_space`` groups the inputs by
+column space.  The degraded and unique-subspace-degradation scans
+compare the output laws inside each such group; the rank-symmetric and
 row-space-symmetric scans visit the whole q^(r*N) cube of every class
 table, keying each E by (rank U, rank E) or by (U, row space of E).
 They are exact but exponential; ``classify`` decides the same
@@ -20,7 +21,9 @@ by outcome and witness keys.
 ``best_choice_unpruned`` runs Blahut-Arimoto to the end on every choice
 of one option per group, the reference for the branch and bound of
 ``capacity_engine._best_choice``; ``css_bruteforce_exhaustive`` runs it
-on ``css_bruteforce``'s groups.
+on ``degradation_groups``, ``css_bruteforce``'s groups built from the
+scan, where ``capacity_engine._degradation_groups`` builds them from the
+class tables.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from itertools import product
 
 from . import capacity_engine as ce
 from . import gf_core, subspace_enum
-from .channel_model import (ChannelSpec, TransitionCore, column_space_law,
-                            index_fibers, output_laws)
+from .channel_model import ChannelSpec, TransitionCore, index_fibers
 from .classify import PredicateResult, _lift
 from .gf_core import MatrixGF, mat_mul
 from .subspace_enum import Subspace, span_columns, span_rows
@@ -135,24 +137,74 @@ def is_row_space_symmetric(core: TransitionCore) -> PredicateResult:
     return PredicateResult(True)
 
 
+def input_laws(spec: ChannelSpec) -> dict:
+    """{X: {Y: P(Y|X)}} from ``transition_naive``, by entry tuples, with
+    the inputs in lexicographic order."""
+    laws: dict = {}
+    for (x, y), p in transition_naive(spec).items():
+        laws.setdefault(x, {})[y] = p
+    return laws
+
+
+def inputs_by_column_space(spec: ChannelSpec) -> list:
+    """[(W, [(X, {Y: P(Y|X)}), ...])] for every input column space W, in
+    ``enumerate_projective`` order: ``input_laws`` grouped by the column
+    space of X.  Each group is in ``matrices_with_column_space`` order,
+    which is lexicographic in the rows of X at the pivots of W's basis:
+    there X = W.basis^T @ A takes the rows of A, in the order
+    ``enumerate_full_rank`` gives their columns."""
+    m = spec.M
+    groups: dict = {}
+    for x, law in input_laws(spec).items():
+        w = span_columns(MatrixGF(spec.field, spec.T, m, x))
+        groups.setdefault(w, []).append((x, law))
+    out = []
+    for w in subspace_enum.enumerate_projective(min(spec.T, m), spec.T,
+                                                spec.field):
+        starts = [w.basis.row(i).index(1) * m for i in range(w.dim)]
+        out.append((w, sorted(groups[w], key=lambda item: [
+            item[0][s:s + m] for s in starts])))
+    return out
+
+
+def _column_space_law(spec: ChannelSpec, law: dict, spaces: dict) -> dict:
+    """The law of the column space of Y, from a law {Y: P(Y|X)}; spaces
+    holds the column space of each Y met so far, for the calls of one
+    scan."""
+    out: dict = {}
+    for y, p in law.items():
+        v = spaces.get(y)
+        if v is None:
+            v = spaces[y] = span_columns(MatrixGF(spec.field, spec.T,
+                                                  spec.N, y))
+        out[v] = out.get(v, ZERO) + p
+    return out
+
+
+def _lists(spec: ChannelSpec, cols: int, ent) -> list:
+    """A T x cols matrix, given by its entries, as a witness value."""
+    return MatrixGF(spec.field, spec.T, cols, ent).to_lists()
+
+
 def has_unique_subspace_degradation(core: TransitionCore) -> PredicateResult:
     """P(column space of Y | X) agrees for all X with equal column space."""
-    for w, laws in output_laws(core):
-        ref = None
-        for x, law in laws:
-            dist = column_space_law(law)
-            if ref is None:
-                ref = (x, dist)
-            elif dist != ref[1]:
-                bad = next(v for v in sorted(set(dist) | set(ref[1]),
+    spec = core.spec
+    spaces: dict = {}
+    for _, laws in inputs_by_column_space(spec):
+        x0, law0 = laws[0]
+        ref = _column_space_law(spec, law0, spaces)
+        for x, law in laws[1:]:
+            dist = _column_space_law(spec, law, spaces)
+            if dist != ref:
+                bad = next(v for v in sorted(set(dist) | set(ref),
                                              key=lambda s: s.sort_key())
-                           if dist.get(v, ZERO) != ref[1].get(v, ZERO))
+                           if dist.get(v, ZERO) != ref.get(v, ZERO))
                 return PredicateResult(False, {
                     "reason": "subspace channel depends on the input "
                               "representative",
-                    "X1": ref[0].to_lists(), "X2": x.to_lists(),
-                    "V": bad.to_json(),
-                    "p1": str(ref[1].get(bad, ZERO)),
+                    "X1": _lists(spec, spec.M, x0),
+                    "X2": _lists(spec, spec.M, x), "V": bad.to_json(),
+                    "p1": str(ref.get(bad, ZERO)),
                     "p2": str(dist.get(bad, ZERO))})
     return PredicateResult(True)
 
@@ -166,24 +218,22 @@ def is_degraded(core: TransitionCore) -> PredicateResult:
     """
     spec = core.spec
     columns: dict = {}  # y entries -> {x entries: prob}
-    for w, laws in output_laws(core):
-        ref = None
+    for _, laws in inputs_by_column_space(spec):
+        x0, ref = laws[0]
         for x, law in laws:
-            if ref is None:
-                ref = (x, law)
-            elif law != ref[1]:
-                y_bad = next(y for y in sorted(set(law) | set(ref[1]),
-                                               key=lambda m: m.entries)
-                             if law.get(y, ZERO) != ref[1].get(y, ZERO))
+            if law != ref:
+                y_bad = next(y for y in sorted(set(law) | set(ref))
+                             if law.get(y, ZERO) != ref.get(y, ZERO))
                 return PredicateResult(False, {
                     "reason": "P(Y|X) depends on more than the column "
                               "space of X",
-                    "X1": ref[0].to_lists(), "X2": x.to_lists(),
-                    "Y": y_bad.to_lists(),
-                    "p1": str(ref[1].get(y_bad, ZERO)),
+                    "X1": _lists(spec, spec.M, x0),
+                    "X2": _lists(spec, spec.M, x),
+                    "Y": _lists(spec, spec.N, y_bad),
+                    "p1": str(ref.get(y_bad, ZERO)),
                     "p2": str(law.get(y_bad, ZERO))})
             for y, p in law.items():
-                columns.setdefault(y.entries, {})[x.entries] = p
+                columns.setdefault(y, {})[x] = p
     by_colspace: dict = {}
     for y_ent in sorted(columns):
         y = MatrixGF(spec.field, spec.T, spec.N, y_ent)
@@ -215,9 +265,8 @@ def _ratio_witness(spec, y1_ent, y2_ent, col1, col2, reason):
                      != col1.get(x, ZERO) * lam_num)
     return PredicateResult(False, {
         "reason": reason,
-        "Y1": MatrixGF(spec.field, spec.T, spec.N, y1_ent).to_lists(),
-        "Y2": MatrixGF(spec.field, spec.T, spec.N, y2_ent).to_lists(),
-        "X": MatrixGF(spec.field, spec.T, spec.M, x_bad).to_lists()})
+        "Y1": _lists(spec, spec.N, y1_ent), "Y2": _lists(spec, spec.N, y2_ent),
+        "X": _lists(spec, spec.M, x_bad)})
 
 
 def best_choice_unpruned(groups, tol, max_iter, budget, what):
@@ -241,10 +290,28 @@ def best_choice_unpruned(groups, tol, max_iter, budget, what):
     return best, total, upper
 
 
+def degradation_groups(spec: ChannelSpec) -> list:
+    """``capacity_engine._degradation_groups`` from the scan: for each
+    group of ``inputs_by_column_space``, the distinct column-space laws
+    of Y its inputs give, in the order of their first input, as
+    (row, 0.0) options with the output subspaces numbered as they are
+    met."""
+    v_index, spaces = {}, {}
+    groups = []
+    for _, laws in inputs_by_column_space(spec):
+        rows: dict = {}
+        for _, law in laws:
+            row = {v_index.setdefault(v, len(v_index)): p
+                   for v, p in _column_space_law(spec, law, spaces).items()}
+            rows.setdefault(frozenset(row.items()), row)
+        groups.append([(ce._float_row(row), 0.0) for row in rows.values()])
+    return groups
+
+
 def css_bruteforce_exhaustive(core: TransitionCore, tol=ce.DEFAULT_TOL,
                               max_iter=ce.DEFAULT_MAX_ITER,
                               budget=ce.DEFAULT_ASSIGNMENT_BUDGET):
-    """``best_choice_unpruned`` on ``css_bruteforce``'s groups: every
+    """``best_choice_unpruned`` on ``degradation_groups``: every
     deterministic degradation run to the end."""
-    return best_choice_unpruned(ce._degradation_groups(core, []), tol,
+    return best_choice_unpruned(degradation_groups(core.spec), tol,
                                 max_iter, budget, "deterministic degradations")

@@ -458,6 +458,26 @@ def test_criterion_10d_unique_degradation_css_is_one_assignment(capsys):
         assert usd >= 100, usd
 
 
+def test_criterion_10h_degradation_groups_match_the_input_scan(capsys):
+    with _Gate(capsys, "criterion 10h: the options css_bruteforce builds "
+                       "from the class tables equal those built from the "
+                       "q^(T*M) input scan, in order and bit for bit, on "
+                       "1000 channels"):
+        rng = random.Random(1015)
+        for _ in range(1000):
+            spec = _cross_check_channel(rng)
+            dims = []
+            got = list(ce._degradation_groups(transition_core(spec), dims))
+            want = oracle.degradation_groups(spec)
+            # the rows' items in order: labels, masses and their order
+            assert [[(list(row.items()), reward) for row, reward in group]
+                    for group in got] == [
+                [(list(row.items()), reward) for row, reward in group]
+                for group in want], spec
+            assert dims == [w.dim for w in subspace_enum.enumerate_projective(
+                min(spec.T, spec.M), spec.T, spec.field)]
+
+
 def test_criterion_10g_certified_intervals_contain_the_capacities(capsys):
     with _Gate(capsys, "criterion 10g: the certified intervals of C and of "
                        "the exhaustive C_ss contain tight values at 3, 10 "

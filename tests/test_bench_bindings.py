@@ -41,15 +41,16 @@ def test_benchmark_binding_exists(module, attribute):
 
 
 def test_tracer_counts_every_enumerated_input():
-    # the input scans call matrices_with_column_space through a binding
-    # the tracer rebinds, so inputs_enumerated counts all q^(T*M) inputs
-    core = cm.transition_core(cm.load_channel(cli.fixture_path(
-        "example6.json")))
-    spec = core.spec
+    # css_bruteforce calls matrices_with_column_space through a binding
+    # the tracer rebinds, once per input dimension r: inputs_enumerated
+    # counts the full-row-rank r x M matrices, 1 + 3 + 6 at q = 2,
+    # T = M = 2, not the q^(T*M) = 16 inputs
+    spec = cm.generate("custom_rank_dist", q=2, T=2, M=2, N=2,
+                       rank_pmf={1: Fraction(1, 2), 2: Fraction(1, 2)})
+    core = cm.transition_core(spec)
     with _tr.Tracer().installed() as tracer:
         ce.css_bruteforce(core)
-    assert tracer.counts["subspace_enum.inputs_enumerated"] == \
-        spec.field.q ** (spec.T * spec.M)
+    assert tracer.counts["subspace_enum.inputs_enumerated"] == 1 + 3 + 6
 
 
 def test_traced_bruteforce_abandons_choices_that_cannot_win(monkeypatch):

@@ -469,13 +469,14 @@ def _counting_ba(monkeypatch):
 def test_choice_search_branches_when_the_relaxation_is_loose(monkeypatch):
     # offering both outputs at once is worth 1 bit, but each choice sends
     # its one input to one output and is worth 0: the root cannot prune
-    # after its dive, so it branches and runs both leaves
+    # after its dive, so it branches, and runs only the leaf the dive did
+    # not: the root, the dive and one more leaf
     calls = _counting_ba(monkeypatch)
     groups = [[({0: 1.0}, 0.0), ({1: 1.0}, 0.0)]]
     (value, _, gap, *_), tried, upper = ce._best_choice(groups, 1e-9, 10 ** 5,
                                                         2, "choices")
     assert (value, tried) == (0.0, 2)
-    assert len(calls) > 2
+    assert len(calls) == 3
     assert upper <= 1e-9 + gap
 
 
@@ -844,15 +845,12 @@ _BUDGET_CHECKS = [
         lambda: cm.generate("custom_rank_dist", q=2, M=2, N=2,
                             rank_pmf={0: Fraction(1, 2), 2: Fraction(1, 2)})]),
     (cm, "CORE_TABLE_BUDGET", 15, [lambda: transition_core(_IID)]),
-    (cm, "INPUT_ENUM_BUDGET", 15, [
-        lambda: next(cm.output_laws(_IID_CORE)),
-        lambda: ce.css_bruteforce(_IID_CORE),
+    (ce, "INPUT_ENUM_BUDGET", 15, [lambda: ce.css_bruteforce(_IID_CORE)]),
+    (oracle, "NAIVE_TABLE_BUDGET", 255, [
+        lambda: transition_naive(_IID),
         lambda: ce.shannon_capacity_naive(_IID_CORE),
         lambda: oracle.is_degraded(_IID_CORE),
         lambda: oracle.has_unique_subspace_degradation(_IID_CORE)]),
-    (ce, "NAIVE_ALPHABET_BUDGET", 255,
-     [lambda: ce.shannon_capacity_naive(_IID_CORE)]),
-    (oracle, "NAIVE_TABLE_BUDGET", 255, [lambda: transition_naive(_IID)]),
 ]
 
 
@@ -871,8 +869,9 @@ def test_one_rebinding_trips_every_check_of_a_budget(monkeypatch, module,
 
 
 def _counting_inputs(monkeypatch):
-    """Count the inputs output_laws enumerates; returns the list that
-    collects them."""
+    """Count the matrices matrices_with_column_space yields: the r x M
+    matrices A of each input X = W.basis^T @ A that css_bruteforce reads;
+    returns the list that collects them."""
     original = subspace_enum.matrices_with_column_space
     inputs = []
 
@@ -887,7 +886,9 @@ def _counting_inputs(monkeypatch):
 
 def test_bruteforce_refuses_before_enumerating_every_input(monkeypatch):
     # crd(2;3,3,3) has 512 inputs and far more than 10^5 degradations;
-    # the choice budget is checked as each column space's inputs are read
+    # the choice budget is checked as each column space's group is read,
+    # and the 1 + 7 + 42 + 168 r x 3 matrices of dimension r = 0..3 are
+    # read before its first group; the search stops in dimension 2
     spec = cm.generate("custom_rank_dist", q=2, T=3, M=3, N=3,
                        rank_pmf={1: Fraction(1, 3), 2: Fraction(1, 3),
                                  3: Fraction(1, 3)})
@@ -896,13 +897,14 @@ def test_bruteforce_refuses_before_enumerating_every_input(monkeypatch):
     with pytest.raises(BudgetExceeded,
                        match="^more than 100000 deterministic degradations$"):
         ce.css_bruteforce(core)
-    assert 0 < len(inputs) < 2 ** 9
+    assert 0 < len(inputs) < 1 + 7 + 42 + 168
 
 
 def test_choice_searches_refuse_exactly_above_the_budget(monkeypatch):
     # a search is refused iff its number of choices, the product of its
-    # group sizes, exceeds the budget; css_bruteforce stops reading inputs
-    # at the first column space whose group lifts the product past it
+    # group sizes, exceeds the budget; css_bruteforce reads the r x M
+    # matrices of each dimension r before its first group, and stops at
+    # the first column space whose group lifts the product past it
     rng = random.Random(910)
     inputs = _counting_inputs(monkeypatch)
     checked = early = 0
@@ -911,9 +913,8 @@ def test_choice_searches_refuse_exactly_above_the_budget(monkeypatch):
                                  rng.randint(1, 2), rng.randint(1, 2),
                                  max_support=4)
         core = transition_core(spec)
-        columns = [(len(laws), len({frozenset(cm.column_space_law(law)
-                                              .items()) for _, law in laws}))
-                   for _, laws in cm.output_laws(core)]
+        dims = [w.dim for w, _ in oracle.inputs_by_column_space(spec)]
+        columns = list(zip(dims, map(len, oracle.degradation_groups(spec))))
         rank_laws = {}
         for u in core.input_classes():
             rank_laws.setdefault(u.dim, set()).add(frozenset(
@@ -930,14 +931,16 @@ def test_choice_searches_refuse_exactly_above_the_budget(monkeypatch):
             with pytest.raises(BudgetExceeded, match=f"^more than {budget} "):
                 search(core, budget=budget)
             if search is ce.css_bruteforce:
-                read, product_so_far = 0, 1
-                for n_inputs, n_options in columns:
-                    read += n_inputs
+                product_so_far = 1
+                for dim, n_options in columns:
                     product_so_far *= n_options
                     if product_so_far > budget:
                         break
+                q = spec.field.q
+                read = sum(qcomb.xi(spec.M, r, q) for r in range(dim + 1))
                 assert len(inputs) == read
-                early += read < sum(n for n, _ in columns)
+                early += read < sum(qcomb.xi(spec.M, r, q)
+                                    for r in range(max(dims) + 1))
             checked += 1
     assert checked > 75 and early > 20
 

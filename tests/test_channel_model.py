@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from loccap import channel_model as cm
-from loccap import qcomb
+from loccap import oracle, qcomb, subspace_enum
 from loccap.channel_model import (ChannelSpec, ChannelSpecError,
                                   load_channel, p_y_given_x, save_channel,
                                   transition_core)
@@ -101,25 +101,29 @@ def test_rank_joint_marginals(fixtures):
                                      (2, 2, 3), (3, 2, 2), (3, 1, 3)])
 def test_inputs_by_column_space_yields_every_input_once(monkeypatch, q, T,
                                                         M):
-    # each law is the push-forward of X @ H over pmf_H, equal products
-    # adding their masses
+    # the oracle's grouping of transition_naive's table: each law is the
+    # push-forward of X @ H over pmf_H, equal products adding their
+    # masses, and each group is in matrices_with_column_space order
     spec = cm.random_channel(random.Random(100 * q + 10 * T + M), q, T, M, 2)
-    core = transition_core(spec)
     seen = []
-    for w, laws in cm.output_laws(core):
-        for x, law in laws:
+    for w, laws in oracle.inputs_by_column_space(spec):
+        assert [x for x, _ in laws] == [
+            x.entries for x in subspace_enum.matrices_with_column_space(w, M)]
+        for x_ent, law in laws:
+            x = MatrixGF(spec.field, T, M, x_ent)
             assert span_columns(x) == w
             want = {}
             for h, p in spec.pmf_H.items():
-                y = mat_mul(x, support_matrix(spec, h))
+                y = mat_mul(x, support_matrix(spec, h)).entries
                 want[y] = want.get(y, Fraction(0)) + p
             assert law == want
-            seen.append(x.entries)
+            seen.append(x_ent)
     assert sorted(seen) == sorted(
-        x.entries for x in all_matrices(core.spec.field, T, M))
-    monkeypatch.setattr(cm, "INPUT_ENUM_BUDGET", len(seen) - 1)
+        x.entries for x in all_matrices(spec.field, T, M))
+    monkeypatch.setattr(oracle, "NAIVE_TABLE_BUDGET",
+                        len(seen) * len(spec.pmf_H) - 1)
     with pytest.raises(BudgetExceeded):
-        next(cm.output_laws(core))
+        oracle.inputs_by_column_space(spec)
 
 
 def test_round_trip_is_bit_exact(tmp_path, fixtures):

@@ -2,9 +2,13 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
 from loccap import classify as cls
-from loccap import cli
+from loccap import cli, qcomb
 from loccap.gf_core import FieldSpec
 
 
@@ -89,6 +93,22 @@ def test_gen_rejects_bad_rank_pmf(tmp_path, capsys):
         assert code == cli.EXIT_INPUT
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["iid_uniform", "--M", "2"], "N is required"),
+    (["uniform_given_rank", "--M", "2", "--N", "2"],
+     "uniform_given_rank requires a rank PMF"),
+    (["custom_rank_dist", "--M", "2", "--N", "2", "--rank-pmf",
+      "0:-1/2,1:3/2"], "negative rank probability"),
+], ids=["no-N", "no-rank-pmf", "negative-mass"])
+def test_gen_refuses_a_missing_or_negative_parameter(tmp_path, capsys, argv,
+                                                     err):
+    out = tmp_path / "chan.json"
+    code = cli.main(["gen", *argv, "--q", "2", "-o", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("size, value", [("--M", "-1"), ("--N", "-1"),
@@ -297,6 +317,42 @@ def test_verify_exits_5_when_the_choice_search_misses_the_exhaustive_best(
     assert code == cli.EXIT_VERIFY
     assert [fail.split(":")[0] for fail in doc["failures"]
             if "exhaustive C_ss" in fail] == list(cli.FIXTURES)
+
+
+def test_verify_exits_5_on_a_broken_superspace_identity(monkeypatch,
+                                                        capsys):
+    # the identity is compared in verify itself, not by an assert, so it
+    # is checked under python -O and a break is a failure line, not a
+    # traceback
+    original = qcomb.gaussian_binomial
+    monkeypatch.setattr(qcomb, "gaussian_binomial", lambda m, r, q: (
+        original(m, r, q) + ((m, r, q) == (3, 1, 2))))
+    code, doc = _run_json(capsys, ["verify", "--trials", "0"])
+    assert code == cli.EXIT_VERIFY
+    # [2, 0]_2 xi(3, 1) = 7, but the broken [3, 1]_2 xi(1, 1) = 8
+    assert "superspace count q=2 t=3 s=1 r=1" in doc["failures"]
+    assert "subspace count q=2 t=3 r=1" in doc["failures"]
+
+
+def test_report_never_loads_the_oracle(tmp_path):
+    # the brute-force oracles serve verify and the tests only: report
+    # builds brute force's options from the class tables, on a fixture
+    # and on crd(2;2,2,2), which has no unique subspace degradation
+    path = tmp_path / "crd.json"
+    cm.save_channel(cm.generate("custom_rank_dist", q=2, T=2, M=2, N=2,
+                                rank_pmf={1: Fraction(1, 2),
+                                          2: Fraction(1, 2)}), str(path))
+    script = ("import sys\n"
+              "from loccap import cli\n"
+              "codes = [cli.main(['report', p]) for p in sys.argv[1:]]\n"
+              "print(codes, 'loccap.oracle' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script,
+                           cli.fixture_path("table1.json"), str(path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.stderr == "[0, 0] False\n"
+    assert '"mode": "bruteforce"' in done.stdout
 
 
 def test_json_output_is_streamed(tmp_path):
