@@ -258,7 +258,8 @@ def index_fibers(spaces: subspace_enum.RowSpaces, u: Subspace,
     """The table of class u indexed by row space, visited in sorted-E
     order.  The row space of each entry is its state in spaces, a step
     table the classes of one core share, so each distinct row space is
-    reduced and built as a Subspace once."""
+    reduced once and built once as a Subspace, from the RREF rows the
+    table interns."""
     keys = sorted(table)
     fibers: Dict[int, Fiber] = {}
     for w, e_ent in zip(spaces.states(keys, u.dim), keys):
@@ -528,7 +529,8 @@ def load_channel(path) -> ChannelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise ChannelSpecError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return spec_from_dict(doc)

@@ -217,9 +217,9 @@ def _gl_map(e_from: MatrixGF, e_to: MatrixGF) -> MatrixGF:
         aug = MatrixGF(e.field, r, n + r, sum(
             (e.row(i) + tuple(int(i == j) for j in range(r))
              for i in range(r)), ()))
-        red = gf_core.rref(aug)[0]
+        red = gf_core.reduced_rows(aug)[0]
         return MatrixGF(e.field, r, r, tuple(
-            red[i, n + j] for i in range(r) for j in range(r)))
+            red[i][n + j] for i in range(r) for j in range(r)))
 
     return solve_factor(reducer(e_from), reducer(e_to))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterator
 
 from . import gf_core, qcomb
@@ -51,8 +51,8 @@ def span_rows(a: MatrixGF) -> Subspace:
 class RowSpaces(dict):
     """(state, row) -> the state of their span: the row spaces of F_q^n
     met reading matrices row by row, each interned by its RREF basis
-    bases[s], (pivot, row) pairs in pivot order; state 0 is {0}.  Each
-    step is reduced on its first lookup only."""
+    bases[s], a tuple of rows; state 0 is {0}.  Each step is reduced
+    through ``gf_core._reduce`` on its first lookup only."""
 
     def __init__(self, field: FieldSpec, n: int):
         super().__init__()
@@ -61,22 +61,12 @@ class RowSpaces(dict):
 
     def __missing__(self, step):
         state, v = step
-        q, basis = self.field.q, self.bases[state]
-        mod = q.__rmod__
-        for p, b in basis:      # b is zero at the other rows' pivots
-            if f := v[p]:
-                v = list(map(mod, map(sub, v, map(f.__mul__, b))))
-        for piv, x in enumerate(v):
-            if x:   # a new pivot: normalise v and clear its column
-                v = tuple(map(mod, map(self.field.inverses[x].__mul__, v)))
-                new = tuple(sorted([(p, tuple(map(mod, map(sub, b, map(
-                    b[piv].__mul__, v)))) if b[piv] else b) for p, b in basis]
-                    + [(piv, v)]))
-                state = self.ids.setdefault(new, len(self.bases))
-                if state == len(self.bases):
-                    self.bases.append(new)
-                break
-        self[step] = state
+        rows = [*map(list, self.bases[state]), list(v)]
+        rank = len(gf_core._reduce(rows, self.field.q, self.field.inverses))
+        basis = tuple(map(tuple, rows[:rank]))
+        state = self[step] = self.ids.setdefault(basis, len(self.bases))
+        if state == len(self.bases):
+            self.bases.append(basis)
         return state
 
     def states(self, keys, rows: int) -> list:
@@ -94,12 +84,12 @@ class RowSpaces(dict):
                                  self.states(keys, rows))))
 
     def space(self, state: int) -> Subspace:
-        """The Subspace of a state, built once through ``span_rows``."""
+        """The Subspace of a state, built once from its interned RREF
+        rows, so each state has one shared Subspace."""
         out = self.spaces.get(state)
         if out is None:
-            rows = [b for _, b in self.bases[state]]
-            out = self.spaces[state] = span_rows(MatrixGF(
-                self.field, len(rows), self.n, tuple(chain(*rows))))
+            out = self.spaces[state] = _from_rref_rows(
+                self.field, self.n, self.bases[state])
         return out
 
 

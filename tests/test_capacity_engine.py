@@ -301,6 +301,19 @@ def test_css_bruteforce_agrees_with_unique_path(fixtures):
     assert c.value == pytest.approx(b.value, abs=1e-8)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda core: ce._ba([], None, 1e-9, 10), "empty input alphabet"),
+    (lambda core: ce.subspace_coding_capacity(core, "nope"),
+     "unknown css mode 'nope'"),
+    (lambda core: ce.mi_alpha(core, {next(iter(core.tables)): 0.5}),
+     "alpha does not sum to 1"),
+], ids=["ba-empty", "css-mode", "alpha-sum"])
+def test_guards_refuse_bad_arguments(fixtures, call, match):
+    spec, core = fixtures["table1.json"]
+    with pytest.raises(ValueError, match=match):
+        call(core)
+
+
 def test_css_unique_refuses_multiple_degradations(fixtures):
     spec, core = fixtures["example6.json"]
     with pytest.raises(ValueError):
@@ -1040,21 +1053,32 @@ def test_report_without_a_theorem_or_a_gap_is_inconclusive():
 ])
 def test_report_ranks_each_table_entry_at_most_once(monkeypatch, kind,
                                                     params):
-    # every predicate, solver and bound reads the row-space index that
-    # transition_core builds with one span_rows call per table entry
+    # transition_core reduces each row space once, as a step of its
+    # RowSpaces table, and every predicate, solver and bound reads the
+    # row-space index it builds: with the core passed in, a report
+    # reduces only what is_uniform_given_rank does to rank the support
     spec = cm.generate(kind, **params)
-    entries = sum(len(t) for t in transition_core(spec).tables.values())
-    original = subspace_enum.span_rows
     calls = []
 
-    def counted(a):
-        calls.append(1)
-        return original(a)
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
 
-    _rebind_everywhere(monkeypatch, original, counted)
-    rep = ce.capacity_report(spec)
+    for name in ("_reduce", "reduced_rows"):
+        monkeypatch.setattr(gf_core, name,
+                            counting(name, getattr(gf_core, name)))
+    core = transition_core(spec)
+    assert "reduced_rows" not in calls
+    assert 0 < len(calls) <= sum(len(t) for t in core.tables.values())
+    calls.clear()
+    assert cls.is_uniform_given_rank(spec).holds
+    alone = list(calls)
+    calls.clear()
+    rep = ce.capacity_report(spec, core=core)
     assert all(rep.classes.flags().values())
-    assert 0 < len(calls) <= entries
+    assert calls == alone
 
 
 def _rebind_everywhere(monkeypatch, original, replacement):

@@ -10,7 +10,7 @@ from loccap.channel_model import (ChannelSpec, ChannelSpecError,
                                   load_channel, p_y_given_x, save_channel,
                                   transition_core)
 from loccap.gf_core import (BudgetExceeded, FieldSpec, MatrixGF,
-                            all_matrices, mat_mul, matrix, rank)
+                            all_matrices, mat_mul, matrix, rank, zeros)
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_columns, span_rows
 
@@ -42,6 +42,16 @@ def test_transition_fast_vs_naive_random():
     rng = random.Random(2024)
     for _ in range(50):
         _assert_fast_matches_naive(random_small_channel(rng))
+
+
+@pytest.mark.parametrize("x_shape, y_shape, match", [
+    ((2, 2), (1, 2), "input has wrong shape"),
+    ((1, 2), (1, 3), "output has wrong shape"),
+], ids=["X", "Y"])
+def test_p_y_given_x_refuses_a_wrong_shape(x_shape, y_shape, match):
+    core = transition_core(cm.generate("iid_uniform", q=2, T=1, M=2, N=2))
+    with pytest.raises(ChannelSpecError, match=match):
+        p_y_given_x(core, zeros(F2, *x_shape), zeros(F2, *y_shape))
 
 
 def test_cond_rank_sums_to_one(fixtures):

@@ -37,16 +37,18 @@ def test_missing_file_exits_2(capsys):
     assert code == cli.EXIT_INPUT
 
 
-@pytest.mark.parametrize("text", [
-    "{broken",
-    "[" * 10 ** 5 + "]" * 10 ** 5,   # json.load raises RecursionError
-], ids=["broken", "nested"])
-def test_bad_json_exits_2(tmp_path, capsys, text):
+@pytest.mark.parametrize("data", [
+    b"{broken",
+    b"[" * 10 ** 5 + b"]" * 10 ** 5,   # json.load raises RecursionError
+    b"\xff\xfe",                       # UnicodeDecodeError
+], ids=["broken", "nested", "not-utf8"])
+def test_bad_json_exits_2(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(data)
     for command in ("classify", "report"):
         assert cli.main([command, str(path)]) == cli.EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: invalid JSON: ")
 
 
 def test_version_flag(capsys):
