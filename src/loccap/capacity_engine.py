@@ -39,10 +39,11 @@ turns an exact row into a Blahut-Arimoto row.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from operator import itemgetter, mul
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import classify as classify_mod
@@ -328,7 +329,7 @@ def _mi_alpha(core: TransitionCore, setup: _ClassSetup,
     weights = [float(alpha.get(u, 0)) for u in setup.classes]
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("alpha does not sum to 1")
-    return (_mi(_row_space_joint(core, alpha))
+    return (_mi(_row_space_laws(core, alpha))
             + fsum(map(mul, weights, setup.rewards)))
 
 
@@ -419,38 +420,36 @@ def lemma_full_rank_decomposition(spec: ChannelSpec):
     return j, training, eps
 
 
-def _row_space_joint(core: TransitionCore, alpha: Dict[Subspace, object]):
-    """Joint PMF of (row space of X, row space of Y) as floats."""
-    joint: Dict[Tuple[Subspace, Subspace], float] = {}
+_RowSpaceLaws = namedtuple("_RowSpaceLaws", "joint u w r s rs us")
+
+
+def _row_space_laws(core: TransitionCore,
+                    alpha: Dict[Subspace, object]) -> _RowSpaceLaws:
+    """The joint PMF of (U, W), the row spaces of X and Y, as floats, for
+    the input uniform on each row-space fiber with fiber weights alpha;
+    and, in the same pass, its marginals over U, W, dim U, dim W,
+    (dim U, dim W) and (U, dim W), each adding the joint's cells in the
+    joint's own order."""
+    laws = _RowSpaceLaws({}, {}, {}, {}, {}, {}, {})
+    joint, marginals = laws[0], laws[1:]
     for u, a in alpha.items():
         a = float(a)
         if a == 0.0:
             continue
-        for v, f in core.fibers[u].items():
-            joint[(u, v)] = joint.get((u, v), 0.0) + a * float(f.mass)
-    return joint
+        r = u.dim
+        for w, f in core.fibers[u].items():
+            p = joint[(u, w)] = a * float(f.mass)
+            s = w.dim
+            for law, k in zip(marginals, (u, w, r, s, (r, s), (u, s))):
+                law[k] = law.get(k, 0.0) + p
+    return laws
 
 
-def _marginal(joint: Dict[tuple, float], key) -> Dict[object, float]:
-    """The law of key(outcome) under a joint PMF."""
-    out: Dict[object, float] = {}
-    for k, p in joint.items():
-        k = key(k)
-        out[k] = out.get(k, 0.0) + p
-    return out
-
-
-def _dims(uv) -> Tuple[int, int]:
-    return uv[0].dim, uv[1].dim
-
-
-def _mi(joint) -> float:
-    px = _marginal(joint, itemgetter(0))
-    py = _marginal(joint, itemgetter(1))
+def _mi(laws: _RowSpaceLaws) -> float:
     # Logs of the marginals separately: their product can underflow to
     # 0.0 when an achiever weight is subnormal.
-    return sum(p * (LOG2(p) - LOG2(px[x]) - LOG2(py[y]))
-               for (x, y), p in joint.items() if p > 0.0)
+    return sum(p * (LOG2(p) - LOG2(laws.u[u]) - LOG2(laws.w[w]))
+               for (u, w), p in laws.joint.items() if p > 0.0)
 
 
 def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
@@ -462,11 +461,10 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
     """
     spec = core.spec
     q = spec.field.q
-    joint = _row_space_joint(core, alpha)
-    ranks = _marginal(joint, _dims)
-    lower = j_rank(ranks, spec.T, q) + _mi(joint)
+    laws = _row_space_laws(core, alpha)
+    lower = j_rank(laws.rs, spec.T, q) + _mi(laws)
     slack = sum(p * _log2(qcomb.xi(r, s, q))
-                for (r, s), p in ranks.items() if p > 0 and s > 0)
+                for (r, s), p in laws.rs.items() if p > 0 and s > 0)
     return lower, lower + slack
 
 
@@ -613,13 +611,13 @@ def css_alpha_lower(core: TransitionCore, tol: float = DEFAULT_TOL,
                           assignments_tried=tried)
 
 
-def _degradation_groups(core: TransitionCore, dims: list):
+def _degradation_groups(core: TransitionCore):
     """The groups of ``css_bruteforce``'s search, one per input column
-    space W in ``enumerate_projective`` order: the distinct column-space
-    laws of Y that W's inputs give, as (row, 0.0) options in the order of
-    their first input in ``matrices_with_column_space``, with the output
-    subspaces numbered as they are met.  Appends each column space's
-    dimension to ``dims`` as its group is read.
+    space W in ``enumerate_projective`` order (so [T, r]_q groups of each
+    dimension r in turn): the distinct column-space laws of Y that W's
+    inputs give, as (row, 0.0) options in the order of their first input
+    in ``matrices_with_column_space``, with the output subspaces numbered
+    as they are met.
 
     The inputs of every W of dimension r are X = W.basis^T @ A, for the
     full-row-rank r x M matrices A in one order, and A = G @ D_U
@@ -651,7 +649,6 @@ def _degradation_groups(core: TransitionCore, dims: list):
                    for v, p in class_laws[u].items()}
             laws.setdefault(frozenset(law.items()), law)
         for w in subspace_enum.enumerate_grassmannian(r, spec.T, field):
-            dims.append(r)
             yield [(_float_row({v_index.setdefault(
                 span_rows(mat_mul(v.basis, w.basis)), len(v_index)): p
                 for v, p in law.items()}), 0.0) for law in laws.values()]
@@ -663,10 +660,12 @@ def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
     """Exact subspace coding capacity over deterministic degradations
     (one input matrix per input column space), which suffice for the
     maximum, by the choice search over ``_degradation_groups``."""
-    dims = []
     (value, pmf, gap, its, ok), tried, upper = _best_choice(
-        _degradation_groups(core, dims), tol, max_iter, budget,
+        _degradation_groups(core), tol, max_iter, budget,
         "deterministic degradations")
+    T, q = core.spec.T, core.spec.field.q
+    dims = [r for r in range(min(T, core.spec.M) + 1)
+            for _ in range(qcomb.gaussian_binomial(T, r, q))]
     rank_pmf: Dict[int, float] = {}
     for r, p in zip(dims, pmf):
         rank_pmf[r] = rank_pmf.get(r, 0.0) + p
@@ -709,21 +708,15 @@ def markov_check(core: TransitionCore, alpha: Dict[Subspace, object],
     rounding-size violations; the max absolute violations are reported,
     and a chain holds when its violation is at most tol.
     """
-    joint = _row_space_joint(core, alpha)
-    p_u = _marginal(joint, itemgetter(0))
-    p_v = _marginal(joint, itemgetter(1))
-    p_r = _marginal(joint, lambda uv: uv[0].dim)
-    p_s = _marginal(joint, lambda uv: uv[1].dim)
-    p_rs = _marginal(joint, _dims)
-    p_us = _marginal(joint, lambda uv: (uv[0], uv[1].dim))
+    laws = _row_space_laws(core, alpha)
     viol_long = viol_short = 0.0
-    for (u, v), p in joint.items():
-        r, s = u.dim, v.dim
-        lhs = p_r[r] * p_s[s] * p
-        rhs = p_u[u] * p_rs[(r, s)] * p_v[v]
+    for (u, w), p in laws.joint.items():
+        r, s = u.dim, w.dim
+        lhs = laws.r[r] * laws.s[s] * p
+        rhs = laws.u[u] * laws.rs[(r, s)] * laws.w[w]
         viol_long = max(viol_long, abs(lhs - rhs))
-        lhs2 = p * p_s[s]
-        rhs2 = p_us[(u, s)] * p_v[v]
+        lhs2 = p * laws.s[s]
+        rhs2 = laws.us[(u, s)] * laws.w[w]
         viol_short = max(viol_short, abs(lhs2 - rhs2))
     return MarkovVerdict(viol_long <= tol, viol_short <= tol,
                          viol_long, viol_short)

@@ -450,7 +450,7 @@ def _parse_rational(s, where: str) -> Fraction:
                                f"string like \"1/6\", got {s!r}")
     try:
         return Fraction(s)
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ValueError) as exc:   # 1/0; too many digits
         raise ChannelSpecError(f"{where}: bad rational {s!r}: {exc}") from exc
 
 
@@ -529,8 +529,9 @@ def load_channel(path) -> ChannelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError,
-                RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError and an int past Python's
+            # int-digit limit are all ValueErrors
             raise ChannelSpecError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return spec_from_dict(doc)

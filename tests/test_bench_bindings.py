@@ -92,19 +92,20 @@ def test_traced_report_without_a_usd_runs_only_brute_force(capsys):
 
 def test_uniform_given_rank_reduces_far_fewer_matrices_than_it_ranks(
         monkeypatch):
-    # the rank kernel reuses the echelon basis of the rows each support
-    # matrix shares with the one before it, instead of reducing every
-    # matrix through gf_core.rank
+    # the rank kernel steps through a table of the row spaces of the
+    # support matrices' leading rows, reducing a state's rows and one new
+    # row on the state's first lookup only; ranking every matrix through
+    # gf_core.rank would make one reduction per support matrix
     spec = cm.generate("uniform_given_rank", q=2, T=1, M=3, N=3,
                        rank_pmf={1: Fraction(1, 2), 3: Fraction(1, 2)})
-    original = gf_core.reduced_rows
+    original = gf_core._reduce
     calls = []
 
-    def counted(a):
-        calls.append(a)
-        return original(a)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(gf_core, "reduced_rows", counted)
+    monkeypatch.setattr(gf_core, "_reduce", counted)
     assert cls.is_uniform_given_rank(spec).holds
     assert len(spec.pmf_H) == 217
-    assert len(calls) * 10 < len(spec.pmf_H)
+    assert 0 < len(calls) * 2 <= len(spec.pmf_H)

@@ -41,7 +41,9 @@ def test_missing_file_exits_2(capsys):
     b"{broken",
     b"[" * 10 ** 5 + b"]" * 10 ** 5,   # json.load raises RecursionError
     b"\xff\xfe",                       # UnicodeDecodeError
-], ids=["broken", "nested", "not-utf8"])
+    # a q past Python's int-digit limit: json.load raises ValueError
+    b'{"q": ' + b"1" * 5000 + b', "T": 1, "M": 1, "N": 1, "pmf": []}',
+], ids=["broken", "nested", "not-utf8", "long-int"])
 def test_bad_json_exits_2(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
     path.write_bytes(data)
@@ -49,6 +51,16 @@ def test_bad_json_exits_2(tmp_path, capsys, data):
         assert cli.main([command, str(path)]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(
             f"error: {path}: invalid JSON: ")
+
+
+def test_mass_past_the_int_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"q": 2, "T": 1, "M": 1, "N": 1, "pmf": [
+        {"H": [[0]], "p": "1/2"}, {"H": [[1]], "p": "1/" + "2" * 5000}]}))
+    for command in ("classify", "report"):
+        assert cli.main([command, str(path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: pmf[1]: bad rational '1/222")
 
 
 def test_version_flag(capsys):
