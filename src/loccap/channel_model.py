@@ -21,6 +21,11 @@ keys, and each distinct key is reduced mod q once.
 matrix product per (class, H) pair.  The classes of one core share one
 ``subspace_enum.RowSpaces`` step table, which gives the row space of
 every entry (``TransitionCore.fibers``, read by every later consumer).
+When the law of H is unchanged by H -> g @ H for every g in GL(M, q),
+as for the paper's uniform-given-rank family, every class of one
+dimension has the same table and fibers; the packed rows decide that
+against three generators of GL(M, q), and then only the first class of
+each dimension is counted and indexed (``transition_core``).
 
 A channel file is read in bulk (``spec_from_dict``): whole-file passes
 of C-level ``set(map(type, ...))`` and ``map(len, ...)`` check the items,
@@ -31,6 +36,8 @@ that gives it.  ``ChannelSpec`` checks the entries of all keys and the
 masses the same way, and that the masses sum to 1 with one integer sum
 over the lcm of their denominators.  Only when a bulk check fails are
 the items read one at a time, to name the first item at fault.
+``load_channel`` decodes and checks a file with the cyclic garbage
+collector paused, since neither the document nor the spec holds a cycle.
 ``save_channel`` writes the text ``json.dump(..., indent=1)`` would,
 without the Python-level encoder: each distinct row of the support
 matrices is rendered once.
@@ -38,15 +45,16 @@ matrices is rendered once.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from math import lcm
-from operator import add, itemgetter, lshift, mul
+from operator import add, eq, itemgetter, lshift, mul
 from typing import Dict, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
@@ -209,17 +217,29 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     order of the first H in pmf_H that gives each E, as in
     ``oracle.transition_core_reference``: the Counter of a class meets
     its keys in pmf_H order.
+
+    On a GL(M)-invariant channel, one whose pmf(g @ H) = pmf(H) for every
+    g in GL(M, q) (``_gl_invariant``), the classes of one dimension share
+    one table.  Take a class U of dimension r.  Its RREF basis D_U is
+    [I_r 0] @ g for any invertible g whose first r rows are D_U, so
+    D_U @ H = [I_r 0] @ (g @ H), and g @ H has the law of H: every class
+    of dimension r has the table of the first r rows of H, and so the same
+    fibers.  There only the first class of each dimension is counted and
+    indexed; each later one takes its entries and its fibers, with its
+    keys in the order of its own first H.  Every other channel builds each
+    table, and so does every channel with M = 1, which has one class per
+    dimension and nothing to share.
     """
-    q, N = spec.field.q, spec.N
+    q, M, N = spec.field.q, spec.M, spec.N
     classes = []
-    for u in subspace_enum.enumerate_projective(min(spec.T, spec.M), spec.M,
+    for u in subspace_enum.enumerate_projective(min(spec.T, M), M,
                                                 spec.field):
         if q ** (u.dim * N) > CORE_TABLE_BUDGET:
             raise BudgetExceeded(f"per-class table for dim {u.dim} exceeds "
                                  f"budget {CORE_TABLE_BUDGET}")
         classes.append(u)
     classes.sort(key=Subspace.sort_key)
-    b = ((q - 1) ** 2 * spec.M).bit_length()
+    b = ((q - 1) ** 2 * M).bit_length()
     digit = (1 << b) - 1
     weights, denom = _int_weights(spec.pmf_H.values())
     low = max(weights).bit_length()
@@ -230,26 +250,105 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     code = _Memo(lambda row: sum(map(lshift, row, place)))
     packed = [list(map(code.__getitem__, map(itemgetter(slice(k, k + N)),
                                              spec.pmf_H)))
-              for k in range(0, spec.M * N, N)]
+              for k in range(0, M * N, N)]
+    invariant = M > 1 and _gl_invariant(packed, weights, q, place, digit)
+    shared = {}     # dim -> the table and fibers of its first class
     core = TransitionCore(spec)
     spaces = subspace_enum.RowSpaces(spec.field, N)
     for u in classes:
-        keys = weights
-        for i in range(u.dim):
-            for c, row in zip(u.basis.row(i), packed):
-                if c:
-                    c <<= b * N * i
-                    keys = list(map(add, keys, row if c == 1
-                                    else map(mul, row, repeat(c))))
         shifts = range(low, low + b * N * u.dim, b)
-        merged: Dict[Tuple[int, ...], int] = {}
-        for key, n in Counter(keys).items():
-            e = tuple(((key >> s) & digit) % q for s in shifts)
-            merged[e] = merged.get(e, 0) + n * (key & low_mask)
-        core.tables[u] = dist = {e: Fraction(w, denom)
-                                 for e, w in merged.items()}
-        core.fibers[u] = index_fibers(spaces, u, dist)
+
+        def entries(key):
+            return tuple(((key >> s) & digit) % q for s in shifts)
+
+        first = shared.get(u.dim)
+        if first is None:
+            merged: Dict[Tuple[int, ...], int] = {}
+            for key, n in Counter(_class_keys(u, weights, packed,
+                                              b * N)).items():
+                e = entries(key)
+                merged[e] = merged.get(e, 0) + n * (key & low_mask)
+            table = {e: Fraction(w, denom) for e, w in merged.items()}
+            fibers = index_fibers(spaces, u, table)
+            if invariant:
+                shared[u.dim] = table, fibers
+        else:
+            table, fibers = first
+            order = _first_seen(_class_keys(u, repeat(0, len(weights)),
+                                            packed, b * N),
+                                _Memo(entries), len(table))
+            table = dict(zip(order, map(table.__getitem__, order)))
+        core.tables[u], core.fibers[u] = table, fibers
     return core
+
+
+def _first_seen(keys, entries: _Memo, count: int) -> dict:
+    """The distinct entries[key] of keys, in order of first occurrence,
+    read until count of them are found: keys is read in chunks of
+    doubling length, so only the prefix that holds them is computed."""
+    order: dict = {}
+    size = count
+    while len(order) < count:
+        chunk = dict.fromkeys(islice(keys, size))
+        if not chunk:
+            break
+        order.update(dict.fromkeys(map(entries.__getitem__, chunk)))
+        size *= 2
+    return order
+
+
+def _class_keys(u: Subspace, keys, packed, width: int):
+    """keys plus the packed E = D_U @ H of each support matrix, row i of E
+    width * i bits up: a lazy map over the support, in pmf_H order."""
+    for i in range(u.dim):
+        for c, row in zip(u.basis.row(i), packed):
+            if c:
+                c <<= width * i
+                keys = map(add, keys, row if c == 1
+                           else map(mul, row, repeat(c)))
+    return keys
+
+
+def _gl_invariant(packed, weights, q: int, place, digit: int) -> bool:
+    """Whether pmf(g @ H) = pmf(H) for every g in GL(M, q), M >= 2, read
+    from the packed rows of the support (packed[k][i] is row k of the
+    i-th H, one digit per entry at each offset of place) and the int
+    weights of their masses.
+
+    It is enough that each of three generators maps every H to a support
+    matrix of the same mass: such a g maps the finite support into
+    itself injectively, so onto itself, and pmf is then invariant under
+    g, under g^-1 and under the group they generate.  The three are the
+    cyclic row shift P, the transvection x_01 = I + E_01 (row 0 += row 1)
+    and diag(w, 1, ..., 1) with w a primitive root mod q, skipped at
+    q = 2, where it is the identity.  They generate GL(M, q) for prime q.
+    Conjugating x_01 by the powers of P gives x_(i,i+1) for every i mod M,
+    and x_ij(t) = x_ij(1)^t over the prime field.  For M >= 3 the
+    commutators [x_ij(a), x_jk(b)] = x_ik(ab) then give every elementary
+    transvection; for M = 2, x_01 and x_10 are all of them.  Elementary
+    transvections generate SL(M, q), by Gaussian elimination, and
+    diag(w, 1, ..., 1) has determinant w, which generates F_q^*: if
+    det g = w^k then g @ diag(w^-k, 1, ..., 1) lies in SL(M, q).
+
+    No row is reduced to echelon form.  An image row's digits are at most
+    2(q-1) or (q-1)^2, inside a digit, and each distinct one is taken mod
+    q once.
+    """
+    support = dict(zip(zip(*packed), weights))
+    mod_q = _Memo(lambda row: sum(((row >> p) & digit) % q << p
+                                  for p in place))
+    rest = packed[1:]
+
+    def keeps(images):
+        return all(map(eq, map(support.get, images), weights))
+
+    w = gf_core.primitive_root(q)
+    scaled = _Memo(lambda row: mod_q[row * w])
+    return (keeps(zip(*rest, packed[0]))
+            and keeps(zip(map(mod_q.__getitem__,
+                              map(add, packed[0], packed[1])), *rest))
+            and (w == 1 or keeps(zip(map(scaled.__getitem__, packed[0]),
+                                     *rest))))
 
 
 def index_fibers(spaces: subspace_enum.RowSpaces, u: Subspace,
@@ -441,17 +540,25 @@ def random_channel(rng, q: int, T: int, M: int, N: int,
 # must be distinct.  The integers are JSON integers, never booleans, and
 # H entries lie in [0, q): the loader reduces nothing mod q.
 
+def _excerpt(value, width: int = 40) -> str:
+    """repr(value), cut to its first width characters and "..." when it
+    is longer, so an error message stays one readable line."""
+    text = repr(value)
+    return text if len(text) <= width else text[:width] + "..."
+
+
 def _parse_rational(s, where: str) -> Fraction:
     """The mass s of a pmf item."""
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str) or not re.fullmatch(r"\d+(/\d+)?", s.strip()):
         raise ChannelSpecError(f"{where}: probability must be a rational "
-                               f"string like \"1/6\", got {s!r}")
+                               f"string like \"1/6\", got {_excerpt(s)}")
     try:
         return Fraction(s)
     except (ZeroDivisionError, ValueError) as exc:   # 1/0; too many digits
-        raise ChannelSpecError(f"{where}: bad rational {s!r}: {exc}") from exc
+        raise ChannelSpecError(
+            f"{where}: bad rational {_excerpt(s)}: {exc}") from exc
 
 
 def _pmf_in_bulk(items, M: int, N: int):
@@ -526,17 +633,34 @@ def spec_from_dict(doc) -> ChannelSpec:
 
 
 def load_channel(path) -> ChannelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, UnicodeDecodeError and an int past Python's
-            # int-digit limit are all ValueErrors
-            raise ChannelSpecError(f"{path}: invalid JSON: {exc}") from exc
+    """The ChannelSpec of a channel file; ChannelSpecError names the path.
+
+    The file is decoded and checked with the cyclic garbage collector
+    paused, and its prior state restored however the load ends.  Left
+    on, the collector traverses the decoded document's lists and dicts
+    again and again while they are made, a quarter or more of the time
+    to decode a large file.  Pausing it is safe: a decoded JSON document
+    and the spec built from it hold no reference cycles, so reference
+    counting frees all of what they drop.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return spec_from_dict(doc)
-    except ChannelSpecError as exc:
-        raise ChannelSpecError(f"{path}: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, UnicodeDecodeError and an int past
+                # Python's int-digit limit are all ValueErrors
+                raise ChannelSpecError(
+                    f"{path}: invalid JSON: {exc}") from exc
+        try:
+            return spec_from_dict(doc)
+        except ChannelSpecError as exc:
+            raise ChannelSpecError(f"{path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_channel(spec: ChannelSpec, path) -> None:

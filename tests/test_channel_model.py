@@ -1,3 +1,5 @@
+import functools
+import gc
 import json
 import random
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from loccap import channel_model as cm
-from loccap import oracle, qcomb, subspace_enum
+from loccap import cli, gf_core, oracle, qcomb, subspace_enum
 from loccap.channel_model import (ChannelSpec, ChannelSpecError,
                                   load_channel, p_y_given_x, save_channel,
                                   transition_core)
@@ -338,6 +340,9 @@ def _deep_row(i, row):
     # a duplicate whose kept items' masses sum to 1
     (_doc((_A, "1/2"), (_B, "1/2"), (_A, "1/2")),
      "pmf[2]: duplicate support matrix"),
+    # a long mass is echoed as the first 40 characters of its repr
+    (_doc((_A, "1/2"), (_B, "0." + "5" * 5000)),
+     f"pmf[1]: {_RATIONAL}'0.{'5' * 37}..."),
 ])
 def test_loader_error_messages(doc, message):
     with pytest.raises(ChannelSpecError) as exc:
@@ -355,6 +360,35 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ChannelSpecError, match="invalid JSON"):
         load_channel(path)
+
+
+@pytest.mark.parametrize("text, fault", [
+    (json.dumps(BASE), None),
+    ("{not json", "invalid JSON"),
+    (json.dumps(dict(BASE, pmf=[{"H": [[1]], "p": "x"}])),
+     "pmf\\[0\\]: probability must be a rational"),
+], ids=["loaded", "invalid JSON", "bad pmf item"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, text, fault,
+                                                  enabled):
+    # the loader pauses the cyclic collector; the benchmark and the tests
+    # call the CLI in process, so a collector left off would change them
+    path = tmp_path / "chan.json"
+    path.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fault is None:
+            assert load_channel(path) == cm.spec_from_dict(BASE)
+        else:
+            with pytest.raises(ChannelSpecError, match=fault):
+                load_channel(path)
+        assert gc.isenabled() is enabled
+        assert cli.main(["classify", str(path)]) == (
+            cli.EXIT_OK if fault is None else cli.EXIT_INPUT)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +559,164 @@ def test_random_channel_is_deterministic():
     a = cm.random_channel(random.Random(9), 2, 1, 2, 2)
     b = cm.random_channel(random.Random(9), 2, 1, 2, 2)
     assert a.pmf_H == b.pmf_H
+
+
+# ---------------------------------------------------------------------------
+# one class table per dimension on GL(M)-invariant channels
+
+@functools.cache
+def _row_space_orbits(q, M, N):
+    """The GL(M, q)-orbits of the M x N matrices, the zero matrix's
+    first: two matrices share an orbit iff they share a row space."""
+    field = FieldSpec(q)
+    hs = [h.entries for h in all_matrices(field, M, N)]
+    groups = {}
+    for w, h in zip(subspace_enum.RowSpaces(field, N).states(hs, M), hs):
+        groups.setdefault(w, []).append(h)
+    return list(groups.values())
+
+
+def _orbit_channel(rng):
+    """A random union of full row-space orbits, each orbit's matrices
+    sharing one random weight: (q, T, M, N, {H: weight}, a nonzero H)."""
+    q, M = rng.choice((2, 3)), rng.choice((2, 3))
+    N, T = rng.randint(1, 5 - q), rng.randint(1, 3)
+    zero, *orbits = _row_space_orbits(q, M, N)
+    chosen = rng.sample(orbits, rng.randint(1, min(3, len(orbits))))
+    if rng.random() < 0.5:
+        chosen.append(zero)
+    weights = {h: w for orbit in chosen
+               for w in [rng.randint(1, 9)] for h in orbit}
+    return q, T, M, N, weights, rng.choice(chosen[0])
+
+
+def _weighted(q, T, M, N, weights):
+    total = sum(weights.values())
+    return ChannelSpec(FieldSpec(q), T, M, N,
+                       {h: Fraction(w, total)
+                        for h, w in sorted(weights.items())})
+
+
+def _indexed_classes(monkeypatch):
+    """The classes transition_core indexes, as it indexes them."""
+    calls = []
+    original = cm.index_fibers
+
+    def counted(spaces, u, table):
+        calls.append(u)
+        return original(spaces, u, table)
+
+    monkeypatch.setattr(cm, "index_fibers", counted)
+    return calls
+
+
+def _assert_core_matches_reference(core):
+    ref = oracle.transition_core_reference(core.spec)
+    assert list(core.tables) == list(ref.tables)
+    for u, table in ref.tables.items():
+        # equal values, and keys in the order of the first H giving each E
+        assert list(core.tables[u].items()) == list(table.items())
+    assert core.fibers == ref.fibers
+
+
+def test_orbit_unions_share_tables_and_perturbed_ones_do_not(monkeypatch):
+    # a union of full orbits is GL(M)-invariant, so one class per
+    # dimension is indexed; one more unit of weight on one matrix breaks
+    # the invariance, and every class is built and indexed
+    indexed = _indexed_classes(monkeypatch)
+    rng = random.Random(2828)
+    for _ in range(300):
+        q, T, M, N, weights, h = _orbit_channel(rng)
+        invariant = _weighted(q, T, M, N, weights)
+        perturbed = _weighted(q, T, M, N, {**weights, h: weights[h] + 1})
+        for spec, built in ((invariant, min(T, M) + 1), (perturbed, None)):
+            indexed.clear()
+            core = transition_core(spec)
+            assert len(indexed) == (built or len(core.tables)), spec
+            _assert_core_matches_reference(core)
+
+
+def _det3(h):
+    a, b, c, d, e, f, g, i, j = h
+    return a * (e * j - f * i) - b * (d * j - f * g) + c * (d * i - e * g)
+
+
+def _only_shift_fails():
+    # q = 2, M = 2, N = 1: row 0 += row 1 swaps (0,1) and (1,1) and fixes
+    # (1,0), but the row swap takes (0,1) to (1,0)
+    return ChannelSpec(F2, 1, 2, 1, {(0, 1): Fraction(1, 4),
+                                     (1, 0): Fraction(1, 2),
+                                     (1, 1): Fraction(1, 4)})
+
+
+def _only_transvection_fails():
+    # q = 2, M = N = 2: closed under the row swap, but rows {e1, e2} and
+    # {e1 + e2, e2} have different masses
+    return ChannelSpec(F2, 1, 2, 2, {(1, 0, 0, 1): Fraction(1, 3),
+                                     (0, 1, 1, 0): Fraction(1, 3),
+                                     (1, 1, 0, 1): Fraction(1, 6),
+                                     (0, 1, 1, 1): Fraction(1, 6)})
+
+
+def _only_scaling_fails():
+    # q = 3, M = N = 3: invertible H with mass set by det H, which the
+    # cyclic shift (an even permutation) and the transvection keep and
+    # diag(2, 1, 1) doubles
+    units = cm.generate("full_rank_uniform", q=3, M=3).pmf_H
+    return ChannelSpec(FieldSpec(3), 1, 3, 3, {
+        h: Fraction(_det3(h) % 3, 3 * len(units) // 2) for h in units})
+
+
+@pytest.mark.parametrize("build, keeps", [
+    (_only_shift_fails, (False, True, True)),
+    (_only_transvection_fails, (True, False, True)),
+    (_only_scaling_fails, (True, True, False)),
+], ids=["shift", "transvection", "scaling"])
+def test_each_generator_is_needed_to_decide_invariance(monkeypatch, build,
+                                                       keeps):
+    # each channel is invariant under two of the three generators, so a
+    # check that skipped the third would share tables it must not
+    spec = build()
+    q, M = spec.field.q, spec.M
+    w = gf_core.primitive_root(q)
+    shift = [[int(j == (i + 1) % M) for j in range(M)] for i in range(M)]
+    transvection = [[int(i == j or (i, j) == (0, 1)) for j in range(M)]
+                    for i in range(M)]
+    scaling = [[(w if i == 0 else 1) * (i == j) for j in range(M)]
+               for i in range(M)]
+    for g, kept in zip((shift, transvection, scaling), keeps):
+        g = matrix(spec.field, g)
+        assert kept == all(
+            spec.pmf_H.get(mat_mul(g, support_matrix(spec, h)).entries) == p
+            for h, p in spec.pmf_H.items())
+    indexed = _indexed_classes(monkeypatch)
+    core = transition_core(spec)
+    assert indexed == list(core.tables)
+    if len(spec.pmf_H) < 100:
+        _assert_core_matches_reference(core)
+
+
+@pytest.mark.parametrize("spec, dims", [
+    (_LARGE_SPEC, 2),
+    (cm.generate("iid_uniform", q=2, T=2, M=3, N=3), 3),
+    (cm.generate("custom_rank_dist", q=2, T=2, M=3, N=3,
+                 rank_pmf={1: Fraction(1, 2), 3: Fraction(1, 2)}), None),
+], ids=["ugr(2;1,4,4)", "iid(2;2,3,3)", "crd(2;2,3,3)"])
+def test_core_indexes_one_class_per_dimension_when_invariant(monkeypatch,
+                                                             spec, dims):
+    # the invariance check reads packed rows and reduces none: with the
+    # indexing pass stubbed out, the core makes no row reduction at all
+    reductions = []
+    original = gf_core._reduce
+    monkeypatch.setattr(gf_core, "_reduce",
+                        lambda *args: reductions.append(args)
+                        or original(*args))
+    indexed = []
+    monkeypatch.setattr(cm, "index_fibers",
+                        lambda spaces, u, table: indexed.append(u) or {})
+    core = transition_core(spec)
+    assert reductions == []
+    if dims:    # the first class of each dimension, in canonical order
+        assert [u.dim for u in indexed] == list(range(dims))
+    else:
+        assert indexed == list(core.tables)

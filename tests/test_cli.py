@@ -59,8 +59,11 @@ def test_mass_past_the_int_digit_limit_exits_2(tmp_path, capsys):
         {"H": [[0]], "p": "1/2"}, {"H": [[1]], "p": "1/" + "2" * 5000}]}))
     for command in ("classify", "report"):
         assert cli.main([command, str(path)]) == cli.EXIT_INPUT
-        assert capsys.readouterr().err.startswith(
-            f"error: {path}: pmf[1]: bad rational '1/222")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: pmf[1]: bad rational '1/222")
+        # the 5,002-character mass is echoed only as a short excerpt
+        assert err.count("\n") == 1
+        assert len(err) < len(str(path)) + 250
 
 
 def test_version_flag(capsys):
