@@ -40,7 +40,15 @@ the items read one at a time, to name the first item at fault.
 collector paused, since neither the document nor the spec holds a cycle.
 ``save_channel`` writes the text ``json.dump(..., indent=1)`` would,
 without the Python-level encoder: each distinct row of the support
-matrices is rendered once.
+matrices, and each distinct mass, is rendered once.
+
+``generate`` keys each support by entry tuples and builds no MatrixGF:
+``iid_uniform`` straight from ``itertools.product``, and
+``full_rank_uniform`` and each uniform-given-rank shell from the column
+tuples of ``gf_core.full_rank_columns``.  Each family keeps the key order
+of the matrix enumerators (``all_matrices``, ``enumerate_full_rank``,
+and sorted entries for the shells), which fixes the first-seen key
+order of every core table, and so every witness.
 """
 
 from __future__ import annotations
@@ -470,10 +478,17 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
     if support > SUPPORT_BUDGET:
         raise BudgetExceeded(f"{support} {what} exceeds budget "
                              f"{SUPPORT_BUDGET}")
-    if kind in ("iid_uniform", "full_rank_uniform"):
-        mats = (gf_core.all_matrices(field, M, N) if kind == "iid_uniform"
-                else gf_core.enumerate_full_rank(M, M, field))
-        pmf = dict.fromkeys((h.entries for h in mats), Fraction(1, support))
+    if kind == "iid_uniform":
+        # every entry tuple, in the order of gf_core.all_matrices
+        gf_core.check_power(q, M * N, gf_core.ENUM_BUDGET, "matrices")
+        pmf = dict.fromkeys(product(range(q), repeat=M * N),
+                            Fraction(1, support))
+    elif kind == "full_rank_uniform":
+        # in the order of gf_core.enumerate_full_rank
+        pmf = dict.fromkeys(
+            (tuple(chain.from_iterable(zip(*cols)))
+             for cols in gf_core.full_rank_columns(M, M, field)),
+            Fraction(1, support))
     elif kind == "uniform_given_rank":
         pmf = _rank_shells(field, M, N, {r: rank_pmf[r] for r in ranks})
     else:
@@ -494,14 +509,20 @@ def _rank_shells(field: FieldSpec, M: int, N: int,
     built without ranking the q^(M*N) matrices.  Row i of C @ R is the
     combination of the rows of R with the coefficients of row i of C:
     each R tabulates its q^r row combinations once, keyed by coefficient
-    tuple, and each product is M lookups.
+    tuple, and each product is M lookups.  The rows of each C are read
+    from its column tuple (``gf_core.full_rank_columns``); the rank-0
+    shell, whose C has no columns and so no rows to read, is the zero
+    matrix alone.
     """
     q = field.q
     shells = []
     for r, p in rank_pmf.items():
         share = p / qcomb.xi2(M, N, r, q)
-        factors = [[c.row(i) for i in range(M)]
-                   for c in gf_core.enumerate_full_rank(M, r, field)]
+        if r == 0:
+            shells.append(((0,) * (M * N), share))
+            continue
+        factors = [tuple(zip(*cols))
+                   for cols in gf_core.full_rank_columns(M, r, field)]
         for w in subspace_enum.enumerate_grassmannian(r, N, field):
             combos = [(0,) * N]   # in the order of product(range(q), r)
             for i in range(r):
@@ -511,7 +532,7 @@ def _rank_shells(field: FieldSpec, M: int, N: int,
             row = dict(zip(product(range(q), repeat=r), combos)).__getitem__
             shells += [(tuple(chain.from_iterable(map(row, rows))), share)
                        for rows in factors]
-    shells.sort()
+    shells.sort(key=itemgetter(0))     # the keys are distinct
     return dict(shells)
 
 
@@ -668,17 +689,21 @@ def save_channel(spec: ChannelSpec, path) -> None:
     text ``json.dump(doc, fh, indent=1)`` writes, plus a newline.
 
     The text is rendered directly: each distinct row of the H matrices
-    once, and each item from those rows and its mass.  T, M, N, q and
-    the entries are ints, which render as JSON integers.
+    once, each distinct mass object (a generated or loaded PMF shares
+    them) once, and each item from those texts.  T, M, N, q and the
+    entries are ints, which render as JSON integers.
     """
     N = spec.N
     # each distinct row of the H matrices as its indent-1 JSON text
     row_text = _Memo(lambda row: "[\n     " + ",\n     ".join(map(str, row))
                      + "\n    ]")
+    masses = spec.pmf_H.values()
+    tail = {i: f'\n   ],\n   "p": "{p.numerator}/{p.denominator}"\n  }}'
+            for i, p in dict(zip(map(id, masses), masses)).items()}
     items = ",\n".join(
         '  {\n   "H": [\n    '
         + ",\n    ".join(map(row_text.__getitem__, zip(*[iter(h)] * N)))
-        + f'\n   ],\n   "p": "{p.numerator}/{p.denominator}"\n  }}'
+        + tail[id(p)]
         for h, p in sorted(spec.pmf_H.items()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "q": {spec.field.q},\n "T": {spec.T},\n '

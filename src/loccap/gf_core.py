@@ -5,12 +5,19 @@ in [0, q).  Everything here is a pure function; results can be shared
 freely between threads.  A field remembers the inverses its eliminations
 have looked up; every write stores the one true inverse, so sharing a
 field between threads stays safe.
+
+Enumerations are lazy and refuse more than ``ENUM_BUDGET`` items before
+the first.  Full-column-rank matrices come as column tuples from
+``full_rank_columns``, for callers that read only entries or rows, such
+as the channel generators; ``enumerate_full_rank`` is the ``MatrixGF``
+view of the same sequence, for callers that multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, product
+from operator import add, mod
 from typing import Iterator
 
 from . import qcomb
@@ -294,12 +301,17 @@ def all_matrices(field: FieldSpec, rows: int,
         yield MatrixGF(field, rows, cols, ent)
 
 
-def enumerate_full_rank(t: int, r: int,
-                        field: FieldSpec) -> Iterator[MatrixGF]:
-    """Yield every full-column-rank t x r matrix exactly once.
+def full_rank_columns(t: int, r: int, field: FieldSpec) -> Iterator[tuple]:
+    """Yield the columns of every full-column-rank t x r matrix exactly
+    once, as a tuple of r column tuples (one empty tuple when r = 0).
 
     Order is lexicographic on the column sequence (each column read
-    top-to-bottom as a base-q number).
+    top-to-bottom as a base-q number).  Each prefix of r - 1 columns
+    makes its extensions in one list comprehension over the vectors
+    outside its span, and nested ``chain``s hand them on: no generator
+    frame and no MatrixGF is made per matrix.  The budget is checked
+    before the first item, and the matrices are made one prefix at a
+    time.
     """
     if r < 0 or r > t:
         return
@@ -307,20 +319,33 @@ def enumerate_full_rank(t: int, r: int,
     count = bounded_xi(t, r, q, ENUM_BUDGET, "matrices")
     if count > ENUM_BUDGET:
         raise BudgetExceeded(f"{count} matrices exceeds budget {ENUM_BUDGET}")
+    if r == 0:
+        yield ()
+        return
+    vectors = list(product(range(q), repeat=t))
+    qs = (q,) * t
+
+    def wider(span, vec):
+        """The span of the columns of span and vec: each vector of span
+        plus each nonzero multiple of vec, entry by entry at C level."""
+        multiples = [tuple(c * y % q for y in vec) for c in range(1, q)]
+        return span.union([tuple(map(mod, map(add, s, m), qs))
+                           for m in multiples for s in span])
 
     def rec(cols, span):
-        """Extend cols by each vector outside span, the set of their
-        linear combinations; a full set of r columns needs no span."""
-        if len(cols) == r:
-            ent = tuple(chain.from_iterable(zip(*cols)))   # row-major
-            yield MatrixGF(field, t, r, ent)
-            return
-        for vec in product(range(q), repeat=t):
-            if vec in span:
-                continue
-            wider = None if len(cols) + 1 == r else {
-                tuple((x + c * y) % q for x, y in zip(s, vec))
-                for s in span for c in range(q)}
-            yield from rec(cols + [vec], wider)
+        """The matrices that extend cols, whose span is the set of their
+        linear combinations; the last column needs no wider span."""
+        if len(cols) + 1 == r:
+            return [cols + (vec,) for vec in vectors if vec not in span]
+        return chain.from_iterable(rec(cols + (vec,), wider(span, vec))
+                                   for vec in vectors if vec not in span)
 
-    yield from rec([], {(0,) * t})
+    yield from rec((), {(0,) * t})
+
+
+def enumerate_full_rank(t: int, r: int,
+                        field: FieldSpec) -> Iterator[MatrixGF]:
+    """Yield every full-column-rank t x r matrix exactly once, in the
+    order of ``full_rank_columns``."""
+    for cols in full_rank_columns(t, r, field):
+        yield MatrixGF(field, t, r, tuple(chain.from_iterable(zip(*cols))))

@@ -845,6 +845,7 @@ _BUDGET_CHECKS = [
     (gf_core, "ENUM_BUDGET", 5, [
         lambda: list(gf_core.all_matrices(F2, 2, 2)),
         lambda: list(gf_core.enumerate_full_rank(2, 2, F2)),
+        lambda: list(gf_core.full_rank_columns(2, 2, F2)),
         lambda: list(subspace_enum.enumerate_grassmannian(1, 3, F2)),
         lambda: list(subspace_enum.enumerate_projective(1, 3, F2)),
         lambda: list(subspace_enum.matrices_with_column_space(

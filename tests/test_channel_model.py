@@ -398,6 +398,12 @@ def test_generate_iid_uniform():
     spec = cm.generate("iid_uniform", q=2, M=1, N=1)
     assert len(spec.pmf_H) == 2
     assert all(p == Fraction(1, 2) for p in spec.pmf_H.values())
+    # the keys come in all_matrices order, which fixes the first-seen key
+    # order of every core table, and so every witness
+    for q, M, N in [(2, 1, 1), (2, 2, 3), (3, 2, 2), (5, 1, 3)]:
+        spec = cm.generate("iid_uniform", q=q, M=M, N=N)
+        assert list(spec.pmf_H) == [
+            h.entries for h in all_matrices(FieldSpec(q), M, N)]
 
 
 def test_generate_full_rank_uniform():
@@ -405,6 +411,12 @@ def test_generate_full_rank_uniform():
     assert len(spec.pmf_H) == 6
     assert all(p == Fraction(1, 6) for p in spec.pmf_H.values())
     assert all(rank(support_matrix(spec, h)) == 2 for h in spec.pmf_H)
+    # the keys come in enumerate_full_rank order, as for iid_uniform
+    for q, M in [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)]:
+        spec = cm.generate("full_rank_uniform", q=q, M=M)
+        assert list(spec.pmf_H) == [
+            c.entries for c in gf_core.enumerate_full_rank(M, M,
+                                                           FieldSpec(q))]
 
 
 def test_generate_uniform_given_rank():

@@ -172,6 +172,29 @@ def test_enumerate_full_rank_count(t, r, q):
         ent for ent in cube if rank(MatrixGF(field, t, r, ent)) == r]
 
 
+@pytest.mark.parametrize("q, t, r", [
+    (2, 1, 0), (2, 3, 0), (2, 2, 1), (2, 3, 2), (2, 3, 3), (2, 4, 4),
+    (3, 2, 0), (3, 3, 1), (3, 2, 2), (3, 3, 3),
+    (5, 1, 0), (5, 1, 1), (5, 3, 1), (5, 2, 2)])
+def test_full_rank_columns_are_the_columns_of_enumerate_full_rank(q, t, r):
+    field = FieldSpec(q)
+    cols = list(gf_core.full_rank_columns(t, r, field))
+    mats = list(gf_core.enumerate_full_rank(t, r, field))
+    assert len(cols) == len(mats) == qcomb.xi(t, r, q)
+    assert all((m.rows, m.cols) == (t, r) for m in mats)
+    # entry for entry, in order: the columns read off each matrix
+    assert cols == [tuple(tuple(m[i, j] for i in range(t)) for j in range(r))
+                    for m in mats]
+    if q ** (t * r) <= 2 ** 12:
+        # the full-rank column sequences of the cube, in order
+        assert cols == [c for c in product(product(range(q), repeat=t),
+                                           repeat=r)
+                        if rank(MatrixGF(field, t, r, tuple(
+                            e for row in zip(*c) for e in row))) == r]
+    if r == 0:
+        assert cols == [()] and mats[0].entries == ()
+
+
 def test_all_matrices_budget(monkeypatch):
     monkeypatch.setattr(gf_core, "ENUM_BUDGET", 100)
     with pytest.raises(gf_core.BudgetExceeded):
