@@ -10,22 +10,24 @@ over the support of H, ``oracle.transition_naive``, serves as the
 oracle for that fast path, and is the one scan of all q^(T*M) inputs:
 nothing here visits them.
 
-The tables are built from packed integers.  Each distinct row of the
-support becomes one int with a b-bit digit per entry, b =
+The tables are built from packed integers, read from the support index
+(``ChannelSpec.index``), which each spec builds once.  Each distinct row
+of the support becomes one int with a b-bit digit per entry, b =
 bit_length((q-1)^2 * M), so the sum over k of D_U[i, k] * (packed row k
 of H) never carries between digits.  Each E = D_U @ H is then one int,
 its rows b*N bits apart above the int weight of its mass over the
 masses' common denominator; one ``Counter`` per class counts these
 keys, and each distinct key is reduced mod q once.
 ``oracle.transition_core_reference`` builds the same tables with one
-matrix product per (class, H) pair.  The classes of one core share one
-``subspace_enum.RowSpaces`` step table, which gives the row space of
-every entry (``TransitionCore.fibers``, read by every later consumer).
+matrix product per (class, H) pair.  The index steps each H through a
+``subspace_enum.RowSpaces`` table on (state, row code) pairs; the
+classes share that table, which gives the row space of every entry
+(``TransitionCore.fibers``), and the states give the rank of every H.
 When the law of H is unchanged by H -> g @ H for every g in GL(M, q),
 as for the paper's uniform-given-rank family, every class of one
-dimension has the same table and fibers; the packed rows decide that
-against three generators of GL(M, q), and then only the first class of
-each dimension is counted and indexed (``transition_core``).
+dimension has the same table and fibers; the states decide that, fiber
+by fiber, and then only the first class of each dimension is counted
+and indexed (``transition_core``).
 
 A channel file is read in bulk (``spec_from_dict``): whole-file passes
 of C-level ``set(map(type, ...))`` and ``map(len, ...)`` check the items,
@@ -59,11 +61,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice, product, repeat
 from math import lcm
-from operator import add, eq, itemgetter, lshift, mul
-from typing import Dict, Optional, Tuple
+from operator import add, eq, itemgetter, mul
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import gf_core, qcomb, subspace_enum
 from .gf_core import BudgetExceeded, FieldSpec, MatrixGF, solve_factor
@@ -93,10 +95,32 @@ def _check_sizes(T: int, M: int, N: int) -> None:
         raise ChannelSpecError(f"T must be at most {T_BUDGET}, got {T}")
 
 
+class SupportIndex(NamedTuple):
+    """The support of a ChannelSpec indexed once, in pmf_H order
+    (``ChannelSpec.index``): weights[i] is the mass of the i-th H over
+    denom; packed[k][i] is the code of its row k, b bits per entry above
+    low bits that hold a weight; states[i] is its row-space state in
+    spaces, a step table on (state, row code) pairs."""
+
+    weights: list
+    denom: int
+    b: int
+    low: int
+    packed: list
+    spaces: subspace_enum.RowSpaces
+    states: list
+
+    def ranks(self) -> list:
+        """The rank of each H."""
+        return list(map(len, map(self.spaces.bases.__getitem__,
+                                 self.states)))
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """A channel Y = XH: field, shape parameters, and the exact PMF of H,
-    keyed by the row-major entry tuple of each M x N support matrix."""
+    keyed by the row-major entry tuple of each M x N support matrix; its
+    support index (``index``) is built once, so pmf_H must not change."""
 
     field: FieldSpec
     T: int
@@ -112,12 +136,13 @@ class ChannelSpec:
             raise ChannelSpecError("empty transfer-matrix support")
         size, q = self.M * self.N, self.field.q
         masses = self.pmf_H.values()
-        distinct = dict(zip(map(id, masses), masses)).values()
+        # each distinct mass object is checked and converted once
+        distinct = dict(zip(map(id, masses), masses))
         # the checks run over the whole support at once; only when one
         # fails does the loop below look for the first item at fault
         if not (_keys_in_range(self.pmf_H.keys(), size, q)
-                and set(map(type, distinct)) <= _MASS_TYPES
-                and min(distinct) > 0):
+                and set(map(type, distinct.values())) <= _MASS_TYPES
+                and min(distinct.values()) > 0):
             for h, p in self.pmf_H.items():
                 if not _keys_in_range((h,), size, q):
                     raise ChannelSpecError(
@@ -129,18 +154,44 @@ class ChannelSpec:
                 if p <= 0:
                     raise ChannelSpecError(
                         "probability masses must be positive")
-        total = _exact_sum(masses)
-        if total != 1:
-            raise ChannelSpecError(f"PMF sums to {total}, not 1")
+        # the int weights over the masses' common denominator
+        denom = lcm(*{p.denominator for p in distinct.values()})
+        weight = {i: p.numerator * (denom // p.denominator)
+                  for i, p in distinct.items()}
+        weights = list(map(weight.__getitem__, map(id, masses)))
+        if sum(weights) != denom:
+            raise ChannelSpecError(
+                f"PMF sums to {Fraction(sum(weights), denom)}, not 1")
+        object.__setattr__(self, "_weights", (weights, denom))
+
+    @cached_property
+    def index(self) -> SupportIndex:
+        """The support index, built on first use: each distinct row is
+        packed once, and each H stepped row by row to its state."""
+        q, M, N = self.field.q, self.M, self.N
+        weights, denom = self._weights
+        # b bits per digit hold any sum over k of D_U[i, k] * row k of H,
+        # above the low bits, which hold a weight
+        b, low = ((q - 1) ** 2 * M).bit_length(), max(weights).bit_length()
+        spaces = subspace_enum.RowSpaces(self.field, N,
+                                         range(low, low + b * N, b))
+        code = spaces.codes.__getitem__
+        packed = [list(map(code, map(itemgetter(slice(k, k + N)),
+                                     self.pmf_H)))
+                  for k in range(0, M * N, N)]
+        states = repeat(0, len(weights))
+        for rows in packed:
+            states = map(spaces.__getitem__, zip(states, rows))
+        return SupportIndex(weights, denom, b, low, packed, spaces,
+                            list(states))
 
     def rank_pmf(self) -> Dict[int, Fraction]:
         """P(rank H = r), keyed in the order ranks first occur in pmf_H."""
-        ranks = subspace_enum.RowSpaces(self.field, self.N).ranks(
-            self.pmf_H, self.M)
-        shells: Dict[int, list] = {}
-        for r, p in zip(ranks, self.pmf_H.values()):
-            shells.setdefault(r, []).append(p)
-        return {r: _exact_sum(masses) for r, masses in shells.items()}
+        index = self.index
+        shells: Dict[int, int] = {}
+        for r, w in zip(index.ranks(), index.weights):
+            shells[r] = shells.get(r, 0) + w
+        return {r: Fraction(w, index.denom) for r, w in shells.items()}
 
 
 def _keys_in_range(keys, size: int, q: int) -> bool:
@@ -151,23 +202,6 @@ def _keys_in_range(keys, size: int, q: int) -> bool:
         return False
     values = set(chain.from_iterable(keys))
     return min(values) >= 0 and max(values) < q
-
-
-def _int_weights(masses):
-    """The int weights of rationals over the lcm of their denominators,
-    aligned with masses, and that lcm.  Each distinct mass object (a
-    generated or loaded PMF shares them) is converted once."""
-    distinct = dict(zip(map(id, masses), masses))
-    denom = lcm(*{p.denominator for p in distinct.values()})
-    weight = {i: p.numerator * (denom // p.denominator)
-              for i, p in distinct.items()}
-    return list(map(weight.__getitem__, map(id, masses))), denom
-
-
-def _exact_sum(masses) -> Fraction:
-    """The sum of a collection of rationals, as one integer sum."""
-    weights, denom = _int_weights(masses)
-    return Fraction(sum(weights), denom)
 
 
 @dataclass
@@ -226,17 +260,25 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     ``oracle.transition_core_reference``: the Counter of a class meets
     its keys in pmf_H order.
 
-    On a GL(M)-invariant channel, one whose pmf(g @ H) = pmf(H) for every
-    g in GL(M, q) (``_gl_invariant``), the classes of one dimension share
-    one table.  Take a class U of dimension r.  Its RREF basis D_U is
+    The packed rows, the step table and the row-space state of each H
+    come from the support index (``ChannelSpec.index``), and so does the
+    test of GL(M)-invariance, pmf(g @ H) = pmf(H) for all g in GL(M, q).
+    The left GL(M)-orbit of H is the set of M x N matrices with H's row
+    space W: each is C @ R for the RREF basis R of W and one of the
+    xi(M, dim W, q) full-column-rank C, and g @ C runs over all of them.
+    So pmf is invariant iff each row-space fiber of the support holds
+    exactly xi(M, dim W, q) matrices, all of one int weight: a fiber lies
+    in its orbit, and then fills it.  No row is reduced for that.
+
+    On a GL(M)-invariant channel the classes of one dimension share one
+    table.  Take a class U of dimension r.  Its RREF basis D_U is
     [I_r 0] @ g for any invertible g whose first r rows are D_U, so
     D_U @ H = [I_r 0] @ (g @ H), and g @ H has the law of H: every class
     of dimension r has the table of the first r rows of H, and so the same
     fibers.  There only the first class of each dimension is counted and
     indexed; each later one takes its entries and its fibers, with its
     keys in the order of its own first H.  Every other channel builds each
-    table, and so does every channel with M = 1, which has one class per
-    dimension and nothing to share.
+    table.
     """
     q, M, N = spec.field.q, spec.M, spec.N
     classes = []
@@ -247,22 +289,16 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
                                  f"budget {CORE_TABLE_BUDGET}")
         classes.append(u)
     classes.sort(key=Subspace.sort_key)
-    b = ((q - 1) ** 2 * M).bit_length()
-    digit = (1 << b) - 1
-    weights, denom = _int_weights(spec.pmf_H.values())
-    low = max(weights).bit_length()
-    low_mask = (1 << low) - 1
-    # packed[k][i]: row k of the i-th H, b bits per entry above the int
-    # weight of its mass; each distinct row is packed once
-    place = range(low, low + b * N, b)
-    code = _Memo(lambda row: sum(map(lshift, row, place)))
-    packed = [list(map(code.__getitem__, map(itemgetter(slice(k, k + N)),
-                                             spec.pmf_H)))
-              for k in range(0, M * N, N)]
-    invariant = M > 1 and _gl_invariant(packed, weights, q, place, digit)
+    weights, denom, b, low, packed, spaces, states = spec.index
+    digit, low_mask = (1 << b) - 1, (1 << low) - 1
+    # no fiber holds more than the xi(M, dim W, q) matrices of its orbit,
+    # so each is full iff their sizes add up to the support size
+    weight = dict(zip(states, weights))
+    invariant = (sum(qcomb.xi(M, len(spaces.bases[w]), q) for w in weight)
+                 == len(states)
+                 and all(map(eq, map(weight.__getitem__, states), weights)))
     shared = {}     # dim -> the table and fibers of its first class
     core = TransitionCore(spec)
-    spaces = subspace_enum.RowSpaces(spec.field, N)
     for u in classes:
         shifts = range(low, low + b * N * u.dim, b)
 
@@ -315,48 +351,6 @@ def _class_keys(u: Subspace, keys, packed, width: int):
                 keys = map(add, keys, row if c == 1
                            else map(mul, row, repeat(c)))
     return keys
-
-
-def _gl_invariant(packed, weights, q: int, place, digit: int) -> bool:
-    """Whether pmf(g @ H) = pmf(H) for every g in GL(M, q), M >= 2, read
-    from the packed rows of the support (packed[k][i] is row k of the
-    i-th H, one digit per entry at each offset of place) and the int
-    weights of their masses.
-
-    It is enough that each of three generators maps every H to a support
-    matrix of the same mass: such a g maps the finite support into
-    itself injectively, so onto itself, and pmf is then invariant under
-    g, under g^-1 and under the group they generate.  The three are the
-    cyclic row shift P, the transvection x_01 = I + E_01 (row 0 += row 1)
-    and diag(w, 1, ..., 1) with w a primitive root mod q, skipped at
-    q = 2, where it is the identity.  They generate GL(M, q) for prime q.
-    Conjugating x_01 by the powers of P gives x_(i,i+1) for every i mod M,
-    and x_ij(t) = x_ij(1)^t over the prime field.  For M >= 3 the
-    commutators [x_ij(a), x_jk(b)] = x_ik(ab) then give every elementary
-    transvection; for M = 2, x_01 and x_10 are all of them.  Elementary
-    transvections generate SL(M, q), by Gaussian elimination, and
-    diag(w, 1, ..., 1) has determinant w, which generates F_q^*: if
-    det g = w^k then g @ diag(w^-k, 1, ..., 1) lies in SL(M, q).
-
-    No row is reduced to echelon form.  An image row's digits are at most
-    2(q-1) or (q-1)^2, inside a digit, and each distinct one is taken mod
-    q once.
-    """
-    support = dict(zip(zip(*packed), weights))
-    mod_q = _Memo(lambda row: sum(((row >> p) & digit) % q << p
-                                  for p in place))
-    rest = packed[1:]
-
-    def keeps(images):
-        return all(map(eq, map(support.get, images), weights))
-
-    w = gf_core.primitive_root(q)
-    scaled = _Memo(lambda row: mod_q[row * w])
-    return (keeps(zip(*rest, packed[0]))
-            and keeps(zip(map(mod_q.__getitem__,
-                              map(add, packed[0], packed[1])), *rest))
-            and (w == 1 or keeps(zip(map(scaled.__getitem__, packed[0]),
-                                     *rest))))
 
 
 def index_fibers(spaces: subspace_enum.RowSpaces, u: Subspace,
@@ -690,8 +684,9 @@ def save_channel(spec: ChannelSpec, path) -> None:
 
     The text is rendered directly: each distinct row of the H matrices
     once, each distinct mass object (a generated or loaded PMF shares
-    them) once, and each item from those texts.  T, M, N, q and the
-    entries are ints, which render as JSON integers.
+    them) once, and the items from those texts, by C-level maps over the
+    sorted support, one per row position.  T, M, N, q and the entries are
+    ints, which render as JSON integers.
     """
     N = spec.N
     # each distinct row of the H matrices as its indent-1 JSON text
@@ -700,11 +695,15 @@ def save_channel(spec: ChannelSpec, path) -> None:
     masses = spec.pmf_H.values()
     tail = {i: f'\n   ],\n   "p": "{p.numerator}/{p.denominator}"\n  }}'
             for i, p in dict(zip(map(id, masses), masses)).items()}
-    items = ",\n".join(
-        '  {\n   "H": [\n    '
-        + ",\n    ".join(map(row_text.__getitem__, zip(*[iter(h)] * N)))
-        + tail[id(p)]
-        for h, p in sorted(spec.pmf_H.items()))
+    hs = sorted(spec.pmf_H)
+    rows = [map(row_text.__getitem__, map(itemgetter(slice(k, k + N)), hs))
+            for k in range(0, spec.M * N, N)]
+    # each item is head, its rows and its tail; the separator carries the
+    # head of every item after the first
+    head = '  {\n   "H": [\n    '
+    items = head + (",\n" + head).join(map(
+        add, map(",\n    ".join, zip(*rows)),
+        map(tail.__getitem__, map(id, map(spec.pmf_H.__getitem__, hs)))))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "q": {spec.field.q},\n "T": {spec.T},\n '
                  f'"M": {spec.M},\n "N": {N},\n "pmf": [\n{items}\n ]\n}}\n')

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import is_
+from operator import eq
 from typing import Optional
 
 from . import gf_core, qcomb, subspace_enum
@@ -87,23 +87,23 @@ def _lift(e: MatrixGF, t: int) -> list:
 def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
     """True iff the transfer PMF is constant on each rank shell.
 
-    The support is ranked by one ``subspace_enum.RowSpaces`` step table,
-    and the test runs in bulk: the matrices of each rank must share one
-    mass object (a loaded or generated PMF shares one per distinct mass)
-    and cover all xi2(M, N, r) matrices of that rank.  Only when that
-    fails is the support scanned in sorted entry order, comparing masses
-    by value, to name the witness: the least rank at fault, with the
-    first two matrices of unequal mass in that order.
+    The ranks are read from the support index that the core steps
+    through (``ChannelSpec.index``), and the test runs in bulk: the
+    matrices of each rank must share one int weight and cover all
+    xi2(M, N, r) matrices of that rank.  Only when that fails is the
+    support scanned in sorted entry order, comparing masses by value, to
+    name the witness: the least rank at fault, with the first two
+    matrices of unequal mass in that order.
     """
-    masses = spec.pmf_H.values()
-    ranks = subspace_enum.RowSpaces(spec.field, spec.N).ranks(spec.pmf_H,
-                                                              spec.M)
-    shell_mass = dict(zip(ranks, masses))
+    index = spec.index
+    ranks, weights = index.ranks(), index.weights
+    shell_weight = dict(zip(ranks, weights))
     q = spec.field.q
     # no rank is met more often than its shell has matrices, so the
     # shells are covered iff their sizes add up to the support size
-    if all(map(is_, masses, map(shell_mass.__getitem__, ranks))) and sum(
-            qcomb.xi2(spec.M, spec.N, r, q) for r in shell_mass) == len(ranks):
+    if sum(qcomb.xi2(spec.M, spec.N, r, q) for r in shell_weight) == len(
+            ranks) and all(map(eq, weights,
+                               map(shell_weight.__getitem__, ranks))):
         return PredicateResult(True)
     rank = dict(zip(spec.pmf_H, ranks))
     shells: dict = {}

@@ -81,23 +81,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def primitive_root(q: int) -> int:
-    """The least generator of the multiplicative group of F_q, q prime:
-    the least w with w^((q-1)/p) != 1 for every prime p dividing q - 1.
-    It is 1 at q = 2, where that group is trivial."""
-    n, primes, f = q - 1, [], 2
-    while f * f <= n:
-        if n % f == 0:
-            primes.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        primes.append(n)
-    return next(w for w in range(1, q)
-                if all(pow(w, (q - 1) // p, q) != 1 for p in primes))
-
-
 class _Inverses(dict):
     """a -> a^-1 mod q for residues a in [1, q), each computed on its
     first lookup, so a large field costs only the inverses it uses."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
-from operator import itemgetter
+from operator import itemgetter, lshift
 from typing import Iterator
 
 from . import gf_core, qcomb
@@ -48,20 +48,37 @@ def span_rows(a: MatrixGF) -> Subspace:
     return _from_rref_rows(a.field, a.cols, rows[:len(pivots)])
 
 
-class RowSpaces(dict):
-    """(state, row) -> the state of their span: the row spaces of F_q^n
-    met reading matrices row by row, each interned by its RREF basis
-    bases[s], a tuple of rows; state 0 is {0}.  Each step is reduced
-    through ``gf_core._reduce`` on its first lookup only."""
+class _Codes(dict):
+    """row -> its code, entry j at bit place[j]; rows maps codes back."""
 
-    def __init__(self, field: FieldSpec, n: int):
+    def __init__(self, place):
+        super().__init__()
+        self.place, self.rows = place, {}
+
+    def __missing__(self, row):
+        code = self[row] = sum(map(lshift, row, self.place))
+        self.rows[code] = row
+        return code
+
+
+class RowSpaces(dict):
+    """(state, code) -> the state of the span of state and a row, given by
+    its code in ``codes`` (entry j at bit place[j]; by default each entry
+    takes the bits of one residue): the row spaces of F_q^n met reading
+    matrices row by row, each interned by its RREF basis bases[s], a
+    tuple of rows; state 0 is {0}.  Each step is reduced through
+    ``gf_core._reduce`` on its first lookup only."""
+
+    def __init__(self, field: FieldSpec, n: int, place: range = None):
         super().__init__()
         self.field, self.n, self.bases, self.ids = field, n, [()], {(): 0}
         self.spaces = {}    # state -> its Subspace, built on first use
+        b = (field.q - 1).bit_length()
+        self.codes = _Codes(place or range(0, b * n, b))
 
     def __missing__(self, step):
-        state, v = step
-        rows = [*map(list, self.bases[state]), list(v)]
+        state, code = step
+        rows = [*map(list, self.bases[state]), list(self.codes.rows[code])]
         rank = len(gf_core._reduce(rows, self.field.q, self.field.inverses))
         basis = tuple(map(tuple, rows[:rank]))
         state = self[step] = self.ids.setdefault(basis, len(self.bases))
@@ -71,11 +88,11 @@ class RowSpaces(dict):
 
     def states(self, keys, rows: int) -> list:
         """The state of each of keys, row-major entry tuples of rows
-        rows: one C-level map of steps per row."""
-        n, out = self.n, repeat(0, len(keys))
+        rows: one C-level map of steps per row, each by the row's code."""
+        n, code, out = self.n, self.codes.__getitem__, repeat(0, len(keys))
         for i in range(0, rows * n, n):
-            out = map(self.__getitem__,
-                      zip(out, map(itemgetter(slice(i, i + n)), keys)))
+            out = map(self.__getitem__, zip(out, map(code, map(
+                itemgetter(slice(i, i + n)), keys))))
         return list(out)
 
     def ranks(self, keys, rows: int) -> list:

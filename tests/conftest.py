@@ -9,6 +9,7 @@ from loccap import gf_core, qcomb
 from loccap.cli import fixture_path
 from loccap.classify import PredicateResult
 from loccap.oracle import best_choice_unpruned  # noqa: F401 (tests import it)
+from loccap.subspace_enum import span_rows
 
 FIXTURE_NAMES = ["table1.json", "table2.json", "example9.json",
                  "example6.json"]
@@ -119,6 +120,23 @@ def is_uniform_given_rank_reference(spec):
                 "reason": "rank shell only partially covered",
                 "rank": r, "support": len(mats), "shell_size": shell})
     return PredicateResult(True)
+
+
+def row_steps(field, n, keys, rows):
+    """The distinct steps (row space of the first k rows, row k + 1) met
+    reading the row-major entry tuples keys of rows x n matrices row by
+    row, each row space from one ``span_rows`` per distinct prefix: the
+    steps a ``subspace_enum.RowSpaces`` table reduces to read keys."""
+    spans = {(): (0, ())}       # the sort key of {0}
+    steps = set()
+    for h in keys:
+        for k in range(0, rows * n, n):
+            prefix = h[:k]
+            if prefix not in spans:
+                spans[prefix] = span_rows(gf_core.MatrixGF(
+                    field, k // n, n, prefix)).sort_key()
+            steps.add((spans[prefix], h[k:k + n]))
+    return steps
 
 
 def rank_pmf_reference(spec):

@@ -1,12 +1,16 @@
+import dataclasses
 import functools
 import gc
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 
 from loccap import channel_model as cm
+from loccap import classify as cls
 from loccap import cli, gf_core, oracle, qcomb, subspace_enum
 from loccap.channel_model import (ChannelSpec, ChannelSpecError,
                                   load_channel, p_y_given_x, save_channel,
@@ -16,8 +20,8 @@ from loccap.gf_core import (BudgetExceeded, FieldSpec, MatrixGF,
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_columns, span_rows
 
-from conftest import (random_small_channel, rank_joint, spec_to_dict,
-                      support_matrix)
+from conftest import (is_uniform_given_rank_reference, random_small_channel,
+                      rank_joint, row_steps, spec_to_dict, support_matrix)
 
 F2 = FieldSpec(2)
 
@@ -588,18 +592,25 @@ def _row_space_orbits(q, M, N):
     return list(groups.values())
 
 
-def _orbit_channel(rng):
-    """A random union of full row-space orbits, each orbit's matrices
-    sharing one random weight: (q, T, M, N, {H: weight}, a nonzero H)."""
-    q, M = rng.choice((2, 3)), rng.choice((2, 3))
-    N, T = rng.randint(1, 5 - q), rng.randint(1, 3)
+def _orbit_weights(rng, q, M, N):
+    """A random union of full row-space orbits of the M x N matrices,
+    each orbit's matrices sharing one random weight: ({H: weight}, a
+    nonzero H)."""
     zero, *orbits = _row_space_orbits(q, M, N)
     chosen = rng.sample(orbits, rng.randint(1, min(3, len(orbits))))
     if rng.random() < 0.5:
         chosen.append(zero)
     weights = {h: w for orbit in chosen
                for w in [rng.randint(1, 9)] for h in orbit}
-    return q, T, M, N, weights, rng.choice(chosen[0])
+    return weights, rng.choice(chosen[0])
+
+
+def _orbit_channel(rng):
+    """A random orbit union (``_orbit_weights``) of a random shape:
+    (q, T, M, N, {H: weight}, a nonzero H)."""
+    q, M = rng.choice((2, 3)), rng.choice((2, 3))
+    N, T = rng.randint(1, 5 - q), rng.randint(1, 3)
+    return (q, T, M, N) + _orbit_weights(rng, q, M, N)
 
 
 def _weighted(q, T, M, N, weights):
@@ -648,6 +659,64 @@ def test_orbit_unions_share_tables_and_perturbed_ones_do_not(monkeypatch):
             _assert_core_matches_reference(core)
 
 
+@functools.cache
+def _general_linear(q, M):
+    """The rows of every g in GL(M, q), from enumerate_full_rank."""
+    return [tuple(zip(*[iter(g.entries)] * M))
+            for g in gf_core.enumerate_full_rank(M, M, FieldSpec(q))]
+
+
+def _gl_invariant_reference(spec):
+    """Whether pmf(g @ H) = pmf(H) for every g in GL(M, q) and every H in
+    the support, forming every product g @ H: row i of g @ H is looked up
+    in a table of the q^M combinations of the rows of H, and the products
+    are formed once per orbit {g @ H} met."""
+    q, M, N = spec.field.q, spec.M, spec.N
+    done = set()
+    for h, p in spec.pmf_H.items():
+        if h in done:
+            continue
+        rows = [h[k:k + N] for k in range(0, M * N, N)]
+        combo = {c: tuple(sum(a * r[j] for a, r in zip(c, rows)) % q
+                          for j in range(N))
+                 for c in product(range(q), repeat=M)}
+        orbit = {tuple(chain.from_iterable(map(combo.__getitem__, g)))
+                 for g in _general_linear(q, M)}
+        if any(spec.pmf_H.get(x) != p for x in orbit):
+            return False
+        done |= orbit
+    return True
+
+
+def test_core_shares_tables_iff_the_law_is_gl_invariant(monkeypatch):
+    # the core reads GL(M)-invariance from the row-space fibers of the
+    # support; the reference forms g @ H for every g in GL(M, q).  With
+    # M = 1 each dimension has one class, so sharing shows only for M > 1
+    indexed = _indexed_classes(monkeypatch)
+    rng = random.Random(3030)
+    seen = Counter()
+    for _ in range(300):
+        q, M = rng.choice((2, 3)), rng.randint(1, 3)
+        N, T = rng.randint(1, 5 - q), rng.randint(1, 3)
+        kind = rng.choice(("orbits", "perturbed", "random"))
+        if kind == "random":
+            spec = cm.random_channel(rng, q, T, M, N)
+        else:
+            weights, h = _orbit_weights(rng, q, M, N)
+            weights[h] += kind == "perturbed"
+            spec = _weighted(q, T, M, N, weights)
+        invariant = _gl_invariant_reference(spec)
+        indexed.clear()
+        transition_core(spec)
+        if M > 1:
+            assert (len(indexed) == min(T, M) + 1) == invariant, spec
+            seen[kind, invariant] += 1
+        assert cls.is_uniform_given_rank(spec) == \
+            is_uniform_given_rank_reference(spec)
+    assert min(seen[k] for k in (("orbits", True), ("perturbed", False),
+                                 ("random", False))) > 20, seen
+
+
 def _det3(h):
     a, b, c, d, e, f, g, i, j = h
     return a * (e * j - f * i) - b * (d * j - f * g) + c * (d * i - e * g)
@@ -686,11 +755,12 @@ def _only_scaling_fails():
 ], ids=["shift", "transvection", "scaling"])
 def test_each_generator_is_needed_to_decide_invariance(monkeypatch, build,
                                                        keeps):
-    # each channel is invariant under two of the three generators, so a
-    # check that skipped the third would share tables it must not
+    # each channel is invariant under two of three generators of
+    # GL(M, q) but not under the third, so it is not invariant, and a test
+    # that checked only those two would share tables it must not
     spec = build()
     q, M = spec.field.q, spec.M
-    w = gf_core.primitive_root(q)
+    w = 2 if q == 3 else 1      # a generator of F_q^*; 1 at q = 2
     shift = [[int(j == (i + 1) % M) for j in range(M)] for i in range(M)]
     transvection = [[int(i == j or (i, j) == (0, 1)) for j in range(M)]
                     for i in range(M)]
@@ -716,13 +786,19 @@ def test_each_generator_is_needed_to_decide_invariance(monkeypatch, build,
 ], ids=["ugr(2;1,4,4)", "iid(2;2,3,3)", "crd(2;2,3,3)"])
 def test_core_indexes_one_class_per_dimension_when_invariant(monkeypatch,
                                                              spec, dims):
-    # the invariance check reads packed rows and reduces none: with the
-    # indexing pass stubbed out, the core makes no row reduction at all
+    # the support index reduces each distinct (state, row) step of the
+    # support once, and the invariance test reads its states and reduces
+    # none: with the indexing pass stubbed out, the core reduces no row
+    spec = dataclasses.replace(spec)    # a copy with no index built
+    steps = row_steps(spec.field, spec.N, spec.pmf_H, spec.M)
     reductions = []
     original = gf_core._reduce
     monkeypatch.setattr(gf_core, "_reduce",
                         lambda *args: reductions.append(args)
                         or original(*args))
+    assert len(spec.index.states) == len(spec.pmf_H)
+    assert len(reductions) == len(steps)
+    reductions.clear()
     indexed = []
     monkeypatch.setattr(cm, "index_fibers",
                         lambda spaces, u, table: indexed.append(u) or {})

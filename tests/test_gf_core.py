@@ -34,13 +34,6 @@ def _random_matrix(rng, field, rows, cols):
                           for _ in range(rows * cols)))
 
 
-@pytest.mark.parametrize("q, w", [(2, 1), (3, 2), (5, 2), (7, 3), (11, 2),
-                                  (13, 2), (17, 3), (23, 5), (41, 6)])
-def test_primitive_root_is_the_least_generator(q, w):
-    assert gf_core.primitive_root(q) == w
-    assert {pow(w, k, q) for k in range(q - 1)} == set(range(1, q))
-
-
 def test_mat_mul_against_schoolbook():
     rng = random.Random(7)
     for _ in range(50):
