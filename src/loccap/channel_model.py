@@ -29,15 +29,17 @@ dimension has the same table and fibers; the states decide that, fiber
 by fiber, and then only the first class of each dimension is counted
 and indexed (``transition_core``).
 
-A channel file is read in bulk (``spec_from_dict``): whole-file passes
-of C-level ``set(map(type, ...))`` and ``map(len, ...)`` check the items,
-the shape of every H and the types of the masses; each H becomes its
-row-major entry tuple, the key of ``ChannelSpec.pmf_H``; and each
-distinct mass string is parsed once, its Fraction shared by every item
-that gives it.  ``ChannelSpec`` checks the entries of all keys and the
-masses the same way, and that the masses sum to 1 with one integer sum
-over the lcm of their denominators.  Only when a bulk check fails are
-the items read one at a time, to name the first item at fault.
+A channel file is read in bulk straight into its support index
+(``spec_from_dict``): C-level ``set(map(type, ...))`` passes check the
+items, every H, the exact type of every entry and the masses; each
+distinct mass string is parsed once, and the masses must sum to 1.  Row
+k of every H, as a transient tuple, goes through the index's row memo,
+which checks (N entries in [0, q)) and packs each distinct row once, and
+the pmf_H keys are joined from the memo's rows.  ``generate`` skips the
+key checks of its own keys too; a caller's ``ChannelSpec`` checks its
+keys in bulk and indexes their row slices (``SupportIndex.build``).
+Only when a bulk check fails are the items read one at a time, to name
+the first item at fault.
 ``load_channel`` decodes and checks a file with the cyclic garbage
 collector paused, since neither the document nor the spec holds a cycle.
 ``save_channel`` writes the text ``json.dump(..., indent=1)`` would,
@@ -61,8 +63,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain, islice, product, repeat
+from functools import cached_property, lru_cache, partial
+from itertools import chain, product, repeat
 from math import lcm
 from operator import add, eq, itemgetter, mul
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -110,6 +112,24 @@ class SupportIndex(NamedTuple):
     spaces: subspace_enum.RowSpaces
     states: list
 
+    @classmethod
+    def build(cls, field: FieldSpec, N: int, weights: list, denom: int,
+              rows: list) -> SupportIndex:
+        """The index of a support whose row k of every H, in pmf_H order,
+        rows[k] yields: each distinct row is checked (ValueError) and
+        packed once, and each H is stepped row by row to its state."""
+        # b bits per digit hold any sum over k of D_U[i, k] * row k of H,
+        # above the low bits, which hold a weight
+        b = ((field.q - 1) ** 2 * len(rows)).bit_length()
+        low = max(weights).bit_length()
+        spaces = subspace_enum.RowSpaces(field, N, range(low, low + b * N, b))
+        code = spaces.codes.__getitem__
+        packed = [list(map(code, row)) for row in rows]
+        states = repeat(0, len(weights))
+        for codes in packed:
+            states = map(spaces.__getitem__, zip(states, codes))
+        return cls(weights, denom, b, low, packed, spaces, list(states))
+
     def ranks(self) -> list:
         """The rank of each H."""
         return list(map(len, map(self.spaces.bases.__getitem__,
@@ -154,36 +174,16 @@ class ChannelSpec:
                 if p <= 0:
                     raise ChannelSpecError(
                         "probability masses must be positive")
-        # the int weights over the masses' common denominator
-        denom = lcm(*{p.denominator for p in distinct.values()})
-        weight = {i: p.numerator * (denom // p.denominator)
-                  for i, p in distinct.items()}
-        weights = list(map(weight.__getitem__, map(id, masses)))
-        if sum(weights) != denom:
-            raise ChannelSpecError(
-                f"PMF sums to {Fraction(sum(weights), denom)}, not 1")
-        object.__setattr__(self, "_weights", (weights, denom))
+        object.__setattr__(self, "_weights",
+                           _int_weights(distinct, map(id, masses)))
 
     @cached_property
     def index(self) -> SupportIndex:
-        """The support index, built on first use: each distinct row is
-        packed once, and each H stepped row by row to its state."""
-        q, M, N = self.field.q, self.M, self.N
-        weights, denom = self._weights
-        # b bits per digit hold any sum over k of D_U[i, k] * row k of H,
-        # above the low bits, which hold a weight
-        b, low = ((q - 1) ** 2 * M).bit_length(), max(weights).bit_length()
-        spaces = subspace_enum.RowSpaces(self.field, N,
-                                         range(low, low + b * N, b))
-        code = spaces.codes.__getitem__
-        packed = [list(map(code, map(itemgetter(slice(k, k + N)),
-                                     self.pmf_H)))
-                  for k in range(0, M * N, N)]
-        states = repeat(0, len(weights))
-        for rows in packed:
-            states = map(spaces.__getitem__, zip(states, rows))
-        return SupportIndex(weights, denom, b, low, packed, spaces,
-                            list(states))
+        """The support index, built on first use from the keys' rows."""
+        N = self.N
+        return SupportIndex.build(self.field, N, *self._weights, [
+            map(itemgetter(slice(k, k + N)), self.pmf_H)
+            for k in range(0, self.M * N, N)])
 
     def rank_pmf(self) -> Dict[int, Fraction]:
         """P(rank H = r), keyed in the order ranks first occur in pmf_H."""
@@ -192,6 +192,29 @@ class ChannelSpec:
         for r, w in zip(index.ranks(), index.weights):
             shells[r] = shells.get(r, 0) + w
         return {r: Fraction(w, index.denom) for r, w in shells.items()}
+
+
+def _int_weights(distinct: dict, keys) -> Tuple[list, int]:
+    """The int weight of distinct[key] for each of keys over the masses'
+    common denominator, and that denominator: each distinct mass is
+    converted once.  ChannelSpecError unless the weights sum to it."""
+    denom = lcm(*{p.denominator for p in distinct.values()})
+    weight = {i: p.numerator * (denom // p.denominator)
+              for i, p in distinct.items()}
+    weights = list(map(weight.__getitem__, keys))
+    if sum(weights) != denom:
+        raise ChannelSpecError(
+            f"PMF sums to {Fraction(sum(weights), denom)}, not 1")
+    return weights, denom
+
+
+def _checked(field: FieldSpec, T: int, M: int, N: int, pmf_H,
+             **derived) -> ChannelSpec:
+    """A ChannelSpec of keys and masses its caller built or checked, with
+    no ``__post_init__``; derived gives its ``_weights`` or ``index``."""
+    spec = object.__new__(ChannelSpec)
+    vars(spec).update(field=field, T=T, M=M, N=N, pmf_H=pmf_H, **derived)
+    return spec
 
 
 def _keys_in_range(keys, size: int, q: int) -> bool:
@@ -258,7 +281,8 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     Classes are tabulated in canonical order, and table keys keep the
     order of the first H in pmf_H that gives each E, as in
     ``oracle.transition_core_reference``: the Counter of a class meets
-    its keys in pmf_H order.
+    its keys in pmf_H order; a class that shares the table of the first
+    class of its dimension (below) shares its key order too.
 
     The packed rows, the step table and the row-space state of each H
     come from the support index (``ChannelSpec.index``), and so does the
@@ -276,19 +300,16 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     D_U @ H = [I_r 0] @ (g @ H), and g @ H has the law of H: every class
     of dimension r has the table of the first r rows of H, and so the same
     fibers.  There only the first class of each dimension is counted and
-    indexed; each later one takes its entries and its fibers, with its
-    keys in the order of its own first H.  Every other channel builds each
-    table.
+    indexed; each later one takes that table and those fibers as they
+    are, the same objects.  Every other channel builds each table.
     """
     q, M, N = spec.field.q, spec.M, spec.N
-    classes = []
-    for u in subspace_enum.enumerate_projective(min(spec.T, M), M,
-                                                spec.field):
-        if q ** (u.dim * N) > CORE_TABLE_BUDGET:
-            raise BudgetExceeded(f"per-class table for dim {u.dim} exceeds "
+    top = min(spec.T, M)
+    for r in range(top + 1):
+        if q ** (r * N) > CORE_TABLE_BUDGET:
+            raise BudgetExceeded(f"per-class table for dim {r} exceeds "
                                  f"budget {CORE_TABLE_BUDGET}")
-        classes.append(u)
-    classes.sort(key=Subspace.sort_key)
+    classes = _classes(spec.field, M, top)
     weights, denom, b, low, packed, spaces, states = spec.index
     digit, low_mask = (1 << b) - 1, (1 << low) - 1
     # no fiber holds more than the xi(M, dim W, q) matrices of its orbit,
@@ -318,27 +339,16 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
                 shared[u.dim] = table, fibers
         else:
             table, fibers = first
-            order = _first_seen(_class_keys(u, repeat(0, len(weights)),
-                                            packed, b * N),
-                                _Memo(entries), len(table))
-            table = dict(zip(order, map(table.__getitem__, order)))
         core.tables[u], core.fibers[u] = table, fibers
     return core
 
 
-def _first_seen(keys, entries: _Memo, count: int) -> dict:
-    """The distinct entries[key] of keys, in order of first occurrence,
-    read until count of them are found: keys is read in chunks of
-    doubling length, so only the prefix that holds them is computed."""
-    order: dict = {}
-    size = count
-    while len(order) < count:
-        chunk = dict.fromkeys(islice(keys, size))
-        if not chunk:
-            break
-        order.update(dict.fromkeys(map(entries.__getitem__, chunk)))
-        size *= 2
-    return order
+@lru_cache(maxsize=None)
+def _classes(field: FieldSpec, M: int, top: int) -> Tuple[Subspace, ...]:
+    """The subspaces of F^M of dimension at most top, in canonical order:
+    the classes of every core with that field, M and min(T, M)."""
+    return tuple(sorted(subspace_enum.enumerate_projective(top, M, field),
+                        key=Subspace.sort_key))
 
 
 def _class_keys(u: Subspace, keys, packed, width: int):
@@ -490,7 +500,10 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
         pmf = {tuple(1 if i == j < r else 0
                      for i in range(M) for j in range(N)): rank_pmf[r]
                for r in ranks}
-    return ChannelSpec(field, T, M, N, pmf)
+    # distinct keys in [0, q) and positive masses: only the sum is checked
+    masses = pmf.values()
+    return _checked(field, T, M, N, pmf, _weights=_int_weights(
+        dict(zip(map(id, masses), masses)), map(id, masses)))
 
 
 def _rank_shells(field: FieldSpec, M: int, N: int,
@@ -576,10 +589,12 @@ def _parse_rational(s, where: str) -> Fraction:
             f"{where}: bad rational {_excerpt(s)}: {exc}") from exc
 
 
-def _pmf_in_bulk(items, M: int, N: int):
-    """The pmf_H of the pmf items, or None when their structure or a mass
-    is at fault.  The entries are left to ChannelSpec.  Each distinct mass
-    is parsed once, and the items that give it share its Fraction."""
+def _spec_in_bulk(field: FieldSpec, T: int, M: int, N: int,
+                  items) -> Optional[ChannelSpec]:
+    """The ChannelSpec of the pmf items with its support index, or None
+    when an item is at fault.  Every entry's exact type is checked first,
+    as the row memo would merge 1, 1.0 and True; each distinct mass is
+    parsed once, and the items that give it share its Fraction."""
     if set(map(type, items)) != {dict}:
         return None
     try:
@@ -590,23 +605,32 @@ def _pmf_in_bulk(items, M: int, N: int):
     rows = partial(chain.from_iterable, hs)
     if not (set(map(type, hs)) == {list} and set(map(len, hs)) == {M}
             and set(map(type, rows())) == {list}
-            and set(map(len, rows())) == {N}
+            and set(map(type, chain.from_iterable(rows()))) == _INT_TYPE
             and set(map(type, ps)) <= {str, int}):
         return None
     try:
         parsed = {s: _parse_rational(s, "") for s in dict.fromkeys(ps)}
-        # an entry that is a list or an object cannot be hashed
-        pmf = dict(zip(map(tuple, map(chain.from_iterable, hs)),
-                       map(parsed.__getitem__, ps)))
-    except (ChannelSpecError, TypeError):
+        if min(parsed.values()) <= 0:
+            return None
+        index = SupportIndex.build(field, N, *_int_weights(parsed, ps), [
+            map(tuple, map(itemgetter(k), hs)) for k in range(M)])
+    except (ChannelSpecError, ValueError):
         return None
-    return pmf if len(pmf) == len(hs) else None
+    del hs, rows    # the keys come from the memo: free the H list first
+    row = index.spaces.codes.rows.__getitem__
+    keys = map(row, index.packed[0])
+    for codes in index.packed[1:]:
+        keys = map(add, keys, map(row, codes))
+    pmf = dict(zip(keys, map(parsed.__getitem__, ps)))
+    if len(pmf) != len(ps):
+        return None
+    return _checked(field, T, M, N, pmf, index=index)
 
 
 def spec_from_dict(doc) -> ChannelSpec:
     """The ChannelSpec of a decoded document in the schema above; any
     departure from it raises ChannelSpecError, for the first item at
-    fault.  The items are checked in bulk (``_pmf_in_bulk``); only when
+    fault.  The items are checked in bulk (``_spec_in_bulk``); only when
     that fails are they read one at a time, to name the first fault."""
     if not isinstance(doc, dict):
         raise ChannelSpecError("channel spec must be a JSON object")
@@ -620,12 +644,10 @@ def spec_from_dict(doc) -> ChannelSpec:
     field = _channel_field(doc["q"])
     q, M, N = doc["q"], doc["M"], doc["N"]
     _check_sizes(doc["T"], M, N)
-    pmf = _pmf_in_bulk(doc["pmf"], M, N)
-    if pmf is not None:
-        try:
-            return ChannelSpec(field, doc["T"], M, N, pmf)
-        except ChannelSpecError:
-            pass    # the loop below names the first item at fault, if any
+    spec = _spec_in_bulk(field, doc["T"], M, N, doc["pmf"])
+    if spec is not None:
+        return spec
+    # the loop below names the first item at fault, if any
     pmf = {}
     shape = f"H must have shape {M}x{N}, with integer entries in [0, {q})"
     for i, item in enumerate(doc["pmf"]):

@@ -49,13 +49,16 @@ def span_rows(a: MatrixGF) -> Subspace:
 
 
 class _Codes(dict):
-    """row -> its code, entry j at bit place[j]; rows maps codes back."""
+    """row -> its code, entry j at bit place[j]; rows maps codes back.
+    A row that is not len(place) entries in [0, q) raises ValueError."""
 
-    def __init__(self, place):
+    def __init__(self, place, q: int):
         super().__init__()
-        self.place, self.rows = place, {}
+        self.place, self.q, self.rows = place, q, {}
 
     def __missing__(self, row):
+        if len(row) != len(self.place) or min(row) < 0 or max(row) >= self.q:
+            raise ValueError(f"{row!r} is not a row over F_{self.q}")
         code = self[row] = sum(map(lshift, row, self.place))
         self.rows[code] = row
         return code
@@ -74,7 +77,7 @@ class RowSpaces(dict):
         self.field, self.n, self.bases, self.ids = field, n, [()], {(): 0}
         self.spaces = {}    # state -> its Subspace, built on first use
         b = (field.q - 1).bit_length()
-        self.codes = _Codes(place or range(0, b * n, b))
+        self.codes = _Codes(place or range(0, b * n, b), field.q)
 
     def __missing__(self, step):
         state, code = step
@@ -94,11 +97,6 @@ class RowSpaces(dict):
             out = map(self.__getitem__, zip(out, map(code, map(
                 itemgetter(slice(i, i + n)), keys))))
         return list(out)
-
-    def ranks(self, keys, rows: int) -> list:
-        """The rank of each of keys, as in ``states``."""
-        return list(map(len, map(self.bases.__getitem__,
-                                 self.states(keys, rows))))
 
     def space(self, state: int) -> Subspace:
         """The Subspace of a state, built once from its interned RREF

@@ -1,11 +1,13 @@
+import functools
 import math
 import random
+from itertools import chain, product
 
 import pytest
 
 from loccap import capacity_engine as ce
 from loccap import channel_model as cm
-from loccap import gf_core, qcomb
+from loccap import gf_core, oracle, qcomb
 from loccap.cli import fixture_path
 from loccap.classify import PredicateResult
 from loccap.oracle import best_choice_unpruned  # noqa: F401 (tests import it)
@@ -137,6 +139,52 @@ def row_steps(field, n, keys, rows):
                     field, k // n, n, prefix)).sort_key()
             steps.add((spans[prefix], h[k:k + n]))
     return steps
+
+
+@functools.cache
+def _general_linear(q, M):
+    """The rows of every g in GL(M, q), from enumerate_full_rank."""
+    return [tuple(zip(*[iter(g.entries)] * M))
+            for g in gf_core.enumerate_full_rank(M, M, gf_core.FieldSpec(q))]
+
+
+def gl_invariant_reference(spec):
+    """Whether pmf(g @ H) = pmf(H) for every g in GL(M, q) and every H in
+    the support, forming every product g @ H: row i of g @ H is looked up
+    in a table of the q^M combinations of the rows of H, and the products
+    are formed once per orbit {g @ H} met."""
+    q, M, N = spec.field.q, spec.M, spec.N
+    done = set()
+    for h, p in spec.pmf_H.items():
+        if h in done:
+            continue
+        rows = [h[k:k + N] for k in range(0, M * N, N)]
+        combo = {c: tuple(sum(a * r[j] for a, r in zip(c, rows)) % q
+                          for j in range(N))
+                 for c in product(range(q), repeat=M)}
+        orbit = {tuple(chain.from_iterable(map(combo.__getitem__, g)))
+                 for g in _general_linear(q, M)}
+        if any(spec.pmf_H.get(x) != p for x in orbit):
+            return False
+        done |= orbit
+    return True
+
+
+def assert_core_matches_reference(core, invariant):
+    """core equals ``oracle.transition_core_reference``: the same classes
+    in the same order, equal tables and equal fibers.  Keys come in the
+    order of the first H giving each E in every table of a channel whose
+    law is not GL(M)-invariant, and in the first table of each dimension
+    of one whose law is: the later classes there share that table."""
+    ref = oracle.transition_core_reference(core.spec)
+    assert list(core.tables) == list(ref.tables), core.spec
+    dims = set()
+    for u, table in ref.tables.items():
+        assert core.tables[u] == table, core.spec
+        if not (invariant and u.dim in dims):
+            assert list(core.tables[u]) == list(table), core.spec
+        dims.add(u.dim)
+    assert core.fibers == ref.fibers, core.spec
 
 
 def rank_pmf_reference(spec):

@@ -3,9 +3,10 @@ import functools
 import gc
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,8 @@ from loccap.gf_core import (BudgetExceeded, FieldSpec, MatrixGF,
 from loccap.oracle import transition_naive
 from loccap.subspace_enum import span_columns, span_rows
 
-from conftest import (is_uniform_given_rank_reference, random_small_channel,
+from conftest import (assert_core_matches_reference, gl_invariant_reference,
+                      is_uniform_given_rank_reference, random_small_channel,
                       rank_joint, row_steps, spec_to_dict, support_matrix)
 
 F2 = FieldSpec(2)
@@ -571,6 +573,131 @@ def test_load_builds_no_matrix(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# the shapes of the large_support benchmark workload
+_LARGE_SHAPES = [
+    ("uniform_given_rank", dict(q=2, T=1, M=4, N=4,
+                                rank_pmf={2: Fraction(1, 2),
+                                          4: Fraction(1, 2)})),
+    ("iid_uniform", dict(q=3, T=1, M=3, N=3)),
+    ("uniform_given_rank", dict(q=3, T=1, M=3, N=3,
+                                rank_pmf={1: Fraction(1, 2),
+                                          3: Fraction(1, 2)})),
+]
+
+
+def _assert_same_index(got, want):
+    """Two support indexes agree field by field, each state by its basis."""
+    assert (got.weights, got.denom, got.b, got.low, got.packed) == \
+        (want.weights, want.denom, want.b, want.low, want.packed)
+    assert [got.spaces.bases[s] for s in got.states] == \
+        [want.spaces.bases[s] for s in want.states]
+
+
+def test_load_builds_the_index_the_constructor_builds(tmp_path):
+    # the loader builds pmf_H and the index from the rows of the file; the
+    # public constructor checks the keys and indexes their row slices
+    rng = random.Random(31)
+    specs = [cm.random_channel(rng, rng.choice((2, 3, 5, 211)),
+                               rng.randint(1, 3), rng.randint(1, 4),
+                               rng.randint(1, 4), max_support=20)
+             for _ in range(100)]
+    specs += [cm.generate(kind, **params) for kind, params in _LARGE_SHAPES]
+    for spec in specs:
+        save_channel(spec, tmp_path / "chan.json")
+        loaded = load_channel(tmp_path / "chan.json")
+        # the file lists the items in sorted-H order
+        built = ChannelSpec(spec.field, spec.T, spec.M, spec.N,
+                            dict(sorted(spec.pmf_H.items())))
+        assert list(loaded.pmf_H.items()) == list(built.pmf_H.items())
+        _assert_same_index(loaded.index, built.index)
+
+
+@pytest.mark.parametrize("row", [(1, 0), {0, 1}, range(2)])
+def test_loader_refuses_rows_that_are_not_lists(row):
+    # the row memo would take any row with int entries; a document gives
+    # each row of H as a list
+    with pytest.raises(ChannelSpecError) as exc:
+        cm.spec_from_dict(_doc((_A, "1/2"), ([[0, 1], row], "1/2")))
+    assert str(exc.value) == f"pmf[1]: {_SHAPE}"
+
+
+def test_load_packs_each_distinct_row_once(tmp_path, monkeypatch):
+    # the row memo checks and packs each distinct row of the file once,
+    # and the constructor's whole-support key check does not run
+    save_channel(_LARGE_SPEC, tmp_path / "ugr.json")
+    packed, checked = Counter(), []
+    original = subspace_enum._Codes.__missing__
+
+    def counted(codes, row):
+        packed[row] += 1
+        return original(codes, row)
+
+    monkeypatch.setattr(subspace_enum._Codes, "__missing__", counted)
+    monkeypatch.setattr(cm, "_keys_in_range",
+                        lambda *args: checked.append(args))
+    loaded = load_channel(tmp_path / "ugr.json")
+    assert "index" in vars(loaded)      # built by the load
+    rows = {h[k:k + 4] for h in _LARGE_SPEC.pmf_H for k in range(0, 16, 4)}
+    assert packed == Counter(dict.fromkeys(rows, 1))
+    assert checked == []
+
+
+def test_load_holds_no_tuple_per_row(tmp_path):
+    # at its peak a load holds the decoded document, and what decoding
+    # held besides, plus the spec it builds and little else: a list of
+    # the 110,040 row tuples of ugr(2;1,4,4) would add about 11 MB
+    path = tmp_path / "ugr.json"
+    save_channel(_LARGE_SPEC, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        decoding = tracemalloc.get_traced_memory()[1] - base
+        del doc
+        tracemalloc.reset_peak()
+        spec = load_channel(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spec.index.states) == len(_LARGE_SPEC.pmf_H)
+    assert peak - base <= decoding + (kept - base), (decoding, kept - base,
+                                                      peak - base)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_generated_supports_pass_the_constructor_checks(q, monkeypatch):
+    # generate builds its keys, so it skips the constructor's whole-support
+    # checks; the public constructor accepts every generated support and
+    # indexes it as the generated spec does
+    checked = []
+    original = cm._keys_in_range
+    monkeypatch.setattr(cm, "_keys_in_range",
+                        lambda *args: checked.append(args) or original(*args))
+    seen = 0
+    for M, N in product(range(1, 4), repeat=2):
+        r = min(M, N)
+        rank_pmfs = [{s: Fraction(1, r + 1) for s in range(r + 1)},
+                     {r: Fraction(1)}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]
+        families = [("iid_uniform", {})] + [("full_rank_uniform", {})] * (
+            M == N) + [(kind, {"rank_pmf": p}) for p in rank_pmfs
+                       for kind in ("uniform_given_rank", "custom_rank_dist")]
+        for kind, params in families:
+            try:
+                spec = cm.generate(kind, q=q, T=2, M=M, N=N, **params)
+            except BudgetExceeded:
+                continue
+            assert checked == []
+            again = ChannelSpec(spec.field, spec.T, spec.M, spec.N,
+                                dict(spec.pmf_H))
+            assert checked
+            checked.clear()
+            assert again.index == spec.index
+            seen += 1
+    assert seen >= 55, seen
+
+
 def test_random_channel_is_deterministic():
     a = cm.random_channel(random.Random(9), 2, 1, 2, 2)
     b = cm.random_channel(random.Random(9), 2, 1, 2, 2)
@@ -633,15 +760,6 @@ def _indexed_classes(monkeypatch):
     return calls
 
 
-def _assert_core_matches_reference(core):
-    ref = oracle.transition_core_reference(core.spec)
-    assert list(core.tables) == list(ref.tables)
-    for u, table in ref.tables.items():
-        # equal values, and keys in the order of the first H giving each E
-        assert list(core.tables[u].items()) == list(table.items())
-    assert core.fibers == ref.fibers
-
-
 def test_orbit_unions_share_tables_and_perturbed_ones_do_not(monkeypatch):
     # a union of full orbits is GL(M)-invariant, so one class per
     # dimension is indexed; one more unit of weight on one matrix breaks
@@ -652,40 +770,12 @@ def test_orbit_unions_share_tables_and_perturbed_ones_do_not(monkeypatch):
         q, T, M, N, weights, h = _orbit_channel(rng)
         invariant = _weighted(q, T, M, N, weights)
         perturbed = _weighted(q, T, M, N, {**weights, h: weights[h] + 1})
-        for spec, built in ((invariant, min(T, M) + 1), (perturbed, None)):
+        for spec, shared in ((invariant, True), (perturbed, False)):
             indexed.clear()
             core = transition_core(spec)
-            assert len(indexed) == (built or len(core.tables)), spec
-            _assert_core_matches_reference(core)
-
-
-@functools.cache
-def _general_linear(q, M):
-    """The rows of every g in GL(M, q), from enumerate_full_rank."""
-    return [tuple(zip(*[iter(g.entries)] * M))
-            for g in gf_core.enumerate_full_rank(M, M, FieldSpec(q))]
-
-
-def _gl_invariant_reference(spec):
-    """Whether pmf(g @ H) = pmf(H) for every g in GL(M, q) and every H in
-    the support, forming every product g @ H: row i of g @ H is looked up
-    in a table of the q^M combinations of the rows of H, and the products
-    are formed once per orbit {g @ H} met."""
-    q, M, N = spec.field.q, spec.M, spec.N
-    done = set()
-    for h, p in spec.pmf_H.items():
-        if h in done:
-            continue
-        rows = [h[k:k + N] for k in range(0, M * N, N)]
-        combo = {c: tuple(sum(a * r[j] for a, r in zip(c, rows)) % q
-                          for j in range(N))
-                 for c in product(range(q), repeat=M)}
-        orbit = {tuple(chain.from_iterable(map(combo.__getitem__, g)))
-                 for g in _general_linear(q, M)}
-        if any(spec.pmf_H.get(x) != p for x in orbit):
-            return False
-        done |= orbit
-    return True
+            assert len(indexed) == (min(T, M) + 1 if shared
+                                    else len(core.tables)), spec
+            assert_core_matches_reference(core, shared)
 
 
 def test_core_shares_tables_iff_the_law_is_gl_invariant(monkeypatch):
@@ -705,7 +795,7 @@ def test_core_shares_tables_iff_the_law_is_gl_invariant(monkeypatch):
             weights, h = _orbit_weights(rng, q, M, N)
             weights[h] += kind == "perturbed"
             spec = _weighted(q, T, M, N, weights)
-        invariant = _gl_invariant_reference(spec)
+        invariant = gl_invariant_reference(spec)
         indexed.clear()
         transition_core(spec)
         if M > 1:
@@ -775,7 +865,7 @@ def test_each_generator_is_needed_to_decide_invariance(monkeypatch, build,
     core = transition_core(spec)
     assert indexed == list(core.tables)
     if len(spec.pmf_H) < 100:
-        _assert_core_matches_reference(core)
+        assert_core_matches_reference(core, invariant=False)
 
 
 @pytest.mark.parametrize("spec, dims", [

@@ -8,7 +8,6 @@ from loccap import classify as cls
 from loccap import gf_core
 from loccap.channel_model import transition_core
 from loccap.gf_core import FieldSpec, matrix
-from loccap.subspace_enum import RowSpaces
 
 from conftest import (is_uniform_given_rank_reference, random_small_channel,
                       rank_pmf_reference, support_matrix)
@@ -151,10 +150,11 @@ def test_uniform_given_rank_equals_the_per_matrix_reference():
             list(rank_pmf_reference(spec).items())
         keys = list(spec.pmf_H)
         want = [gf_core.rank(support_matrix(spec, h)) for h in spec.pmf_H]
-        assert RowSpaces(spec.field, spec.N).ranks(keys, spec.M) == want
+        assert spec.index.ranks() == want
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        assert RowSpaces(spec.field, spec.N).ranks(
-            [keys[i] for i in order], spec.M) == [want[i] for i in order]
+        assert cm.ChannelSpec(spec.field, 1, spec.M, spec.N, {
+            keys[i]: spec.pmf_H[keys[i]] for i in order}).index.ranks() == \
+            [want[i] for i in order]
     assert min(outcomes[k] for k in (
         "holds", "unequal mass at equal rank",
         "rank shell only partially covered")) > 10
