@@ -47,12 +47,12 @@ without the Python-level encoder: each distinct row of the support
 matrices, and each distinct mass, is rendered once.
 
 ``generate`` keys each support by entry tuples and builds no MatrixGF:
-``iid_uniform`` straight from ``itertools.product``, and
-``full_rank_uniform`` and each uniform-given-rank shell from the column
-tuples of ``gf_core.full_rank_columns``.  Each family keeps the key order
-of the matrix enumerators (``all_matrices``, ``enumerate_full_rank``,
-and sorted entries for the shells), which fixes the first-seen key
-order of every core table, and so every witness.
+``iid_uniform`` straight from ``itertools.product``, and each
+uniform-given-rank shell from the column tuples of
+``gf_core.full_rank_columns``; ``full_rank_uniform`` is the rank-M shell
+of uniform_given_rank, with N = M.  ``iid_uniform`` keeps the key order
+of ``all_matrices`` and the shells sorted entry order, which fixes the
+first-seen key order of every core table, and so every witness.
 """
 
 from __future__ import annotations
@@ -134,6 +134,16 @@ class SupportIndex(NamedTuple):
         """The rank of each H."""
         return list(map(len, map(self.spaces.bases.__getitem__,
                                  self.states)))
+
+    def fills_orbits(self, groups: list, size) -> bool:
+        """Whether each group g holds size(g) matrices, all of one int
+        weight; groups[i] is the group of the i-th H.  The caller ensures
+        that no group can hold more than size(g) matrices, so the sizes
+        adding up to the support size means every group is full."""
+        weight = dict(zip(groups, self.weights))
+        return (sum(map(size, weight)) == len(groups)
+                and all(map(eq, map(weight.__getitem__, groups),
+                            self.weights)))
 
 
 @dataclass(frozen=True)
@@ -263,18 +273,6 @@ class TransitionCore:
         return list(self.tables)
 
 
-class _Memo(dict):
-    """key -> fn(key), computed on the first lookup."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def transition_core(spec: ChannelSpec) -> TransitionCore:
     """Tabulate the exact distribution of D_U @ H for every class U.
 
@@ -292,7 +290,8 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     xi(M, dim W, q) full-column-rank C, and g @ C runs over all of them.
     So pmf is invariant iff each row-space fiber of the support holds
     exactly xi(M, dim W, q) matrices, all of one int weight: a fiber lies
-    in its orbit, and then fills it.  No row is reduced for that.
+    in its orbit, and then fills it (``SupportIndex.fills_orbits``, on
+    the row-space states).  No row is reduced for that.
 
     On a GL(M)-invariant channel the classes of one dimension share one
     table.  Take a class U of dimension r.  Its RREF basis D_U is
@@ -312,12 +311,8 @@ def transition_core(spec: ChannelSpec) -> TransitionCore:
     classes = _classes(spec.field, M, top)
     weights, denom, b, low, packed, spaces, states = spec.index
     digit, low_mask = (1 << b) - 1, (1 << low) - 1
-    # no fiber holds more than the xi(M, dim W, q) matrices of its orbit,
-    # so each is full iff their sizes add up to the support size
-    weight = dict(zip(states, weights))
-    invariant = (sum(qcomb.xi(M, len(spaces.bases[w]), q) for w in weight)
-                 == len(states)
-                 and all(map(eq, map(weight.__getitem__, states), weights)))
+    invariant = spec.index.fills_orbits(
+        states, lambda w: qcomb.xi(M, len(spaces.bases[w]), q))
     shared = {}     # dim -> the table and fibers of its first class
     core = TransitionCore(spec)
     for u in classes:
@@ -443,13 +438,14 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
     """Build a ChannelSpec for one of the standard transfer-matrix families.
 
     kinds: "iid_uniform" (every M x N matrix equally likely),
-    "full_rank_uniform" (uniform over invertible M x M, N forced to M),
     "uniform_given_rank" (mass p(r) spread evenly over all rank-r
-    matrices), "custom_rank_dist" (mass p(r) concentrated on one
-    canonical rank-r matrix; deliberately not uniform given rank).
+    matrices), "full_rank_uniform" (uniform over invertible M x M, N
+    forced to M: the rank-M shell of uniform_given_rank),
+    "custom_rank_dist" (mass p(r) concentrated on one canonical rank-r
+    matrix; deliberately not uniform given rank).
     """
     if kind == "full_rank_uniform":
-        N = M
+        kind, N, rank_pmf = "uniform_given_rank", M, {M: 1}
     if N is None:
         raise ChannelSpecError("N is required")
     _check_sizes(T, M, N)
@@ -458,8 +454,6 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
     if kind == "iid_uniform":
         gf_core.check_power(q, M * N, SUPPORT_BUDGET, what)
         support = q ** (M * N)
-    elif kind == "full_rank_uniform":
-        support = gf_core.bounded_xi(M, M, q, SUPPORT_BUDGET, what)
     elif kind in ("uniform_given_rank", "custom_rank_dist"):
         if rank_pmf is None:
             raise ChannelSpecError(f"{kind} requires a rank PMF")
@@ -487,12 +481,6 @@ def generate(kind: str, *, q: int, M: int, N: int = None, T: int = 1,
         gf_core.check_power(q, M * N, gf_core.ENUM_BUDGET, "matrices")
         pmf = dict.fromkeys(product(range(q), repeat=M * N),
                             Fraction(1, support))
-    elif kind == "full_rank_uniform":
-        # in the order of gf_core.enumerate_full_rank
-        pmf = dict.fromkeys(
-            (tuple(chain.from_iterable(zip(*cols)))
-             for cols in gf_core.full_rank_columns(M, M, field)),
-            Fraction(1, support))
     elif kind == "uniform_given_rank":
         pmf = _rank_shells(field, M, N, {r: rank_pmf[r] for r in ranks})
     else:
@@ -712,8 +700,8 @@ def save_channel(spec: ChannelSpec, path) -> None:
     """
     N = spec.N
     # each distinct row of the H matrices as its indent-1 JSON text
-    row_text = _Memo(lambda row: "[\n     " + ",\n     ".join(map(str, row))
-                     + "\n    ]")
+    row_text = gf_core._Memo(
+        lambda row: "[\n     " + ",\n     ".join(map(str, row)) + "\n    ]")
     masses = spec.pmf_H.values()
     tail = {i: f'\n   ],\n   "p": "{p.numerator}/{p.denominator}"\n  }}'
             for i, p in dict(zip(map(id, masses), masses)).items()}

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq
 from typing import Optional
 
 from . import gf_core, qcomb, subspace_enum
@@ -88,22 +87,18 @@ def is_uniform_given_rank(spec: ChannelSpec) -> PredicateResult:
     """True iff the transfer PMF is constant on each rank shell.
 
     The ranks are read from the support index that the core steps
-    through (``ChannelSpec.index``), and the test runs in bulk: the
+    through (``ChannelSpec.index``), and the test runs in bulk, by the
+    core's orbit-filling test (``SupportIndex.fills_orbits``): the
     matrices of each rank must share one int weight and cover all
     xi2(M, N, r) matrices of that rank.  Only when that fails is the
     support scanned in sorted entry order, comparing masses by value, to
     name the witness: the least rank at fault, with the first two
     matrices of unequal mass in that order.
     """
-    index = spec.index
-    ranks, weights = index.ranks(), index.weights
-    shell_weight = dict(zip(ranks, weights))
+    ranks = spec.index.ranks()
     q = spec.field.q
-    # no rank is met more often than its shell has matrices, so the
-    # shells are covered iff their sizes add up to the support size
-    if sum(qcomb.xi2(spec.M, spec.N, r, q) for r in shell_weight) == len(
-            ranks) and all(map(eq, weights,
-                               map(shell_weight.__getitem__, ranks))):
+    if spec.index.fills_orbits(ranks,
+                               lambda r: qcomb.xi2(spec.M, spec.N, r, q)):
         return PredicateResult(True)
     rank = dict(zip(spec.pmf_H, ranks))
     shells: dict = {}

@@ -3,8 +3,8 @@
 Matrices are immutable, stored row-major as tuples of canonical residues
 in [0, q).  Everything here is a pure function; results can be shared
 freely between threads.  A field remembers the inverses its eliminations
-have looked up; every write stores the one true inverse, so sharing a
-field between threads stays safe.
+have looked up, in the package's one memo class, ``_Memo``; every write
+stores the one true inverse, so sharing a field stays thread-safe.
 
 Enumerations are lazy and refuse more than ``ENUM_BUDGET`` items before
 the first.  Full-column-rank matrices come as column tuples from
@@ -16,6 +16,7 @@ view of the same sequence, for callers that multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import chain, product
 from operator import add, mod
 from typing import Iterator
@@ -81,36 +82,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class _Inverses(dict):
-    """a -> a^-1 mod q for residues a in [1, q), each computed on its
-    first lookup, so a large field costs only the inverses it uses."""
+class _Memo(dict):
+    """key -> fn(key), computed on the first lookup."""
 
-    def __init__(self, q: int):
+    def __init__(self, fn):
         super().__init__()
-        self.q = q
+        self.fn = fn
 
-    def __missing__(self, a: int) -> int:
-        inv = self[a] = pow(a, self.q - 2, self.q)
-        return inv
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field F_q."""
+    """A prime field F_q; inverses memoizes a -> a^-1 mod q for a in
+    [1, q), so a large field costs only the inverses it uses."""
 
     q: int
-    inverses: _Inverses = dc_field(init=False, repr=False, compare=False)
+    inverses: _Memo = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_prime(self.q):
-            raise GFError(f"field order must be prime, got {self.q}")
-        object.__setattr__(self, "inverses", _Inverses(self.q))
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.inverses[a]
+        q = self.q
+        if not _is_prime(q):
+            raise GFError(f"field order must be prime, got {q}")
+        # a partial, not a lambda, so that a field still pickles
+        object.__setattr__(self, "inverses",
+                           _Memo(partial(pow, exp=q - 2, mod=q)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def transpose(a: MatrixGF) -> MatrixGF:
     return MatrixGF(a.field, a.cols, a.rows, ent)
 
 
-def _reduce(rows: list, q: int, inverses: _Inverses) -> list:
+def _reduce(rows: list, q: int, inverses: _Memo) -> list:
     """Bring a list of equal-length row lists over F_q to reduced row
     echelon form in place; returns the pivot columns.
 

@@ -51,22 +51,6 @@ def xi2(m: int, n: int, r: int, q: int) -> int:
     return num // den
 
 
-def count_superspaces(T: int, s: int, r: int, q: int) -> int:
-    """Number of r-dimensional subspaces of F_q^T containing a fixed
-    s-dimensional subspace.
-
-    Computed two ways and compared: [T-s, r-s]_q and
-    [T, r]_q * xi(r, s) / xi(T, s).
-    """
-    if not (0 <= s <= r <= T):
-        raise ValueError(f"need 0 <= s <= r <= T, got s={s}, r={r}, T={T}")
-    a = gaussian_binomial(T - s, r - s, q)
-    num = gaussian_binomial(T, r, q) * xi(r, s, q)
-    den = xi(T, s, q)
-    assert num % den == 0 and num // den == a
-    return a
-
-
 def epsilon_term(rank_pmf_H, T: int, M: int, q: int) -> float:
     """Correction term of the full-rank-input rate decomposition.
 

@@ -65,7 +65,7 @@ def test_criterion_01_counting_identities(capsys):
                 for s in range(t + 1):
                     for small in subs[s]:
                         for r in range(s, t + 1):
-                            got = qcomb.count_superspaces(t, s, r, q)
+                            got = qcomb.gaussian_binomial(t - s, r - s, q)
                             want = sum(
                                 1 for big in subs[r]
                                 if subspace_enum.contains(big, small))

@@ -1157,3 +1157,33 @@ def test_table2_achiever(fixtures):
     by_key = {tuple(u.basis.entries): a for u, a in cap.alpha.items()}
     assert by_key[()] == pytest.approx(0.5, abs=1e-4)
     assert by_key[(0, 1)] == pytest.approx(0.5, abs=1e-4)
+
+
+def test_unpruned_choices_are_refused_at_the_search_budget():
+    # 2 x 3 choices: the search and its unpruned reference both refuse a
+    # budget of 5, and both settle all 6 choices at a budget of 6
+    half = {0: 0.5, 1: 0.5}
+    groups = [[({0: 1.0}, 0.0), ({1: 1.0}, 0.0)],
+              [({0: 1.0}, 0.0), ({1: 1.0}, 0.0), (half, 0.0)]]
+    for search in (ce._best_choice, oracle.best_choice_unpruned):
+        with pytest.raises(BudgetExceeded):
+            search(groups, 1e-9, 10 ** 5, 5, "choices")
+    (value, *_), tried, _ = ce._best_choice(groups, 1e-9, 10 ** 5, 6,
+                                            "choices")
+    (want, *_), want_tried, _ = oracle.best_choice_unpruned(
+        groups, 1e-9, 10 ** 5, 6, "choices")
+    assert tried == want_tried == 6
+    assert value == pytest.approx(want, abs=1e-9) == pytest.approx(1.0)
+
+
+def test_ratio_witness_without_a_common_input_names_the_least_input():
+    # two likelihood columns on disjoint inputs have no ratio to anchor
+    # on, so the witness input is the least input either column holds
+    spec = cm.generate("iid_uniform", q=2, T=2, M=1, N=1)
+    half = Fraction(1, 2)
+    res = oracle._ratio_witness(spec, (1, 0), (0, 1), {(1, 1): half},
+                                {(0, 1): half}, "likelihood supports differ")
+    assert not res.holds
+    assert res.witness == {"reason": "likelihood supports differ",
+                           "Y1": [[1], [0]], "Y2": [[0], [1]],
+                           "X": [[0], [1]]}

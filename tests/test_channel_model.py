@@ -417,12 +417,13 @@ def test_generate_full_rank_uniform():
     assert len(spec.pmf_H) == 6
     assert all(p == Fraction(1, 6) for p in spec.pmf_H.values())
     assert all(rank(support_matrix(spec, h)) == 2 for h in spec.pmf_H)
-    # the keys come in enumerate_full_rank order, as for iid_uniform
+    # the rank-M shell of uniform_given_rank: the invertible matrices,
+    # keyed in sorted entry order, as every shell is
     for q, M in [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)]:
         spec = cm.generate("full_rank_uniform", q=q, M=M)
-        assert list(spec.pmf_H) == [
+        assert list(spec.pmf_H) == sorted(
             c.entries for c in gf_core.enumerate_full_rank(M, M,
-                                                           FieldSpec(q))]
+                                                           FieldSpec(q)))
 
 
 def test_generate_uniform_given_rank():

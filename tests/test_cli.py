@@ -635,3 +635,51 @@ def test_blahut_arimoto_underflow_is_an_optimizer_fault(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == ("error: optimizer failed: an output mass "
                             "underflowed to 0.0 at iteration 2\n")
+
+
+def test_an_odd_composite_field_order_exits_2(tmp_path, capsys):
+    out = tmp_path / "chan.json"
+    code = cli.main(["gen", "iid_uniform", "--q", "9", "--M", "1", "--N", "1",
+                     "-o", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: field order must be prime, got 9\n")
+    assert not out.exists()
+    path = tmp_path / "q9.json"
+    path.write_text(json.dumps({"q": 9, "T": 1, "M": 1, "N": 1, "pmf": [
+        {"H": [[0]], "p": "1"}]}))
+    for command in ("classify", "report"):
+        assert cli.main([command, str(path)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {path}: field order must be prime, got 9\n")
+
+
+def test_verify_exits_5_on_a_transition_mismatch(monkeypatch, capsys):
+    # a fast path 1/2 off at every pair is named at its first pair, once
+    # per fixture
+    original = cm.p_y_given_x
+    monkeypatch.setattr(cm, "p_y_given_x", lambda core, x, y: (
+        original(core, x, y) + Fraction(1, 2)))
+    code, doc = _run_json(capsys, ["verify", "--trials", "0"])
+    assert code == cli.EXIT_VERIFY
+    mismatches = [fail for fail in doc["failures"]
+                  if "transition mismatch" in fail]
+    assert [fail.split(":")[0] for fail in mismatches] == list(cli.FIXTURES)
+    assert all(": transition mismatch at X=[[0" in fail
+               for fail in mismatches)
+
+
+def test_verify_exits_5_on_a_capacity_mismatch(monkeypatch, capsys):
+    # a naive capacity 1 bit above the fast one
+    naive = ce.shannon_capacity_naive
+
+    def high(core, *args):
+        res = naive(core, *args)
+        res.value += 1.0
+        return res
+
+    monkeypatch.setattr(ce, "shannon_capacity_naive", high)
+    code, doc = _run_json(capsys, ["verify", "--trials", "0"])
+    assert code == cli.EXIT_VERIFY
+    assert [fail.split(":")[0] for fail in doc["failures"]
+            if ": capacity mismatch " in fail] == list(cli.FIXTURES)

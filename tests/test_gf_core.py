@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product
 
@@ -25,7 +26,7 @@ def test_field_rejects_composite_order():
 def test_inverse(q):
     f = FieldSpec(q)
     for a in range(1, q):
-        assert (a * f.inv(a)) % q == 1
+        assert (a * f.inverses[a]) % q == 1
 
 
 def _random_matrix(rng, field, rows, cols):
@@ -210,3 +211,45 @@ def test_transpose_involution_and_identity():
     assert transpose(transpose(a)) == a
     assert mat_mul(identity(F3, 3), a) == a
     assert mat_mul(a, zeros(F3, 2, 2)) == zeros(F3, 3, 2)
+
+
+@pytest.mark.parametrize("q", [9, 15, 25, 1048575])
+def test_field_rejects_odd_composite_order(q):
+    # each has an odd factor, which only the trial division finds
+    with pytest.raises(gf_core.GFError, match=f"must be prime, got {q}$"):
+        FieldSpec(q)
+
+
+@pytest.mark.parametrize("rows, cols, entries, err", [
+    (-1, 0, (), "negative dimension"),
+    (1, -1, (), "negative dimension"),
+    (2, 2, (0, 1, 1), "entry count does not match dimensions"),
+    (1, 2, (0, 3), r"entry out of range \[0, q\)"),
+    (1, 2, (-1, 0), r"entry out of range \[0, q\)"),
+])
+def test_matrix_refuses_a_bad_shape_or_entry(rows, cols, entries, err):
+    with pytest.raises(gf_core.GFError, match=err):
+        MatrixGF(F3, rows, cols, entries)
+
+
+def test_products_refuse_mixed_fields_and_shapes():
+    a2, a3 = identity(F2, 2), identity(F3, 2)
+    tall = zeros(F2, 3, 2)
+    with pytest.raises(gf_core.FieldMismatch):
+        mat_mul(a2, a3)
+    with pytest.raises(gf_core.DimensionMismatch, match="3x2 times 3x2"):
+        mat_mul(tall, tall)
+    with pytest.raises(gf_core.FieldMismatch):
+        solve_factor(a2, a3)
+    with pytest.raises(gf_core.DimensionMismatch):
+        solve_factor(tall, a2)
+
+
+def test_field_and_matrix_pickle_with_their_inverses():
+    f = FieldSpec(7)
+    a = matrix(f, [[3, 1], [0, 5]])
+    rank(a)     # fills the field's inverse memo
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and dict(g.inverses) == dict(f.inverses)
+    assert all(x * g.inverses[x] % 7 == 1 for x in range(1, 7))
+    assert pickle.loads(pickle.dumps(a)) == a

