@@ -7,9 +7,9 @@ per subspace of F^M (dimension at most min(T, M)).  For such inputs
 the whole mutual information collapses onto the exact per-class tables
 of D_U @ H, which keeps the alphabet tiny even when q^(T M) is not.
 Every optimization is one ``_ba`` run, which certifies an interval
-around the optimum; on two inputs it bisects the one free weight, and
-on three or more it takes over-relaxed Blahut-Arimoto steps whose size
-adapts to the run.
+around the optimum; on two inputs it takes safeguarded secant steps on
+the slope of the one free weight, and on three or more over-relaxed
+Blahut-Arimoto steps whose size adapts to the run.
 
 Subspace-coding capacity has three modes.  "alpha" searches one
 row-space class per input rank: a lower bound in general.  "unique" is
@@ -42,16 +42,17 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import fsum
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import classify as classify_mod
 from . import qcomb, subspace_enum
-from .channel_model import (ChannelSpec, TransitionCore, column_factor,
+from .channel_model import (ChannelSpec, TransitionCore,
                             cond_rank_given_rowspace, transition_core)
-from .gf_core import BudgetExceeded, MatrixGF, identity, mat_mul, transpose
-from .subspace_enum import Subspace, span_columns, span_rows
+from .gf_core import BudgetExceeded, FieldSpec, identity
+from .subspace_enum import Subspace, span_rows
 
 LOG2 = math.log2
 DEFAULT_TOL = 1e-9
@@ -59,6 +60,7 @@ DEFAULT_MAX_ITER = 10 ** 5
 DEFAULT_ASSIGNMENT_BUDGET = 10 ** 5
 INPUT_ENUM_BUDGET = 2 ** 24    # the most inputs whose options are built
 _MAX_STEP = 64      # the cap on _ba's over-relaxation factor mu
+_SHAPE_CACHE = 32   # the most shapes each degradation-group table keeps
 
 
 class NonMonotoneBound(AssertionError):
@@ -167,13 +169,22 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     lower value, and an unconverged run returns the plain step from
     that point.
 
-    Two inputs take a bisection on t = p(0) - p(1) in (-1, 1), started
-    at t = 0: the objective is concave in t with slope (d_0 - d_1) / 2,
-    so each step moves t toward the input with the larger score, and
-    ``iterations`` counts these steps.  It stops unconverged when the
-    bracket has no float between its ends.  A weight is never below
-    2^-54, so an output mass underflows only where every row entry
-    reaching it is below 2^-1020.
+    Two inputs take a safeguarded root search on t = p(0) - p(1), from
+    t = 0 in (-1, 1): the objective is concave in t with slope g / 2,
+    g = d_0 - d_1, so each scored point moves one end of a bracket
+    [lo, hi] around the optimum, lo where g > 0 and hi where g <= 0, and
+    ``iterations`` counts the points.  While one end is still an
+    unscored -1 or 1, the next point lies w^2 / 2 from it, w being the
+    bracket's width: the midpoint at the second point, after which a
+    weight driven to an optimum on the boundary shrinks doubly
+    exponentially instead of halving at each point.  Once both ends are
+    scored, the next point is the secant (regula falsi) root of g
+    through them, with the Illinois rule: an end kept at two points in a
+    row has its g halved, so the bracket closes from both sides.  A
+    point not strictly inside the bracket is replaced by its midpoint,
+    and the run stops unconverged when the bracket has no float between
+    its ends.  A weight is never below 2^-54, so an output mass
+    underflows only where every row entry reaching it is below 2^-1020.
 
     The run is exactly equivariant: permuting the rows with their
     rewards and relabelling the outputs gives a bit-identical value,
@@ -183,9 +194,11 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     ``math.fsum``s, which round the exact sum once and so do not depend
     on the order of their terms; the step's other operations are
     elementwise, or a ``max``, and mu follows from the lower values
-    alone.  Swapping two inputs maps the bisection's t to -t, its
-    bracket to the negated bracket and its PMF to the swapped PMF, each
-    exactly.  No caller needs more than an interval that holds the
+    alone.  Swapping two inputs maps t to -t, the bracket to the negated
+    bracket, g to -g and the PMF to the swapped PMF, each exactly: the
+    secant is written (lo g_hi - hi g_lo) / (g_hi - g_lo), and each of
+    its roundings, like the midpoint's and the squared distance's, is
+    odd under that map.  No caller needs more than an interval that holds the
     optimum, but equivariance makes a relabelled channel print the same
     values, and a choice search's relaxation the same bound whatever the
     order of its options.
@@ -203,7 +216,9 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
     base = [r + fsum([c * LOG2(c) for c in row.values()])
             for r, row in zip(rewards, rows)]
     alpha = [1.0 / n] * n
-    lo, t, hi = -1.0, 0.0, 1.0      # the two-input bisection's bracket
+    lo, t, hi = -1.0, 0.0, 1.0      # the two-input bracket, and its slopes
+    g_lo = g_hi = math.nan          # at the ends, NaN until scored
+    side = 0                        # +1 (-1) when lo (hi) moved last
     mu, trial, plain = 1, False, None   # the over-relaxed steps' state
     lower, upper, width = -math.inf, 0.0, math.inf
     it = 0
@@ -240,11 +255,27 @@ def _ba(rows: List[Dict[int, float]], rewards: Optional[List[float]],
             return lower, alpha, width, it, True
         if n == 2:
             # tied scores converged above: the two weights fsum to 1.0
-            if d[0] > d[1]:
-                lo = t
+            g = d[0] - d[1]
+            if g > 0.0:
+                if side > 0:
+                    g_hi /= 2
+                lo, g_lo, side = t, g, 1
             else:
-                hi = t
-            t = (lo + hi) / 2
+                if side < 0:
+                    g_lo /= 2
+                hi, g_hi, side = t, g, -1
+            t, span = (lo + hi) / 2, hi - lo
+            if math.isnan(g_hi):
+                s = hi - span * span / 2
+            elif math.isnan(g_lo):
+                s = lo + span * span / 2
+            elif g_hi < 0.0 < g_lo:
+                # the secant, written so that swapping the inputs negates it
+                s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            else:
+                s = t
+            if lo < s < hi:
+                t = s
             if t == lo or t == hi:
                 break
             continue
@@ -318,19 +349,18 @@ def mi_alpha(core: TransitionCore, alpha: Dict[Subspace, object]) -> float:
     the class-level mutual information, and the bounds around it, at
     arbitrary weights, while ``_capacity_and_mi`` evaluates it only at
     the capacity achiever."""
-    return _mi_alpha(core, _class_setup(core), alpha)
+    return _mi_alpha(_class_setup(core), alpha, row_space_laws(core, alpha))
 
 
-def _mi_alpha(core: TransitionCore, setup: _ClassSetup,
-              alpha: Dict[Subspace, object]) -> float:
+def _mi_alpha(setup: _ClassSetup, alpha: Dict[Subspace, object],
+              laws: RowSpaceLaws) -> float:
     """I(X;Y) = I(U;W) + sum_U alpha(U) reward(U), the identity of
     ``_class_setup``: the mutual information of the (class, W) joint
-    plus the alpha-weighted mean reward."""
+    (laws, at alpha) plus the alpha-weighted mean reward."""
     weights = [float(alpha.get(u, 0)) for u in setup.classes]
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("alpha does not sum to 1")
-    return (_mi(_row_space_laws(core, alpha))
-            + fsum(map(mul, weights, setup.rewards)))
+    return _mi(laws) + fsum(map(mul, weights, setup.rewards))
 
 
 def shannon_capacity(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -346,13 +376,14 @@ def shannon_capacity(core: TransitionCore, tol: float = DEFAULT_TOL,
     return _shannon_capacity(_class_setup(core), tol, max_iter)
 
 
-def _capacity_and_mi(core: TransitionCore, tol: float,
-                     max_iter: int) -> Tuple[CapacityResult, float]:
-    """shannon_capacity and mi_alpha at its achiever, from one class
-    setup."""
+def _capacity_and_mi(core: TransitionCore, tol: float, max_iter: int
+                     ) -> Tuple[CapacityResult, RowSpaceLaws, float]:
+    """shannon_capacity, the row-space laws at its achiever and mi_alpha
+    there, from one class setup and one pass of ``row_space_laws``."""
     setup = _class_setup(core)
     cap = _shannon_capacity(setup, tol, max_iter)
-    return cap, _mi_alpha(core, setup, cap.alpha)
+    laws = row_space_laws(core, cap.alpha)
+    return cap, laws, _mi_alpha(setup, cap.alpha, laws)
 
 
 def _shannon_capacity(setup: _ClassSetup, tol: float,
@@ -420,17 +451,19 @@ def lemma_full_rank_decomposition(spec: ChannelSpec):
     return j, training, eps
 
 
-_RowSpaceLaws = namedtuple("_RowSpaceLaws", "joint u w r s rs us")
+RowSpaceLaws = namedtuple("RowSpaceLaws", "joint u w r s rs us")
 
 
-def _row_space_laws(core: TransitionCore,
-                    alpha: Dict[Subspace, object]) -> _RowSpaceLaws:
+def row_space_laws(core: TransitionCore,
+                   alpha: Dict[Subspace, object]) -> RowSpaceLaws:
     """The joint PMF of (U, W), the row spaces of X and Y, as floats, for
     the input uniform on each row-space fiber with fiber weights alpha;
     and, in the same pass, its marginals over U, W, dim U, dim W,
     (dim U, dim W) and (U, dim W), each adding the joint's cells in the
-    joint's own order."""
-    laws = _RowSpaceLaws({}, {}, {}, {}, {}, {}, {})
+    joint's own order.  ``mi_alpha``, ``bounds_row_space`` and
+    ``markov_check`` read it; ``capacity_report`` builds it once for
+    both of the last two."""
+    laws = RowSpaceLaws({}, {}, {}, {}, {}, {}, {})
     joint, marginals = laws[0], laws[1:]
     for u, a in alpha.items():
         a = float(a)
@@ -445,15 +478,16 @@ def _row_space_laws(core: TransitionCore,
     return laws
 
 
-def _mi(laws: _RowSpaceLaws) -> float:
+def _mi(laws: RowSpaceLaws) -> float:
     # Logs of the marginals separately: their product can underflow to
     # 0.0 when an achiever weight is subnormal.
     return sum(p * (LOG2(p) - LOG2(laws.u[u]) - LOG2(laws.w[w]))
                for (u, w), p in laws.joint.items() if p > 0.0)
 
 
-def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
-    """Sandwich bounds on I(X;Y) for a fiber-uniform input.
+def bounds_row_space(core: TransitionCore, laws: RowSpaceLaws):
+    """Sandwich bounds on I(X;Y) for a fiber-uniform input, from its
+    ``row_space_laws``.
 
     lower = j + I(row space X; row space Y); upper adds the conditional
     entropy headroom sum p(r,s) log2 xi(r,s).  The lower bound is tight
@@ -461,7 +495,6 @@ def bounds_row_space(core: TransitionCore, alpha: Dict[Subspace, object]):
     """
     spec = core.spec
     q = spec.field.q
-    laws = _row_space_laws(core, alpha)
     lower = j_rank(laws.rs, spec.T, q) + _mi(laws)
     slack = sum(p * _log2(qcomb.xi(r, s, q))
                 for (r, s), p in laws.rs.items() if p > 0 and s > 0)
@@ -626,32 +659,104 @@ def _degradation_groups(core: TransitionCore):
     are built once per dimension, from one law of colspace(E) per class,
     and pushed to each W.  Both pushes are injective, so they keep the
     laws distinct, and each law's subspaces in order.
+
+    Past the first call of a shape in a process, which reads its
+    matrices A to build its factors, no matrix is built per input or per
+    push.  Every subspace is a state of a ``subspace_enum.RowSpaces``
+    table, one over F^r per dimension for colspace(E) and its pushes by
+    G^T, and one over F^T for the pushes by W's basis.  A push steps from
+    {0} through the combinations of the pushing matrix's rows by the
+    state's basis rows, once per factor for G^T and once per (state, W)
+    for W's basis.  The factors (U, G^T) and the bases of the W depend on
+    the shape alone, and come from per-process caches
+    (``_input_factors``, ``_grassmannian_rows``); the tables, and so the
+    state numbers, are the call's own.
     """
     spec = core.spec
-    field = spec.field
-    if field.q ** (spec.T * spec.M) > INPUT_ENUM_BUDGET:
+    field, q, N = spec.field, spec.field.q, spec.N
+    if q ** (spec.T * spec.M) > INPUT_ENUM_BUDGET:
         raise BudgetExceeded("input enumeration exceeds budget")
-    v_index: Dict[Subspace, int] = {}
+    out_spaces = subspace_enum.RowSpaces(field, spec.T)
+    v_index: Dict[int, int] = {}
     for r in range(min(spec.T, spec.M) + 1):
+        spaces = subspace_enum.RowSpaces(field, r)
         class_laws: Dict[Subspace, dict] = {}
         for u, table in core.tables.items():
             if u.dim == r:
                 law = class_laws[u] = {}
                 for e, p in table.items():
-                    v = span_columns(MatrixGF(field, r, spec.N, e))
+                    # the span of E's columns
+                    v = spaces.span(zip(*[e[i:i + N]
+                                          for i in range(0, r * N, N)]))
                     law[v] = law.get(v, 0) + p
         laws: Dict[frozenset, dict] = {}
-        for a in subspace_enum.matrices_with_column_space(
-                span_rows(identity(field, r)), spec.M):
-            u = span_rows(a)
-            g = transpose(column_factor(a, u))
-            law = {span_rows(mat_mul(v.basis, g)): p
+        for u, g in _input_factors(field, r, spec.M):
+            law = {spaces.span(_combine(x, g, q)
+                               for x in spaces.bases[v]): p
                    for v, p in class_laws[u].items()}
             laws.setdefault(frozenset(law.items()), law)
-        for w in subspace_enum.enumerate_grassmannian(r, spec.T, field):
-            yield [(_float_row({v_index.setdefault(
-                span_rows(mat_mul(v.basis, w.basis)), len(v_index)): p
-                for v, p in law.items()}), 0.0) for law in laws.values()]
+        for w in _grassmannian_rows(field, r, spec.T):
+            pushed: Dict[int, int] = {}
+            group = []
+            for law in laws.values():
+                row = {}
+                for v, p in law.items():
+                    s = pushed.get(v)
+                    if s is None:
+                        s = pushed[v] = out_spaces.span(
+                            _combine(x, w, q) for x in spaces.bases[v])
+                    row[v_index.setdefault(s, len(v_index))] = p
+                group.append((_float_row(row), 0.0))
+            yield group
+
+
+def _combine(x: tuple, rows: tuple, q: int) -> tuple:
+    """The row x @ R over F_q, for R given by its rows: the combination
+    of the rows of R with the coefficients x."""
+    return tuple(sum(map(mul, x, col)) % q for col in zip(*rows))
+
+
+@lru_cache(maxsize=_SHAPE_CACHE)
+def _input_factors(field: FieldSpec, r: int, M: int) -> tuple:
+    """The factors (U, G^T) of the full-row-rank r x M matrices A = G @
+    D_U, in the order of ``matrices_with_column_space`` (of F^r, with M
+    columns), keeping the first of each up to a scalar: U is A's row
+    space, and G^T, as its rows, is the columns of A at D_U's pivots
+    (``column_factor``), scaled so that its first nonzero entry is 1.
+    G^T and c G^T push every subspace to the same one, so they give one
+    law, and dropping the later of them leaves the distinct laws met in
+    the same order.
+
+    The factors depend on the shape alone, so the cache keys by (field,
+    r, M) and holds ``_SHAPE_CACHE`` shapes, each of xi(M, r, q) / (q-1)
+    factors at most (one when r = 0): at worst ``INPUT_ENUM_BUDGET`` / (q-1)
+    when ``_degradation_groups`` reads them, since xi(M, r, q) <=
+    q^(r M) <= q^(T M)."""
+    q, inverses = field.q, field.inverses
+    spaces = subspace_enum.RowSpaces(field, M)
+    factors = {}
+    for a in subspace_enum.matrices_with_column_space(
+            span_rows(identity(field, r)), M):
+        rows = [a.row(i) for i in range(r)]
+        state = spaces.span(rows)
+        g = [[row[basis.index(1)] for row in rows]
+             for basis in spaces.bases[state]]
+        # G^T over its first nonzero entry, which is in its first row
+        c = inverses[next(filter(None, g[0]))] if r else 1
+        factors.setdefault((state, tuple(tuple(x * c % q for x in row)
+                                         for row in g)))
+    return tuple((spaces.space(state), g) for state, g in factors)
+
+
+@lru_cache(maxsize=_SHAPE_CACHE)
+def _grassmannian_rows(field: FieldSpec, r: int, T: int) -> tuple:
+    """The RREF basis rows of each r-dimensional subspace of F^T, in
+    ``enumerate_grassmannian`` order.  They depend on the shape alone, so
+    the cache keys by (field, r, T) and holds ``_SHAPE_CACHE`` shapes,
+    each of [T, r]_q <= q^(r T) bases: at worst ``INPUT_ENUM_BUDGET``
+    when ``_degradation_groups`` reads them."""
+    return tuple(tuple(w.basis.row(i) for i in range(r))
+                 for w in subspace_enum.enumerate_grassmannian(r, T, field))
 
 
 def css_bruteforce(core: TransitionCore, tol: float = DEFAULT_TOL,
@@ -698,9 +803,9 @@ def subspace_coding_capacity(core: TransitionCore, mode: str = "auto",
 # ---------------------------------------------------------------------------
 # Diagnostics for comparing C with the subspace coding capacity.
 
-def markov_check(core: TransitionCore, alpha: Dict[Subspace, object],
-                 tol: float = 1e-9) -> MarkovVerdict:
-    """Test the two chain factorizations at a given input weighting.
+def markov_check(laws: RowSpaceLaws, tol: float = 1e-9) -> MarkovVerdict:
+    """Test the two chain factorizations at a given input weighting, from
+    its ``row_space_laws``.
 
     long: row space X -> rank X -> rank Y -> row space Y;
     short: row space X -> rank Y -> row space Y.
@@ -708,7 +813,6 @@ def markov_check(core: TransitionCore, alpha: Dict[Subspace, object],
     rounding-size violations; the max absolute violations are reported,
     and a chain holds when its violation is at most tol.
     """
-    laws = _row_space_laws(core, alpha)
     viol_long = viol_short = 0.0
     for (u, w), p in laws.joint.items():
         r, s = u.dim, w.dim
@@ -764,8 +868,9 @@ def capacity_report(spec: ChannelSpec, tol: float = DEFAULT_TOL,
     report = classify_mod.classify(spec, core)
     cap = shannon_capacity(core, tol, max_iter)
     css = subspace_coding_capacity(core, css_mode, tol, max_iter, budget)
-    bounds = bounds_row_space(core, cap.alpha)
-    markov = markov_check(core, cap.alpha, tol=math.sqrt(tol))
+    laws = row_space_laws(core, cap.alpha)
+    bounds = bounds_row_space(core, laws)
+    markov = markov_check(laws, tol=math.sqrt(tol))
     margin = cap.value - css.upper
     if report.degraded.holds:
         verdict = VERDICT_EQUAL

@@ -131,8 +131,8 @@ def cmd_css(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec, core = _load(args)
-    cap, mi = ce._capacity_and_mi(core, args.tol, args.max_iter)
-    lower, upper = ce.bounds_row_space(core, cap.alpha)
+    cap, laws, mi = ce._capacity_and_mi(core, args.tol, args.max_iter)
+    lower, upper = ce.bounds_row_space(core, laws)
     doc = _base_doc(args)
     doc["C"] = _cap_json(cap, with_alpha=False)
     doc["lower"] = {"value": _fmt(lower), "mode": "row-space", "gap": ""}

@@ -98,6 +98,13 @@ class RowSpaces(dict):
                 itemgetter(slice(i, i + n)), keys))))
         return list(out)
 
+    def span(self, rows) -> int:
+        """The state of the span of rows, each n entries."""
+        state = 0
+        for row in rows:
+            state = self[state, self.codes[row]]
+        return state
+
     def space(self, state: int) -> Subspace:
         """The Subspace of a state, built once from its interned RREF
         rows, so each state has one shared Subspace."""

@@ -70,6 +70,38 @@ def blahut_arimoto_reference(rows, rewards, tol, max_iter):
     return lower, alpha, upper - lower, max_iter, False
 
 
+def two_input_bisection_reference(rows, rewards, tol, max_iter):
+    """Bisection of t = p(0) - p(1) in (-1, 1) from t = 0, toward the
+    input with the larger score, each point certified by [Arimoto's lower
+    value, max_i d_i]: the reference for ``capacity_engine._ba`` on two
+    inputs.  Returns (value, PMF, gap, iterations, converged); a run
+    stops unconverged once its bracket has no float between its ends."""
+    base = [r + math.fsum([c * math.log2(c) for c in row.values()])
+            for r, row in zip(rewards, rows)]
+    outputs = set(rows[0]) | set(rows[1])
+    lo, t, hi = -1.0, 0.0, 1.0
+    for it in range(1, max_iter + 1):
+        alpha = [(1.0 + t) / 2, (1.0 - t) / 2]
+        logs = {w: math.log2(math.fsum([a * row.get(w, 0.0)
+                                        for a, row in zip(alpha, rows)]))
+                for w in outputs}
+        d = [b - math.fsum([c * logs[w] for w, c in row.items()])
+             for b, row in zip(base, rows)]
+        upper = max(d)
+        value = upper + math.log2(math.fsum(
+            [a * 2.0 ** (di - upper) for a, di in zip(alpha, d)]))
+        if upper - value <= tol:
+            return value, alpha, upper - value, it, True
+        if d[0] > d[1]:
+            lo = t
+        else:
+            hi = t
+        t = (lo + hi) / 2
+        if t in (lo, hi):
+            break
+    return value, alpha, upper - value, it, False
+
+
 def rank_joint(core, alpha):
     """Joint PMF of (rank X, rank Y) induced by a row-space input PMF,
     exact when alpha is."""

@@ -143,7 +143,8 @@ def test_criterion_06_single_packet_rank_term(capsys):
                      for u, w in zip(classes, weights)}
             joint = rank_joint(core, alpha)
             assert ce.j_rank(joint, 1, 2) == 0.0
-            lower, _ = ce.bounds_row_space(core, alpha)
+            lower, _ = ce.bounds_row_space(
+                core, ce.row_space_laws(core, alpha))
             assert ce.mi_alpha(core, alpha) == pytest.approx(
                 lower, abs=1e-9)
 
@@ -187,7 +188,8 @@ def test_criterion_08_sandwich_and_tightness(capsys, fixtures):
             spec = random_small_channel(rng)
             core = transition_core(spec)
             alpha = rand_alpha(core)
-            lower, upper = ce.bounds_row_space(core, alpha)
+            lower, upper = ce.bounds_row_space(
+                core, ce.row_space_laws(core, alpha))
             mi = ce.mi_alpha(core, alpha)
             assert lower - 1e-9 <= mi <= upper + 1e-9
         for name, (spec, core) in fixtures.items():
@@ -195,7 +197,8 @@ def test_criterion_08_sandwich_and_tightness(capsys, fixtures):
                 continue
             for _ in range(3):
                 alpha = rand_alpha(core)
-                lower, _ = ce.bounds_row_space(core, alpha)
+                lower, _ = ce.bounds_row_space(
+                    core, ce.row_space_laws(core, alpha))
                 assert ce.mi_alpha(core, alpha) == pytest.approx(
                     lower, abs=1e-9), name
 

@@ -18,7 +18,8 @@ from loccap.subspace_enum import span_rows
 
 from conftest import (best_choice_unpruned, blahut_arimoto_reference,
                       merged_classes_reference, mi_alpha_reference,
-                      random_small_channel, rank_joint, row_steps)
+                      random_small_channel, rank_joint, row_steps,
+                      two_input_bisection_reference)
 
 F2 = FieldSpec(2)
 
@@ -103,8 +104,8 @@ def test_mi_alpha_matches_the_h_y_minus_h_y_given_x_reference():
         alpha = _random_alpha(rng, core)
         assert ce.mi_alpha(core, alpha) == pytest.approx(
             mi_alpha_reference(core, alpha), abs=1e-9)
-        cap, mi = ce._capacity_and_mi(core, ce.DEFAULT_TOL,
-                                      ce.DEFAULT_MAX_ITER)
+        cap, _, mi = ce._capacity_and_mi(core, ce.DEFAULT_TOL,
+                                         ce.DEFAULT_MAX_ITER)
         assert mi == pytest.approx(mi_alpha_reference(core, cap.alpha),
                                    abs=1e-9)
 
@@ -163,7 +164,8 @@ def test_single_packet_mi_equals_row_space_mi():
         spec = cm.random_channel(rng, 2, 1, 2, 2)
         core = transition_core(spec)
         alpha = _random_alpha(rng, core)
-        lower, _ = ce.bounds_row_space(core, alpha)
+        lower, _ = ce.bounds_row_space(
+            core, ce.row_space_laws(core, alpha))
         assert ce.mi_alpha(core, alpha) == pytest.approx(lower, abs=1e-9)
 
 
@@ -202,7 +204,8 @@ def test_bounds_sandwich_random_pairs():
         spec = random_small_channel(rng)
         core = transition_core(spec)
         alpha = _random_alpha(rng, core)
-        lower, upper = ce.bounds_row_space(core, alpha)
+        lower, upper = ce.bounds_row_space(
+            core, ce.row_space_laws(core, alpha))
         mi = ce.mi_alpha(core, alpha)
         assert lower - 1e-9 <= mi <= upper + 1e-9
 
@@ -214,7 +217,8 @@ def test_bounds_tight_for_row_space_symmetric_fixtures(fixtures):
             continue
         for _ in range(3):
             alpha = _random_alpha(rng, core)
-            lower, _ = ce.bounds_row_space(core, alpha)
+            lower, _ = ce.bounds_row_space(
+                core, ce.row_space_laws(core, alpha))
             assert ce.mi_alpha(core, alpha) == pytest.approx(
                 lower, abs=1e-9), name
 
@@ -821,6 +825,29 @@ def test_two_input_bisection_abandons_below_its_floor():
     assert first > 50 and later > 50
 
 
+@pytest.mark.parametrize("tol, worst", [(1e-6, 21), (1e-9, 31),
+                                        (1e-12, 41)])
+def test_two_input_secant_steps_halve_the_bisection_work(tol, worst):
+    # the secant steps, and the squared approach to an unscored end, take
+    # at most half the points of plain bisection over the problems of the
+    # agreement test, and no run more than bisection's longest
+    rng = random.Random(2222)
+    steps = ref_steps = 0
+    for _ in range(1000):
+        rows, rewards = _random_pair(rng)
+        value, _, gap, its, ok = ce._ba(rows, rewards, tol, 10 ** 5)
+        ref_value, _, ref_gap, ref_its, ref_ok = \
+            two_input_bisection_reference(rows, rewards, tol, 10 ** 5)
+        assert ok and ref_ok
+        # the intervals overlap, up to rounding
+        assert value <= ref_value + ref_gap + 1e-15
+        assert ref_value <= value + gap + 1e-15
+        assert its <= worst
+        steps += its
+        ref_steps += ref_its
+    assert 2 * steps <= ref_steps, (steps, ref_steps)
+
+
 def test_choice_search_settles_162_choices_in_at_most_three_runs(
         monkeypatch):
     # a q=2, T=2, M=2, N=1 channel with 162 deterministic degradations:
@@ -884,10 +911,12 @@ def test_one_rebinding_trips_every_check_of_a_budget(monkeypatch, module,
 
 def _counting_inputs(monkeypatch):
     """Count the matrices matrices_with_column_space yields: the r x M
-    matrices A of each input X = W.basis^T @ A that css_bruteforce reads;
-    returns the list that collects them."""
+    matrices A of each input X = W.basis^T @ A that css_bruteforce reads
+    when it factors them, which it does once per shape; returns the list
+    that collects them, after emptying the factor cache."""
     original = subspace_enum.matrices_with_column_space
     inputs = []
+    ce._input_factors.cache_clear()
 
     def counted(u, m):
         for x in original(u, m):
@@ -942,6 +971,7 @@ def test_choice_searches_refuse_exactly_above_the_budget(monkeypatch):
             assert search(core, budget=total).assignments_tried == total
             budget = rng.randrange(total)
             inputs.clear()
+            ce._input_factors.cache_clear()
             with pytest.raises(BudgetExceeded, match=f"^more than {budget} "):
                 search(core, budget=budget)
             if search is ce.css_bruteforce:
@@ -957,6 +987,34 @@ def test_choice_searches_refuse_exactly_above_the_budget(monkeypatch):
                                     for r in range(max(dims) + 1))
             checked += 1
     assert checked > 75 and early > 20
+
+
+def _items(groups):
+    """Groups of options with each row's items in order."""
+    return [[(list(row.items()), reward) for row, reward in group]
+            for group in groups]
+
+
+def test_degradation_groups_do_not_depend_on_the_shape_caches():
+    # the factor and Grassmannian caches key by shape alone and hold no
+    # state numbers: two channels of one shape give the input scan's
+    # groups in either order, from cold caches or warm, and again on a
+    # second call on one core
+    rng = random.Random(1616)
+    for _ in range(40):
+        shape = (rng.choice([2, 3, 5]), rng.randint(1, 2), rng.randint(1, 2),
+                 rng.randint(1, 2))
+        cores = [transition_core(cm.random_channel(rng, *shape,
+                                                   max_support=4))
+                 for _ in range(2)]
+        want = [_items(oracle.degradation_groups(core.spec))
+                for core in cores]
+        for order in ([0, 1, 0], [1, 0, 1]):
+            ce._input_factors.cache_clear()
+            ce._grassmannian_rows.cache_clear()
+            for i in order:
+                got = _items(ce._degradation_groups(cores[i]))
+                assert got == want[i], cores[i].spec
 
 
 @pytest.mark.parametrize("T", [600, 4096])
@@ -988,7 +1046,7 @@ def test_markov_check_exact_on_rank_symmetric_channel(fixtures):
     spec, core = fixtures["example9.json"]
     classes = core.input_classes()
     alpha = {u: Fraction(1, len(classes)) for u in classes}
-    verdict = ce.markov_check(core, alpha, tol=1e-12)
+    verdict = ce.markov_check(ce.row_space_laws(core, alpha), tol=1e-12)
     assert verdict.long_chain and verdict.short_chain
     assert verdict.max_violation_long == 0.0
 
